@@ -4,7 +4,9 @@ The decentralized baseline gives every user its own actor and critic over
 local observations; the centralized variant feeds each critic the joint
 observations and actions of all users; the robust variant adds one
 adversarial reward network per agent whose (clamped) output replaces the
-stored reward inside the temporal-difference target.
+stored reward inside the temporal-difference target. All agents share
+network shapes within an algorithm, so each role's networks are stacked
+along a leading agent axis and one update steps every agent at once.
 """
 
 from __future__ import annotations
@@ -58,17 +60,6 @@ class TrainerConfig:
 
 
 @dataclass
-class Transition:
-    """One stored interaction: per-user vectors, actions in raw watts,
-    and the perceived (possibly perturbed) rewards."""
-
-    obs: list[np.ndarray]
-    acts: list[np.ndarray]
-    rewards: list[float]
-    next_obs: list[np.ndarray]
-
-
-@dataclass
 class Batch:
     """Stacked sample: axes are (batch, user, feature)."""
 
@@ -95,99 +86,50 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, t: Transition) -> None:
+    def push(self, obs, acts, rewards, next_obs) -> None:
+        """Store one interaction: (M, obs_dim) observations, (M, 2) actions
+        in raw watts, M perceived rewards and (M, obs_dim) next observations."""
         cur = self._cursor
-        for m in range(self._obs.shape[1]):
-            self._obs[cur, m] = t.obs[m]
-            self._acts[cur, m] = t.acts[m]
-            self._next_obs[cur, m] = t.next_obs[m]
-        self._rewards[cur] = t.rewards
+        self._obs[cur] = obs
+        self._acts[cur] = acts
+        self._rewards[cur] = rewards
+        self._next_obs[cur] = next_obs
         self._cursor = (cur + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def _draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_arrays(self, k: int, rng: np.random.Generator) -> Batch:
         if k > self._size:
             raise ValueError(f"cannot sample {k} transitions from {self._size} stored")
-        return rng.integers(0, self._size, size=k)
-
-    def sample(self, k: int, rng: np.random.Generator) -> list[Transition]:
-        idx = self._draw(k, rng)
-        out = []
-        for i in idx:
-            out.append(Transition(
-                obs=[self._obs[i, m].copy() for m in range(self._obs.shape[1])],
-                acts=[self._acts[i, m].copy() for m in range(self._acts.shape[1])],
-                rewards=[float(r) for r in self._rewards[i]],
-                next_obs=[self._next_obs[i, m].copy() for m in range(self._next_obs.shape[1])],
-            ))
-        return out
-
-    def sample_arrays(self, k: int, rng: np.random.Generator) -> Batch:
-        idx = self._draw(k, rng)
+        idx = rng.integers(0, self._size, size=k)
         return Batch(self._obs[idx], self._acts[idx], self._rewards[idx], self._next_obs[idx])
-
-    def stored(self) -> list[Transition]:
-        """All retained transitions, oldest first (test hook)."""
-        if self._size < self.capacity:
-            order = range(self._size)
-        else:
-            order = [(self._cursor + i) % self.capacity for i in range(self.capacity)]
-        return [Transition(
-            obs=[self._obs[i, m].copy() for m in range(self._obs.shape[1])],
-            acts=[self._acts[i, m].copy() for m in range(self._acts.shape[1])],
-            rewards=[float(r) for r in self._rewards[i]],
-            next_obs=[self._next_obs[i, m].copy() for m in range(self._next_obs.shape[1])],
-        ) for i in order]
 
 
 @dataclass
 class DdpgAgent:
-    """Actor/critic pair with target copies and per-network optimizer state."""
+    """One agent's actor and critic with their target copies: views into
+    the trainer's stacked networks."""
 
     actor: MlpParams
     actor_target: MlpParams
-    actor_opt: AdamState
     critic: MlpParams
     critic_target: MlpParams
-    critic_opt: AdamState
-    obs_dim: int
-    p_max: np.ndarray  # (2,) per-dimension action ceilings in watts
-    # Scratch gradient buffers reused across update calls.
-    actor_grad: Gradients = None
-    critic_grad: Gradients = None
 
 
 @dataclass
 class NatureNet:
-    """Adversarial scalar reward estimate over one agent's (obs, action)."""
+    """Adversarial scalar reward estimate over one agent's (obs, action):
+    a view into the trainer's stacked adversaries."""
 
     net: MlpParams
-    opt: AdamState
 
 
 @dataclass
 class UpdateStats:
-    critic_loss: float
-    actor_objective: float
-    nature_mean: float | None = None
+    """Diagnostics of one update, one entry per agent."""
 
-
-def make_agent(obs_dim: int, critic_in_dim: int, p_max: np.ndarray,
-               tc: TrainerConfig, rng: np.random.Generator) -> DdpgAgent:
-    actor = neural.init_mlp(obs_dim, 2, rng, tc.hidden)
-    critic = neural.init_mlp(critic_in_dim, 1, rng, tc.hidden)
-    return DdpgAgent(
-        actor=actor, actor_target=actor.copy(), actor_opt=AdamState(lr=tc.lr_actor),
-        critic=critic, critic_target=critic.copy(), critic_opt=AdamState(lr=tc.lr_critic),
-        obs_dim=obs_dim, p_max=np.asarray(p_max, dtype=np.float64),
-        actor_grad=Gradients(obs_dim, 2, tc.hidden),
-        critic_grad=Gradients(critic_in_dim, 1, tc.hidden),
-    )
-
-
-def make_nature(obs_dim: int, tc: TrainerConfig, rng: np.random.Generator) -> NatureNet:
-    return NatureNet(net=neural.init_mlp(obs_dim + 2, 1, rng, tc.hidden),
-                     opt=AdamState(lr=tc.lr_nature))
+    critic_loss: np.ndarray        # (M,)
+    actor_objective: np.ndarray    # (M,)
+    nature_mean: np.ndarray | None = None
 
 
 def _squash(u: np.ndarray, p_max: np.ndarray) -> np.ndarray:
@@ -200,138 +142,130 @@ def _neg(g: Gradients) -> Gradients:
     return g
 
 
-def act(agent: DdpgAgent, obs_vec: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic policy output plus clipped Gaussian exploration noise."""
-    a = _squash(eval_vec(agent.actor, obs_vec), agent.p_max)
-    if sigma > 0.0:
-        a = a + rng.normal(0.0, sigma * agent.p_max)
-    return np.clip(a, 0.0, agent.p_max)
+def act(actor: MlpParams, p_max: np.ndarray, obs: np.ndarray, sigma: float,
+        rng: np.random.Generator | None) -> np.ndarray:
+    """Deterministic policy outputs of all users plus clipped Gaussian
+    exploration noise.
 
-
-def target_action(agent: DdpgAgent, next_obs: np.ndarray) -> np.ndarray:
-    """Target-policy action at the next observation, no noise."""
-    u, _ = forward(agent.actor_target, next_obs)
-    return _squash(u, agent.p_max)
-
-
-def critic_target_values(agent: DdpgAgent, next_obs_cols: list[np.ndarray],
-                         next_act_cols: list[np.ndarray], rewards: np.ndarray,
-                         gamma: float) -> np.ndarray:
-    """Bootstrapped regression target: r + gamma * Q_target(s', a')."""
-    x_next = np.concatenate(next_obs_cols + next_act_cols, axis=1)
-    q_next, _ = forward(agent.critic_target, x_next)
-    return rewards[:, None] + gamma * q_next
-
-
-_MEAN_DY: dict[int, np.ndarray] = {}
-
-
-def _mean_dy(batch: int) -> np.ndarray:
-    """Upstream gradient of a batch mean over scalar outputs."""
-    dy = _MEAN_DY.get(batch)
-    if dy is None:
-        dy = _MEAN_DY[batch] = np.full((batch, 1), 1.0 / batch)
-    return dy
-
-
-def td_update(agent: DdpgAgent, obs_cols: list[np.ndarray], act_cols: list[np.ndarray],
-              next_obs_cols: list[np.ndarray], next_act_cols: list[np.ndarray],
-              rewards: np.ndarray, own_index: int, gamma: float, tau_soft: float) -> UpdateStats:
-    """One critic regression step and one actor ascent step for one agent.
-
-    ``obs_cols``/``act_cols`` hold the per-user batch slices the critic
-    consumes, in user order; ``own_index`` selects the columns belonging to
-    this agent's own action. Targets are soft-updated afterwards.
+    ``actor`` is the stacked actor, ``p_max`` and the result are (M, 2),
+    ``obs`` is (M, obs_dim). The (M, 2) noise draw consumes the stream in
+    user order and gives the same values as one
+    ``rng.normal(0, sigma * p_max[m])`` call per user would.
     """
-    batch = rewards.shape[0]
-    y = critic_target_values(agent, next_obs_cols, next_act_cols, rewards, gamma)
+    a = _squash(eval_vec(actor, obs), p_max)
+    if sigma > 0.0:
+        a += (sigma * p_max) * rng.standard_normal(p_max.shape)
+    return np.clip(a, 0.0, p_max, out=a)
 
-    # Critic: minimize mean squared Bellman error.
-    x = np.concatenate(obs_cols + act_cols, axis=1)
-    q, cache_q = forward(agent.critic, x)
-    err = q - y
-    flat_err = err.ravel()
-    critic_loss = float(flat_err @ flat_err) / batch
-    err *= 2.0 / batch
-    g_critic, _ = backward(agent.critic, cache_q, err,
-                           out=agent.critic_grad, need_dx=False)
-    adam_step(agent.critic_opt, agent.critic, g_critic)
 
-    # Actor: ascend mean Q(s, mu(s)) through the critic's input gradient,
-    # other users' action columns taken from the sampled batch.
-    u, cache_a = forward(agent.actor, obs_cols[own_index])
+def td_targets(critic_target: MlpParams, x_next, rewards: np.ndarray,
+               gamma: float) -> np.ndarray:
+    """Bootstrapped regression targets of all agents:
+    r + gamma * Q_target(s', a'), shape (M, k, 1)."""
+    return rewards + gamma * forward(critic_target, x_next)[0]
+
+
+def _nature_step(trainer: "Trainer", local: np.ndarray, stored: np.ndarray):
+    """Adversary estimates clamped to the uncertainty band around the
+    stored rewards, then one descent step on the mean estimate.
+
+    Returns the clamped rewards (M, k, 1) and the mean estimate per agent.
+    The adversaries read nothing the agents' step changes, so they step
+    first and their activations are released before the agents' step.
+    """
+    k = stored.shape[1]
+    r_hat, cache = forward(trainer.nature, local)
+    band = 2.0 * trainer.noise_level
+    r_tilde = np.clip(r_hat, stored - band, stored + band)
+    mean = r_hat.mean(axis=(1, 2))
+    g, _ = backward(trainer.nature, cache, np.full(r_hat.shape, 1.0 / k),
+                    out=trainer.nature_grad, need_dx=False)
+    adam_step(trainer.nature_opt, trainer.nature, g)
+    return r_tilde, mean
+
+
+def _critic_step(trainer: "Trainer", x, y: np.ndarray) -> np.ndarray:
+    """One descent step on every critic's mean squared Bellman error;
+    returns the per-agent loss before the step."""
+    k = y.shape[1]
+    q, cache = forward(trainer.critic, x)
+    err = np.subtract(q, y, out=q)
+    loss = np.einsum("mki,mki->m", err, err) / k
+    err *= 2.0 / k
+    g, _ = backward(trainer.critic, cache, err, out=trainer.critic_grad, need_dx=False)
+    adam_step(trainer.critic_opt, trainer.critic, g)
+    return loss
+
+
+def _actor_step(trainer: "Trainer", obs: np.ndarray, acts: np.ndarray, x) -> np.ndarray:
+    """One ascent step of every actor on mean Q(s, a) with its own action
+    columns set to its policy's output and the other users' columns taken
+    from the batch; returns the per-agent objective before the step.
+
+    Only the input gradient at the agent's own two action columns is
+    needed, so the critic pass is written out here: the pre-activation is
+    x @ w1t plus a rank-2 correction through the agent's own action rows,
+    and no parameter gradient of the critic is formed.
+    """
+    critic, (n, k, _) = trainer.critic, obs.shape
+    if trainer.hidden_work.shape[2] != k:
+        trainer.hidden_work = np.empty((2, n, k, critic.hidden))
+    u, cache = forward(trainer.actor, obs)
     t = np.tanh(u)
-    half = 0.5 * agent.p_max
-    own_cols = list(act_cols)
-    own_cols[own_index] = (t + 1.0) * half
-    x2 = np.concatenate(obs_cols + own_cols, axis=1)
-    q2, cache_q2 = forward(agent.critic, x2)
-    actor_objective = float(np.mean(q2))
-    _, dx = backward(agent.critic, cache_q2, _mean_dy(batch))
-    off = sum(o.shape[1] for o in obs_cols) + 2 * own_index
-    du = dx[:, off:off + 2] * ((1.0 - t * t) * half)
-    g_actor, _ = backward(agent.actor, cache_a, du, out=agent.actor_grad, need_dx=False)
-    adam_step(agent.actor_opt, agent.actor, _neg(g_actor))
-
-    soft_update(agent.critic_target, agent.critic, tau_soft)
-    soft_update(agent.actor_target, agent.actor, tau_soft)
-    return UpdateStats(critic_loss, actor_objective)
-
-
-def ddpg_update(agents: list[DdpgAgent], batch: Batch, gamma: float, tau_soft: float) -> list[UpdateStats]:
-    """Decentralized update: each critic sees only its own user's slice."""
-    stats = []
-    for i, ag in enumerate(agents):
-        next_obs = batch.next_obs[:, i, :]
-        stats.append(td_update(
-            ag,
-            [batch.obs[:, i, :]], [batch.acts[:, i, :]],
-            [next_obs], [target_action(ag, next_obs)],
-            batch.rewards[:, i], 0, gamma, tau_soft,
-        ))
-    return stats
+    half = trainer.half[:, None, :]
+    w_own = critic.w1t[trainer.own_rows]                 # (M, 2, hidden)
+    z = np.matmul(x, critic.w1t, out=trainer.hidden_work[0])
+    z += np.matmul((t + 1.0) * half - acts, w_own, out=trainer.hidden_work[1])
+    z += critic.b1[:, None, :]
+    np.maximum(z, 0.0, out=z)
+    q = z @ critic.w2t
+    q += critic.b2[:, None, :]
+    objective = q.mean(axis=(1, 2))
+    dz = np.multiply(z > 0.0, critic.w2 * (1.0 / k), out=z)
+    du = dz @ w_own.swapaxes(1, 2)
+    du *= (1.0 - t * t) * half
+    g, _ = backward(trainer.actor, cache, du, out=trainer.actor_grad, need_dx=False)
+    adam_step(trainer.actor_opt, trainer.actor, _neg(g))
+    return objective
 
 
-def _joint_columns(agents: list[DdpgAgent], batch: Batch):
-    n = len(agents)
-    obs_cols = [batch.obs[:, i, :] for i in range(n)]
-    act_cols = [batch.acts[:, i, :] for i in range(n)]
-    next_obs_cols = [batch.next_obs[:, i, :] for i in range(n)]
-    next_act_cols = [target_action(ag, next_obs_cols[i]) for i, ag in enumerate(agents)]
-    return obs_cols, act_cols, next_obs_cols, next_act_cols
+def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
+    """One update of every agent on one sampled batch.
 
-
-def maddpg_update(agents: list[DdpgAgent], batch: Batch, gamma: float, tau_soft: float) -> list[UpdateStats]:
-    """Centralized-critic update over joint observations and actions."""
-    obs_cols, act_cols, next_obs_cols, next_act_cols = _joint_columns(agents, batch)
-    return [
-        td_update(ag, obs_cols, act_cols, next_obs_cols, next_act_cols,
-                  batch.rewards[:, i], i, gamma, tau_soft)
-        for i, ag in enumerate(agents)
-    ]
-
-
-def rmaddpg_update(agents: list[DdpgAgent], natures: list[NatureNet], batch: Batch,
-                   gamma: float, tau_soft: float, noise_level: float) -> list[UpdateStats]:
-    """Robust update: the adversary's reward estimate replaces the stored
-    reward in the TD target, clamped to the uncertainty band around it;
-    the adversary then descends its own output at the sampled points."""
-    obs_cols, act_cols, next_obs_cols, next_act_cols = _joint_columns(agents, batch)
-    k = batch.rewards.shape[0]
-    stats = []
-    for i, (ag, na) in enumerate(zip(agents, natures)):
-        sa = np.concatenate([obs_cols[i], act_cols[i]], axis=1)
-        r_hat, cache_n = forward(na.net, sa)
-        stored = batch.rewards[:, i]
-        band = 2.0 * noise_level
-        r_tilde = np.clip(r_hat[:, 0], stored - band, stored + band)
-        s = td_update(ag, obs_cols, act_cols, next_obs_cols, next_act_cols,
-                      r_tilde, i, gamma, tau_soft)
-        s.nature_mean = float(np.mean(r_hat))
-        g_nature, _ = backward(na.net, cache_n, _mean_dy(k), need_dx=False)
-        adam_step(na.opt, na.net, g_nature)
-        stats.append(s)
-    return stats
+    Each critic takes a regression step toward its TD target, then each
+    actor an ascent step through its updated critic, then the targets are
+    soft-updated. ``ddpg`` critics read their own user's (obs, action);
+    the centralized critics of ``maddpg`` and ``rmaddpg`` all read the
+    joint (obs, action) of every user. In ``rmaddpg`` the adversary's
+    clamped reward estimate replaces the stored reward in the target, and
+    the adversary then descends its own output at the sampled points.
+    """
+    tc = trainer.tc
+    k, n, d = batch.obs.shape
+    obs = batch.obs.transpose(1, 0, 2)                   # (M, k, obs_dim)
+    acts = batch.acts.transpose(1, 0, 2)                 # (M, k, 2)
+    next_obs = batch.next_obs.transpose(1, 0, 2)
+    rewards = batch.rewards.T[:, :, None]                # (M, k, 1)
+    a_next = _squash(forward(trainer.actor_target, next_obs)[0],
+                     trainer.p_max[:, None, :])          # (M, k, 2)
+    if trainer.algo == "ddpg" or trainer.nature is not None:
+        local = np.concatenate((obs, acts), axis=2)
+    if trainer.algo == "ddpg":
+        x = local
+        x_next = np.concatenate((next_obs, a_next), axis=2)
+    else:
+        x = np.concatenate((batch.obs.reshape(k, n * d), batch.acts.reshape(k, 2 * n)), axis=1)
+        x_next = np.concatenate((batch.next_obs.reshape(k, n * d),
+                                 a_next.transpose(1, 0, 2).reshape(k, 2 * n)), axis=1)
+    nature_mean = None
+    if trainer.nature is not None:
+        rewards, nature_mean = _nature_step(trainer, local, rewards)
+    y = td_targets(trainer.critic_target, x_next, rewards, tc.gamma)
+    critic_loss = _critic_step(trainer, x, y)
+    actor_objective = _actor_step(trainer, obs, acts, x)
+    soft_update(trainer.critic_target, trainer.critic, tc.tau_soft)
+    soft_update(trainer.actor_target, trainer.actor, tc.tau_soft)
+    return UpdateStats(critic_loss, actor_objective, nature_mean)
 
 
 @dataclass
@@ -343,7 +277,13 @@ class EpisodeStats:
 
 class Trainer:
     """Owns the agents, adversaries, replay buffer and exploration state
-    for one training run."""
+    for one training run.
+
+    Networks of one role (actor, actor_target, critic, critic_target,
+    nature) live in one stacked buffer with a leading agent axis, with one
+    optimizer state and one gradient buffer per role; ``agents`` and
+    ``natures`` hold per-agent views into those stacks.
+    """
 
     def __init__(self, env_cfg: EnvConfig, tc: TrainerConfig, algo: str,
                  rng_init: np.random.Generator):
@@ -357,27 +297,46 @@ class Trainer:
         n = env_cfg.n_users
         obs_dim = env_cfg.obs_dim
         critic_in = obs_dim + 2 if algo == "ddpg" else n * (obs_dim + 2)
-        self.agents = [
-            make_agent(
-                obs_dim, critic_in,
-                np.array([env_cfg.p_max_offload_w[m], env_cfg.p_max_local_w[m]]),
-                tc, rng_init,
-            )
-            for m in range(n)
-        ]
-        self.natures = [make_nature(obs_dim, tc, rng_init) for _ in range(n)] if algo == "rmaddpg" else None
+        # Draw order per agent: actor, then critic; adversaries after all agents.
+        actors, critics = [], []
+        for _ in range(n):
+            actors.append(neural.init_mlp(obs_dim, 2, rng_init, tc.hidden))
+            critics.append(neural.init_mlp(critic_in, 1, rng_init, tc.hidden))
+        self.actor = neural.stack_params(actors)
+        self.actor_target = self.actor.copy()
+        self.critic = neural.stack_params(critics)
+        self.critic_target = self.critic.copy()
+        self.actor_opt = AdamState(lr=tc.lr_actor)
+        self.critic_opt = AdamState(lr=tc.lr_critic)
+        self.actor_grad = Gradients(obs_dim, 2, tc.hidden, agents=n)
+        self.critic_grad = Gradients(critic_in, 1, tc.hidden, agents=n)
+        self.nature = self.nature_opt = self.nature_grad = None
+        if algo == "rmaddpg":
+            self.nature = neural.stack_params(
+                [neural.init_mlp(obs_dim + 2, 1, rng_init, tc.hidden) for _ in range(n)])
+            self.nature_opt = AdamState(lr=tc.lr_nature)
+            self.nature_grad = Gradients(obs_dim + 2, 1, tc.hidden, agents=n)
+        self.p_max = np.column_stack((env_cfg.p_max_offload_w, env_cfg.p_max_local_w))
+        self.half = 0.5 * self.p_max
+        # Critic input rows of each agent's own action: after the agent's
+        # observation in ddpg, after all observations in user order otherwise.
+        first = np.full(n, obs_dim) if algo == "ddpg" else n * obs_dim + 2 * np.arange(n)
+        self.own_rows = (np.arange(n)[:, None], first[:, None] + np.arange(2))
+        # The actor step's two (M, batch, hidden) activation buffers, kept
+        # across updates: fresh ones of this size on every update were
+        # returned to the system and page-faulted in again each time.
+        self.hidden_work = np.empty((2, n, tc.batch_size, tc.hidden))
+        self.agents = [DdpgAgent(self.actor.agent(m), self.actor_target.agent(m),
+                                 self.critic.agent(m), self.critic_target.agent(m))
+                       for m in range(n)]
+        self.natures = (None if self.nature is None
+                        else [NatureNet(self.nature.agent(m)) for m in range(n)])
         self.buffer = ReplayBuffer(tc.buffer_capacity, n, obs_dim)
         self.sigma = tc.explore_sigma0
         self.total_steps = 0
 
-    def update(self, rng_sample: np.random.Generator) -> list[UpdateStats]:
-        batch = self.buffer.sample_arrays(self.tc.batch_size, rng_sample)
-        if self.algo == "ddpg":
-            return ddpg_update(self.agents, batch, self.tc.gamma, self.tc.tau_soft)
-        if self.algo == "maddpg":
-            return maddpg_update(self.agents, batch, self.tc.gamma, self.tc.tau_soft)
-        return rmaddpg_update(self.agents, self.natures, batch,
-                              self.tc.gamma, self.tc.tau_soft, self.noise_level)
+    def update(self, rng_sample: np.random.Generator) -> UpdateStats:
+        return td_update(self, self.buffer.sample_arrays(self.tc.batch_size, rng_sample))
 
 
 def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generator,
@@ -387,22 +346,22 @@ def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generato
     tc = trainer.tc
     n = env.cfg.n_users
     env.reset()
-    vecs = env.obs_vectors()
+    obs = env.obs_vectors()
     true_sums = np.zeros(n)
     perceived_sums = np.zeros(n)
     sigma = trainer.sigma
     for _ in range(env.cfg.episode_len):
-        act_vecs = [act(trainer.agents[m], vecs[m], sigma, rng_explore) for m in range(n)]
-        result: StepResult = env.step([Action(float(a[0]), float(a[1])) for a in act_vecs])
-        next_vecs = env.obs_vectors()
-        trainer.buffer.push(Transition(vecs, act_vecs, result.perceived_rewards, next_vecs))
+        acts = act(trainer.actor, trainer.p_max, obs, sigma, rng_explore)
+        result: StepResult = env.step([Action(p_off, p_loc) for p_off, p_loc in acts.tolist()])
+        next_obs = env.obs_vectors()
+        trainer.buffer.push(obs, acts, result.perceived_rewards, next_obs)
         true_sums += result.true_rewards
         perceived_sums += result.perceived_rewards
         trainer.total_steps += 1
         if trainer.total_steps > tc.warmup_steps and len(trainer.buffer) >= tc.batch_size:
             for _ in range(tc.updates_per_step):
                 trainer.update(rng_sample)
-        vecs = next_vecs
+        obs = next_obs
     trainer.sigma = max(trainer.sigma * tc.explore_decay, tc.explore_sigma_floor)
     return EpisodeStats(tuple(float(v) for v in true_sums),
                         tuple(float(v) for v in perceived_sums), sigma)

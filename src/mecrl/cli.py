@@ -66,6 +66,9 @@ def _train_tree(cfg: ExperimentConfig) -> "AggregateSeries":
         write_run_csv(records, out / f"run_{k}.csv")
         if k == 0:
             save_checkpoints(trainer, cfg.algo, out / "checkpoints")
+        # Release this run's networks, optimizer state and replay buffer
+        # before the next run builds its own.
+        del trainer
         all_series.append(records)
     agg = aggregate_runs(all_series)
     write_csv(agg, all_series, out / "aggregate.csv")

@@ -259,11 +259,13 @@ class MecEnv:
             for m in range(self.cfg.n_users)
         ]
 
-    def obs_vectors(self) -> list[np.ndarray]:
-        """Normalized observation vectors for the current state."""
+    def obs_vectors(self) -> np.ndarray:
+        """Normalized observation vectors for the current state, one row per
+        user: (n_users, obs_dim)."""
         if self._last_obs is None:
             raise StateError("reset() must be called before obs_vectors()")
-        return [obs_vector(self.cfg, o, self._gains[m]) for m, o in enumerate(self._last_obs)]
+        return np.array([obs_vector(self.cfg, o, self._gains[m])
+                         for m, o in enumerate(self._last_obs)])
 
     def _evolved_channel(self):
         """One fading step; on a singular draw, resample the innovation once."""

@@ -4,7 +4,9 @@ The deterministic policy update needs exact gradients with respect to the
 network *input* as well as the parameters, so both paths are derived
 analytically and checked against central finite differences. Parameters
 live in one flat float64 buffer with reshaped views per layer, which lets
-the optimizer and target blending run as single vector operations.
+the optimizer and target blending run as single vector operations. A
+buffer may carry a leading agent axis: the same functions then evaluate,
+differentiate and step the networks of all agents of one role at once.
 """
 
 from __future__ import annotations
@@ -20,36 +22,54 @@ _LAYER_NAMES = ("w1", "b1", "w2", "b2")
 
 
 class _LayerViews:
-    """Flat buffer with (w1, b1, w2, b2) views; layout w1|b1|w2|b2."""
+    """Flat buffer with per-layer views; layout w1t|b1|w2t|b2.
 
-    __slots__ = ("in_dim", "hidden", "out_dim", "flat", "w1", "b1", "w2", "b2")
+    Weights are stored in compute layout, ``w1t`` (in_dim, hidden) and
+    ``w2t`` (hidden, out_dim), so that batches multiply them from the left
+    without a transpose; ``w1``/``w2`` are the transposed views in the
+    conventional (out, in) orientation. With ``agents`` set, the buffer has
+    a leading agent axis, ``flat`` is (agents, size), and every view gains
+    that axis: one buffer holds the networks of all agents of one role.
+    """
 
-    def __init__(self, in_dim: int, out_dim: int, hidden: int = HIDDEN, flat=None):
+    __slots__ = ("in_dim", "hidden", "out_dim", "agents", "flat",
+                 "w1t", "b1", "w2t", "b2", "w1", "w2")
+
+    def __init__(self, in_dim: int, out_dim: int, hidden: int = HIDDEN, flat=None,
+                 agents: int | None = None):
         if in_dim < 1 or out_dim < 1 or hidden < 1:
             raise ValueError("layer dimensions must be >= 1")
-        total = hidden * in_dim + hidden + out_dim * hidden + out_dim
+        lead = () if agents is None else (agents,)
+        shape = lead + (hidden * in_dim + hidden + out_dim * hidden + out_dim,)
         if flat is None:
-            flat = np.zeros(total)
+            flat = np.zeros(shape)
         else:
             flat = np.asarray(flat, dtype=np.float64)
-            if flat.shape != (total,):
-                raise ValueError(f"flat buffer must have shape ({total},), got {flat.shape}")
-        self.in_dim, self.hidden, self.out_dim = in_dim, hidden, out_dim
+            if flat.shape != shape:
+                raise ValueError(f"flat buffer must have shape {shape}, got {flat.shape}")
+        self.in_dim, self.hidden, self.out_dim, self.agents = in_dim, hidden, out_dim, agents
         self.flat = flat
         o = 0
-        self.w1 = flat[o:o + hidden * in_dim].reshape(hidden, in_dim)
-        o += hidden * in_dim
-        self.b1 = flat[o:o + hidden]
+        self.w1t = flat[..., o:o + in_dim * hidden].reshape(lead + (in_dim, hidden))
+        o += in_dim * hidden
+        self.b1 = flat[..., o:o + hidden]
         o += hidden
-        self.w2 = flat[o:o + out_dim * hidden].reshape(out_dim, hidden)
-        o += out_dim * hidden
-        self.b2 = flat[o:]
+        self.w2t = flat[..., o:o + hidden * out_dim].reshape(lead + (hidden, out_dim))
+        o += hidden * out_dim
+        self.b2 = flat[..., o:]
+        self.w1 = self.w1t.swapaxes(-1, -2)
+        self.w2 = self.w2t.swapaxes(-1, -2)
 
     def copy(self):
-        return type(self)(self.in_dim, self.out_dim, self.hidden, self.flat.copy())
+        return type(self)(self.in_dim, self.out_dim, self.hidden, self.flat.copy(), self.agents)
+
+    def agent(self, m: int):
+        """Single-network view of agent ``m``'s row of a stacked buffer."""
+        return type(self)(self.in_dim, self.out_dim, self.hidden, self.flat[m])
 
     def same_shape(self, other) -> bool:
-        return (self.in_dim, self.hidden, self.out_dim) == (other.in_dim, other.hidden, other.out_dim)
+        return ((self.in_dim, self.hidden, self.out_dim, self.agents)
+                == (other.in_dim, other.hidden, other.out_dim, other.agents))
 
 
 class MlpParams(_LayerViews):
@@ -70,55 +90,81 @@ def init_mlp(in_dim: int, out_dim: int, rng: np.random.Generator, hidden: int = 
     return p
 
 
+def stack_params(nets: list[MlpParams]) -> MlpParams:
+    """Copy same-shaped single networks into one stacked buffer, in order."""
+    first = nets[0]
+    if any(not first.same_shape(p) for p in nets):
+        raise ValueError("networks of different shapes cannot be stacked")
+    return MlpParams(first.in_dim, first.out_dim, first.hidden,
+                     np.stack([p.flat for p in nets]), len(nets))
+
+
 def forward(p: MlpParams, x):
     """Evaluate the network; returns (y, cache) with cache for backward.
 
-    ``x`` may be a single input vector or a (batch, in_dim) matrix; the
-    output shape follows suit.
+    For a single network ``x`` may be one input vector or a (batch, in_dim)
+    matrix; the output shape follows suit. For a stacked network ``x`` is
+    either a (batch, in_dim) matrix every agent reads, or one
+    (batch, in_dim) matrix per agent, (agents, batch, in_dim); the output is
+    (agents, batch, out_dim).
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = x[None, :] if single else x
-    if xb.ndim != 2 or xb.shape[1] != p.in_dim:
+    ndims = (2,) if p.agents is None else (2, 3)
+    if xb.ndim not in ndims or xb.shape[-1] != p.in_dim or (
+            xb.ndim == 3 and xb.shape[0] != p.agents):
         raise ValueError(f"input has shape {x.shape}, network expects in_dim {p.in_dim}")
-    h1 = xb @ p.w1.T
-    h1 += p.b1
+    h1 = xb @ p.w1t
+    h1 += p.b1[..., None, :]
     np.maximum(h1, 0.0, out=h1)
-    y = h1 @ p.w2.T
-    y += p.b2
+    y = h1 @ p.w2t
+    y += p.b2[..., None, :]
     return (y[0] if single else y), (xb, h1, single)
 
 
 def eval_vec(p: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Cache-free single-vector evaluation (hot path for acting)."""
-    h1 = p.w1 @ x + p.b1
+    """Cache-free evaluation of one input vector per network (hot path for
+    acting): ``x`` is (in_dim,) for a single network, (agents, in_dim) for a
+    stacked one."""
+    h1 = np.matmul(x[..., None, :], p.w1t)[..., 0, :]
+    h1 += p.b1
     np.maximum(h1, 0.0, out=h1)
-    return p.w2 @ h1 + p.b2
+    y = np.matmul(h1[..., None, :], p.w2t)[..., 0, :]
+    y += p.b2
+    return y
 
 
 def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: bool = True):
     """Gradients of ``<dy, y>`` w.r.t. parameters and input.
 
     Returns ``(g, dx)``; ``dx`` is None when ``need_dx`` is false. ``out``
-    may supply a preallocated Gradients buffer.
+    may supply a preallocated Gradients buffer. A cache serves one backward
+    call: the hidden-layer gradient is formed in its activation buffer.
     """
     xb, h1, single = cache
     dy = np.asarray(dy, dtype=np.float64)
     dyb = dy[None, :] if single else dy
-    if dyb.shape != (xb.shape[0], p.out_dim):
+    if dyb.shape != h1.shape[:-1] + (p.out_dim,):
         raise ValueError(
             f"upstream gradient shape {dy.shape} does not match cache batch "
-            f"{xb.shape[0]} and out_dim {p.out_dim}"
+            f"{h1.shape[:-1]} and out_dim {p.out_dim}"
         )
-    g = out if out is not None else Gradients(p.in_dim, p.out_dim, p.hidden)
-    np.matmul(dyb.T, h1, out=g.w2)
-    np.sum(dyb, axis=0, out=g.b2)
-    dh1 = dyb @ p.w2
+    g = out if out is not None else Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents)
+    np.matmul(h1.swapaxes(-1, -2), dyb, out=g.w2t)
+    np.sum(dyb, axis=-2, out=g.b2)
     # ReLU mask: post-activation h1 is positive exactly where the
     # pre-activation was.
-    dz1 = np.multiply(dh1, h1 > 0.0, out=dh1)
-    np.matmul(dz1.T, xb, out=g.w1)
-    np.sum(dz1, axis=0, out=g.b1)
+    active = h1 > 0.0
+    if p.out_dim == 1:
+        # dy @ w2 is an outer product here; numpy's matmul takes a slow
+        # loop for a unit inner dimension, a broadcast multiply does not.
+        dz1 = np.multiply(dyb, p.w2, out=h1)
+    else:
+        dz1 = np.matmul(dyb, p.w2, out=h1)
+    dz1 *= active
+    np.matmul(xb.swapaxes(-1, -2), dz1, out=g.w1t)
+    np.sum(dz1, axis=-2, out=g.b1)
     if not need_dx:
         return g, None
     dx = dz1 @ p.w1
@@ -127,7 +173,8 @@ def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: boo
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators and step constants for one network."""
+    """First/second-moment accumulators and step constants for one network
+    or one stack of networks."""
 
     lr: float = 1e-3
     beta1: float = 0.9

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import neural, seeds
-from .agents import Trainer, train_episode
+from .agents import Trainer, act, train_episode
 from .config import ExperimentConfig
 from .env import Action, ConfigError, MecEnv
 
@@ -192,24 +192,21 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
                 f"config ({obs_dim} -> 2)"
             )
         actors.append(p)
-    p_max = [np.array([cfg.env.p_max_offload_w[m], cfg.env.p_max_local_w[m]]) for m in range(n)]
+    actor = neural.stack_params(actors)
+    p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
 
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
     episode_returns = []
     per_user = np.zeros(n)
     for _ in range(n_episodes):
         env.reset()
-        vecs = env.obs_vectors()
+        obs = env.obs_vectors()
         sums = np.zeros(n)
         for _ in range(cfg.env.episode_len):
-            actions = []
-            for m in range(n):
-                u, _ = neural.forward(actors[m], vecs[m])
-                a = (np.tanh(u) + 1.0) * (0.5 * p_max[m])
-                actions.append(Action(float(a[0]), float(a[1])))
-            result = env.step(actions)
+            acts = act(actor, p_max, obs, 0.0, None)
+            result = env.step([Action(p_off, p_loc) for p_off, p_loc in acts.tolist()])
             sums += result.true_rewards
-            vecs = env.obs_vectors()
+            obs = env.obs_vectors()
         episode_returns.append(math.fsum(sums) / n)
         per_user += sums
     mu = math.fsum(episode_returns) / n_episodes

@@ -1,22 +1,51 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import seeds
-from mecrl.agents import (ReplayBuffer, Trainer, TrainerConfig, Transition,
-                          act, critic_target_values, ddpg_update, make_agent,
-                          maddpg_update, rmaddpg_update, train_episode)
+from mecrl import neural, seeds
+from mecrl.agents import (ReplayBuffer, Trainer, TrainerConfig, act, td_targets,
+                          td_update, train_episode)
 from mecrl.env import EnvConfig, MecEnv
 
 
+@dataclass
+class Row:
+    """One stored interaction, per-user rows stacked: (M, ·) arrays."""
+
+    obs: np.ndarray
+    acts: np.ndarray
+    rewards: list[float]
+    next_obs: np.ndarray
+
+
 def make_transition(rng, n_users=2, obs_dim=6):
-    return Transition(
-        obs=[rng.normal(size=obs_dim) for _ in range(n_users)],
-        acts=[rng.uniform(0, 2, size=2) for _ in range(n_users)],
+    return Row(
+        obs=rng.normal(size=(n_users, obs_dim)),
+        acts=rng.uniform(0, 2, size=(n_users, 2)),
         rewards=[float(rng.normal()) for _ in range(n_users)],
-        next_obs=[rng.normal(size=obs_dim) for _ in range(n_users)],
+        next_obs=rng.normal(size=(n_users, obs_dim)),
     )
+
+
+def push(buf, t):
+    buf.push(t.obs, t.acts, t.rewards, t.next_obs)
+
+
+def sample(buf, k, rng):
+    b = buf.sample_arrays(k, rng)
+    return [Row(b.obs[i], b.acts[i], [float(r) for r in b.rewards[i]], b.next_obs[i])
+            for i in range(k)]
+
+
+def stored(buf):
+    """All retained transitions, oldest first, read from the ring."""
+    start = buf._cursor if len(buf) == buf.capacity else 0
+    order = [(start + i) % buf.capacity for i in range(len(buf))]
+    return [Row(buf._obs[i], buf._acts[i], [float(r) for r in buf._rewards[i]], buf._next_obs[i])
+            for i in order]
 
 
 def filled_trainer(algo, seed=0, n_users=2, **tc_overrides):
@@ -34,25 +63,40 @@ def filled_trainer(algo, seed=0, n_users=2, **tc_overrides):
 
 class TestAct:
     def setup_method(self):
-        self.agent = make_agent(6, 8, np.array([2.0, 2.0]), TrainerConfig(),
-                                np.random.default_rng(0))
+        self.actor = neural.stack_params([neural.init_mlp(6, 2, np.random.default_rng(0))])
+        self.p_max = np.array([[2.0, 2.0]])
 
     def test_midpoint_at_zero_preactivation(self):
-        self.agent.actor.flat[:] = 0.0
-        a = act(self.agent, np.zeros(6), 0.0, None)
+        self.actor.flat[:] = 0.0
+        a = act(self.actor, self.p_max, np.zeros((1, 6)), 0.0, None)
         assert np.allclose(a, [1.0, 1.0])
 
     def test_saturation(self):
-        self.agent.actor.flat[:] = 0.0
-        self.agent.actor.b2[:] = 20.0
-        a = act(self.agent, np.zeros(6), 0.0, None)
+        self.actor.flat[:] = 0.0
+        self.actor.b2[:] = 20.0
+        a = act(self.actor, self.p_max, np.zeros((1, 6)), 0.0, None)
         assert np.allclose(a, [2.0, 2.0], atol=1e-8)
 
     def test_noisy_actions_stay_in_box(self):
         rng = np.random.default_rng(1)
         for _ in range(10_000):
-            a = act(self.agent, rng.normal(size=6), 0.5, rng)
+            a = act(self.actor, self.p_max, rng.normal(size=(1, 6)), 0.5, rng)
             assert np.all(a >= 0.0) and np.all(a <= 2.0)
+
+    def test_stacked_draw_matches_per_user_draws(self):
+        # One (M, 2) normal draw consumes the exploration stream exactly as
+        # M per-user 2-vector draws in user order, so acting for all users
+        # in one call keeps the stream, and with it the pairing across algos.
+        rng = np.random.default_rng(3)
+        actors = [neural.init_mlp(6, 2, rng) for _ in range(3)]
+        p_max = np.array([[2.0, 1.0], [0.5, 3.0], [1.5, 1.5]])
+        obs = rng.uniform(size=(3, 6))
+        stacked = act(neural.stack_params(actors), p_max, obs, 0.3, np.random.default_rng(9))
+        per_user_rng = np.random.default_rng(9)
+        for m in range(3):
+            mean = (np.tanh(neural.forward(actors[m], obs[m])[0]) + 1.0) * (0.5 * p_max[m])
+            noisy = mean + per_user_rng.normal(0.0, 0.3 * p_max[m])
+            assert np.array_equal(stacked[m], np.clip(noisy, 0.0, p_max[m]))
 
 
 class TestReplayBuffer:
@@ -60,26 +104,26 @@ class TestReplayBuffer:
         buf = ReplayBuffer(2, 2, 6)
         ts = [make_transition(rng) for _ in range(3)]
         for t in ts:
-            buf.push(t)
-        stored = buf.stored()
-        assert len(stored) == 2
-        assert np.array_equal(stored[0].obs[0], ts[1].obs[0])
-        assert np.array_equal(stored[1].obs[0], ts[2].obs[0])
+            push(buf, t)
+        kept = stored(buf)
+        assert len(kept) == 2
+        assert np.array_equal(kept[0].obs[0], ts[1].obs[0])
+        assert np.array_equal(kept[1].obs[0], ts[2].obs[0])
 
     def test_singleton_sampling(self, rng):
         buf = ReplayBuffer(4, 2, 6)
         t = make_transition(rng)
-        buf.push(t)
+        push(buf, t)
         for _ in range(3):
-            (s,) = buf.sample(1, rng)
+            (s,) = sample(buf, 1, rng)
             assert np.array_equal(s.obs[1], t.obs[1])
 
     def test_sample_with_replacement_can_repeat(self, rng):
         buf = ReplayBuffer(4, 1, 3)
         a, b = make_transition(rng, 1, 3), make_transition(rng, 1, 3)
-        buf.push(a)
-        buf.push(b)
-        draws = buf.sample(2, np.random.default_rng(4))
+        push(buf, a)
+        push(buf, b)
+        draws = sample(buf, 2, np.random.default_rng(4))
         repeats = any(
             np.array_equal(draws[0].obs[0], t.obs[0])
             and np.array_equal(draws[1].obs[0], t.obs[0])
@@ -89,9 +133,9 @@ class TestReplayBuffer:
 
     def test_sample_too_many(self, rng):
         buf = ReplayBuffer(4, 2, 6)
-        buf.push(make_transition(rng))
+        push(buf, make_transition(rng))
         with pytest.raises(ValueError):
-            buf.sample(2, rng)
+            buf.sample_arrays(2, rng)
 
     @given(st.integers(1, 8), st.integers(1, 20), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -102,8 +146,8 @@ class TestReplayBuffer:
         for _ in range(pushes):
             t = make_transition(r, n_users=1, obs_dim=3)
             pushed.append(t)
-            buf.push(t)
-        for s in buf.sample(min(8, len(buf)), r):
+            push(buf, t)
+        for s in sample(buf, min(8, len(buf)), r):
             assert any(
                 np.array_equal(s.obs[0], t.obs[0])
                 and np.array_equal(s.acts[0], t.acts[0])
@@ -122,19 +166,18 @@ class TestReplayBuffer:
             t = make_transition(r, n_users=1, obs_dim=3)
             t.rewards = [float(i)]
             marks.append(float(i))
-            buf.push(t)
-        kept = [s.rewards[0] for s in buf.stored()]
+            push(buf, t)
+        kept = [s.rewards[0] for s in stored(buf)]
         assert kept == marks[-min(capacity, pushes):]
 
 
 class TestTdStructure:
     def test_zero_gamma_target_is_reward(self, rng):
-        agent = make_agent(6, 8, np.array([2.0, 2.0]), TrainerConfig(), rng)
-        rewards = rng.normal(size=16)
-        next_obs = [rng.normal(size=(16, 6))]
-        next_act = [rng.uniform(0, 2, size=(16, 2))]
-        y = critic_target_values(agent, next_obs, next_act, rewards, gamma=0.0)
-        assert np.allclose(y[:, 0], rewards)
+        critic_target = neural.stack_params([neural.init_mlp(8, 1, rng) for _ in range(2)])
+        rewards = rng.normal(size=(2, 16, 1))
+        x_next = rng.uniform(0, 2, size=(2, 16, 8))
+        y = td_targets(critic_target, x_next, rewards, gamma=0.0)
+        assert np.allclose(y[:, :, 0], rewards[:, :, 0])
 
     def test_centralized_critic_input_dim(self):
         env_cfg = EnvConfig(n_users=3, constants=__import__("mecrl.phy", fromlist=["PhyConstants"]).PhyConstants(n_antennas=4))
@@ -156,14 +199,8 @@ class TestDescentAscent:
             batch = trainer.buffer.sample_arrays(64, rs)
             losses = []
             for _ in range(12):
-                if algo == "ddpg":
-                    stats = ddpg_update(trainer.agents, batch, 0.95, 0.0)
-                elif algo == "maddpg":
-                    stats = maddpg_update(trainer.agents, batch, 0.95, 0.0)
-                else:
-                    stats = rmaddpg_update(trainer.agents, trainer.natures, batch,
-                                           0.95, 0.0, trainer.noise_level)
-                losses.append(stats[0].critic_loss)
+                stats = td_update(trainer, batch)
+                losses.append(stats.critic_loss[0])
             assert all(b < a for a, b in zip(losses, losses[1:])), (algo, losses)
 
     def test_actor_objective_ascends_with_frozen_critic(self):
@@ -173,8 +210,8 @@ class TestDescentAscent:
         trainer, rs = filled_trainer("ddpg", seed=2, tau_soft=0.0,
                                      lr_critic=0.0, lr_actor=1e-5)
         batch = trainer.buffer.sample_arrays(64, rs)
-        obj_before = ddpg_update(trainer.agents, batch, 0.95, 0.0)[0].actor_objective
-        obj_after = ddpg_update(trainer.agents, batch, 0.95, 0.0)[0].actor_objective
+        obj_before = td_update(trainer, batch).actor_objective[0]
+        obj_after = td_update(trainer, batch).actor_objective[0]
         assert obj_after >= obj_before - 1e-12
 
     def test_nature_output_descends(self):
@@ -182,9 +219,8 @@ class TestDescentAscent:
         batch = trainer.buffer.sample_arrays(64, rs)
         means = []
         for _ in range(12):
-            stats = rmaddpg_update(trainer.agents, trainer.natures, batch,
-                                   0.95, 0.0, trainer.noise_level)
-            means.append(stats[0].nature_mean)
+            stats = td_update(trainer, batch)
+            means.append(stats.nature_mean[0])
         assert all(b < a for a, b in zip(means, means[1:])), means
 
 
@@ -213,16 +249,105 @@ class TestEquivalences:
         # reward exactly, reducing the robust TD step to the centralized one.
         trainers = {}
         for algo in ("maddpg", "rmaddpg"):
-            trainer, rs = filled_trainer(algo, seed=7, noise_level=0.0, tau_soft=0.0)
+            trainer, rs = filled_trainer(algo, seed=7, noise_level=0.0, tau_soft=0.0, gamma=0.9)
             batch = trainer.buffer.sample_arrays(32, rs)
-            if algo == "maddpg":
-                maddpg_update(trainer.agents, batch, 0.9, 0.0)
-            else:
-                rmaddpg_update(trainer.agents, trainer.natures, batch, 0.9, 0.0, 0.0)
+            td_update(trainer, batch)
             trainers[algo] = trainer
         for ag_m, ag_r in zip(trainers["maddpg"].agents, trainers["rmaddpg"].agents):
             assert np.array_equal(ag_m.critic.flat, ag_r.critic.flat)
             assert np.array_equal(ag_m.actor.flat, ag_r.actor.flat)
+
+
+def reference_update(ref, batch, algo, tc, noise_level):
+    """The update as M separate networks: a loop over agents calling
+    neural.forward/backward/adam_step/soft_update on single networks, with
+    the critic's full input gradient at the batch with the agent's own
+    action columns replaced. ``ref`` holds per-agent dicts of networks and
+    optimizer states; returns the per-agent loss, objective and adversary
+    mean, and the fraction of clamped adversary estimates."""
+    k, n, d = batch.obs.shape
+    gamma, tau = tc.gamma, tc.tau_soft
+    next_acts = [(np.tanh(neural.forward(r["actor_target"], batch.next_obs[:, i])[0]) + 1.0)
+                 * r["half"] for i, r in enumerate(ref)]
+    losses, objectives, natures, clamped = [], [], [], []
+    for i, r in enumerate(ref):
+        users = [i] if algo == "ddpg" else list(range(n))
+        obs_cols = [batch.obs[:, j] for j in users]
+        act_cols = [batch.acts[:, j] for j in users]
+        x = np.concatenate(obs_cols + act_cols, axis=1)
+        x_next = np.concatenate([batch.next_obs[:, j] for j in users]
+                                + [next_acts[j] for j in users], axis=1)
+        reward = batch.rewards[:, i]
+        if algo == "rmaddpg":
+            r_hat, cache = neural.forward(r["nature"], np.concatenate(
+                (batch.obs[:, i], batch.acts[:, i]), axis=1))
+            band = 2.0 * noise_level
+            clipped = np.clip(r_hat[:, 0], reward - band, reward + band)
+            clamped.append(np.mean(clipped != r_hat[:, 0]))
+            natures.append(np.mean(r_hat))
+            g, _ = neural.backward(r["nature"], cache, np.full((k, 1), 1.0 / k))
+            neural.adam_step(r["nature_opt"], r["nature"], g)
+            reward = clipped
+        y = reward[:, None] + gamma * neural.forward(r["critic_target"], x_next)[0]
+        q, cache = neural.forward(r["critic"], x)
+        losses.append(np.mean((q - y) ** 2))
+        g, _ = neural.backward(r["critic"], cache, 2.0 * (q - y) / k)
+        neural.adam_step(r["critic_opt"], r["critic"], g)
+        u, cache_a = neural.forward(r["actor"], batch.obs[:, i])
+        t = np.tanh(u)
+        own = users.index(i)
+        act_cols[own] = (t + 1.0) * r["half"]
+        q2, cache_q2 = neural.forward(r["critic"], np.concatenate(obs_cols + act_cols, axis=1))
+        objectives.append(np.mean(q2))
+        _, dx = neural.backward(r["critic"], cache_q2, np.full((k, 1), 1.0 / k))
+        off = len(users) * d + 2 * own
+        g, _ = neural.backward(r["actor"], cache_a, dx[:, off:off + 2] * ((1.0 - t * t) * r["half"]))
+        g.flat *= -1.0
+        neural.adam_step(r["actor_opt"], r["actor"], g)
+        neural.soft_update(r["critic_target"], r["critic"], tau)
+        neural.soft_update(r["actor_target"], r["actor"], tau)
+    return losses, objectives, natures, clamped
+
+
+class TestStackedMatchesReference:
+    ROLES = ("actor", "actor_target", "critic", "critic_target")
+
+    @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
+    def test_three_updates(self, algo):
+        # Noise level 1: a band of +-2 around the stored rewards, which
+        # clamps about half of the adversary's estimates on this batch.
+        trainer, rs = filled_trainer(algo, seed=11, n_users=3, noise_level=1.0)
+        tc = trainer.tc
+        batch = trainer.buffer.sample_arrays(64, rs)
+        ref = []
+        for m, ag in enumerate(trainer.agents):
+            r = {role: getattr(ag, role).copy() for role in self.ROLES}
+            r.update(actor_opt=neural.AdamState(lr=tc.lr_actor),
+                     critic_opt=neural.AdamState(lr=tc.lr_critic), half=0.5 * trainer.p_max[m])
+            if algo == "rmaddpg":
+                r.update(nature=trainer.natures[m].net.copy(),
+                         nature_opt=neural.AdamState(lr=tc.lr_nature))
+            ref.append(r)
+
+        def close(stacked, reference):
+            stacked, reference = np.asarray(stacked), np.asarray(reference)
+            scale = np.maximum(np.abs(reference), 1e-300)
+            return np.max(np.abs(stacked - reference) / scale) <= 1e-12
+
+        for _ in range(3):
+            stats = td_update(trainer, batch)
+            losses, objectives, natures, clamped = reference_update(
+                ref, batch, algo, tc, trainer.noise_level)
+            assert close(stats.critic_loss, losses)
+            assert close(stats.actor_objective, objectives)
+            if algo == "rmaddpg":
+                assert close(stats.nature_mean, natures)
+                assert 0.0 < np.mean(clamped) < 1.0, clamped
+        for m, ag in enumerate(trainer.agents):
+            for role in self.ROLES:
+                assert close(getattr(ag, role).flat, ref[m][role].flat), (m, role)
+            if algo == "rmaddpg":
+                assert close(trainer.natures[m].net.flat, ref[m]["nature"].flat), m
 
 
 class TestTrainEpisode:

@@ -244,3 +244,67 @@ class TestSerialization:
         doc["w2"]["shape"] = [1, 5]
         with pytest.raises(ValueError):
             neural.params_from_doc(doc)
+
+
+class TestStacked:
+    """A stacked buffer evaluates and differentiates like its rows do as
+    single networks."""
+
+    def make(self, rng, agents=3, in_dim=5, out_dim=2, hidden=8):
+        nets = [init_mlp(in_dim, out_dim, rng, hidden) for _ in range(agents)]
+        for p in nets:
+            p.b1[:] = rng.normal(size=hidden) * 0.1
+            p.b2[:] = rng.normal(size=out_dim)
+        return nets, neural.stack_params(nets)
+
+    def test_views_share_the_buffer(self, rng):
+        nets, stack = self.make(rng)
+        for m, p in enumerate(nets):
+            assert np.array_equal(stack.agent(m).flat, p.flat)
+            assert np.array_equal(stack.w1[m], p.w1)
+        stack.agent(1).b2[:] = 7.0
+        assert np.all(stack.b2[1] == 7.0)
+
+    def test_rejects_mixed_shapes(self, rng):
+        with pytest.raises(ValueError):
+            neural.stack_params([init_mlp(5, 2, rng), init_mlp(4, 2, rng)])
+
+    def test_forward_and_backward_match_rows(self, rng):
+        nets, stack = self.make(rng)
+        per_agent = rng.normal(size=(3, 7, 5))
+        shared = rng.normal(size=(7, 5))
+        dy = rng.normal(size=(3, 7, 2))
+        for x in (per_agent, shared):
+            y, cache = forward(stack, x)
+            g, dx = backward(stack, cache, dy)
+            for m, p in enumerate(nets):
+                xm = x[m] if x.ndim == 3 else x
+                ym, cm = forward(p, xm)
+                gm, dxm = backward(p, cm, dy[m])
+                assert np.allclose(y[m], ym, rtol=1e-13, atol=1e-15)
+                assert np.allclose(g.flat[m], gm.flat, rtol=1e-13, atol=1e-15)
+                assert np.allclose(dx[m], dxm, rtol=1e-13, atol=1e-15)
+
+    def test_eval_vec_matches_rows(self, rng):
+        nets, stack = self.make(rng)
+        x = rng.normal(size=(3, 5))
+        y = neural.eval_vec(stack, x)
+        for m, p in enumerate(nets):
+            assert np.allclose(y[m], neural.eval_vec(p, x[m]), rtol=1e-13, atol=1e-15)
+
+    def test_wrong_agent_count_rejected(self, rng):
+        _, stack = self.make(rng)
+        with pytest.raises(ValueError):
+            forward(stack, np.zeros((2, 7, 5)))
+
+    def test_single_step_per_role(self, rng):
+        # Adam and target blending act on the whole stack elementwise, so
+        # one call equals one call per row with its own state.
+        nets, stack = self.make(rng)
+        g = Gradients(5, 2, 8, agents=3)
+        g.flat[:] = rng.normal(size=g.flat.shape)
+        adam_step(AdamState(), stack, g)
+        for m, p in enumerate(nets):
+            gm = Gradients(5, 2, 8, flat=g.flat[m].copy())
+            adam_step(AdamState(), p, gm)
+            assert np.array_equal(stack.flat[m], p.flat)
