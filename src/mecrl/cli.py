@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -113,9 +114,12 @@ def _parse_list(text: str, what: str) -> list[tuple[str, float]]:
         if not tok:
             continue
         try:
-            items.append((tok, float(tok)))
+            value = float(tok)
         except ValueError as exc:
             raise ConfigError(f"bad {what} value {tok!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"bad {what} value {tok!r}: not a finite number")
+        items.append((tok, value))
     if not items:
         raise ConfigError(f"empty {what} list")
     return items

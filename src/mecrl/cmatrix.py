@@ -1,15 +1,12 @@
-"""Dense complex linear algebra for the zero-forcing detection path.
+"""Checked inverse of the Gram matrix on the zero-forcing detection path.
 
-Matrices are plain ``complex128`` numpy arrays of at most a few rows and
-columns, so the Hermitian-positive-definite inverse runs as scalar Cholesky
-loops over native complex numbers instead of a blocked library call.
-numpy's own solvers are deliberately not used here; the test suite checks
-this path against them.
+Matrices are plain ``complex128`` numpy arrays. :func:`invert_hpd` validates
+its input (finite, square, Hermitian, positive definite to working
+precision) and inverts it through numpy's LAPACK bindings; the errors it
+raises name which of these conditions failed.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -37,98 +34,37 @@ def as_cmatrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
-
-
-def hermitian(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_cmatrix(a).conj().T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    """Complex matrix product with a shape check."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def invert_hpd(a) -> np.ndarray:
     """Invert a Hermitian positive-definite matrix.
 
-    Cholesky factorization followed by forward and back substitution
-    against the identity. Raises :class:`NotHermitianError` if the input
-    is asymmetric beyond HERMITIAN_TOL and :class:`SingularMatrixError`
-    when a pivot falls below PIVOT_RTOL times the largest diagonal entry.
+    A Cholesky factorization checks definiteness; the inverse itself comes
+    from ``np.linalg.inv``. Raises :class:`DimensionError` for a matrix
+    that is not square, :class:`NotHermitianError` if the input is
+    asymmetric beyond HERMITIAN_TOL, and :class:`SingularMatrixError` when
+    the factorization fails or a pivot falls below PIVOT_RTOL times the
+    largest diagonal entry.
     """
     a = as_cmatrix(a)
-    n, m = a.shape
-    if n != m:
+    if a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix is not square: {a.shape}")
-    if float(np.max(np.abs(a - a.conj().T))) > HERMITIAN_TOL:
+    if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-
-    rows = a.tolist()
-    pivot_floor = PIVOT_RTOL * max(abs(rows[k][k]) for k in range(n))
-
-    # Lower-triangular factor, row by row. The pivot is the squared
-    # diagonal entry, checked before the square root.
-    low = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = rows[i][j]
-            for k in range(j):
-                s -= low[i][k] * low[j][k].conjugate()
-            if i == j:
-                pivot = s.real
-                if pivot <= pivot_floor or pivot <= 0.0:
-                    raise SingularMatrixError(
-                        f"pivot {pivot:.3e} at row {i} below threshold {pivot_floor:.3e}"
-                    )
-                low[i][i] = complex(math.sqrt(pivot))
-            else:
-                low[i][j] = s / low[j][j]
-
-    # Solve  L Y = I  (forward), then  L^H X = Y  (backward); the columns
-    # of X assemble the inverse.
-    y = [[0j] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            s = 1 + 0j if i == j else 0j
-            for k in range(i):
-                s -= low[i][k] * y[k][j]
-            y[i][j] = s / low[i][i]
-    x = [[0j] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n - 1, -1, -1):
-            s = y[i][j]
-            for k in range(i + 1, n):
-                s -= low[k][i].conjugate() * x[k][j]
-            x[i][j] = s / low[i][i]
-    return np.array(x, dtype=np.complex128)
-
-
-def pseudo_inverse(h) -> np.ndarray:
-    """Left pseudo-inverse of a tall full-column-rank matrix.
-
-    Computes ``(h^H h)^(-1) h^H``; the result times ``h`` is the identity.
-    """
-    h = as_cmatrix(h)
-    if h.shape[0] < h.shape[1]:
-        raise DimensionError(
-            f"need at least as many rows as columns, got {h.shape}"
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is not positive definite") from exc
+    # The pivots are the squared diagonal entries of the factor.
+    root = low.diagonal().real
+    i = int(root.argmin())
+    pivot = float(root[i]) ** 2
+    pivot_floor = PIVOT_RTOL * float(np.abs(a.diagonal()).max())
+    if pivot <= pivot_floor:
+        raise SingularMatrixError(
+            f"pivot {pivot:.3e} at row {i} below threshold {pivot_floor:.3e}"
         )
-    hh = hermitian(h)
-    return matmul(invert_hpd(matmul(hh, h)), hh)
-
-
-def row_norm_sq(z, m: int) -> float:
-    """Squared Euclidean norm of row ``m``."""
-    z = as_cmatrix(z)
-    if not 0 <= m < z.shape[0]:
-        raise IndexError(f"row {m} out of range for {z.shape[0]} rows")
-    row = z[m]
-    return float(np.sum(row.real * row.real + row.imag * row.imag))
+    return np.linalg.inv(a)

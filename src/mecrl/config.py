@@ -2,23 +2,55 @@
 
 The document has two nested sections, ``env`` and ``trainer``, plus the
 top-level run controls. Every field is optional; an empty document yields
-the full default configuration. Unknown keys are rejected.
+the full default configuration. Unknown keys are rejected, and so is a
+value whose JSON type does not fit its field's annotation: integer fields
+take JSON integers, real fields finite numbers, per-user fields a finite
+number or a list of them, and ``task_size_bits`` a pair of integers.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .agents import ALGOS, TrainerConfig
 from .env import ConfigError, EnvConfig
 from .phy import PathLossModel, PhyConstants
 
-_PHY_KEYS = tuple(f.name for f in fields(PhyConstants))
-_PATHLOSS_KEYS = tuple(f.name for f in fields(PathLossModel))
-_ENV_KEYS = tuple(f.name for f in fields(EnvConfig) if f.name not in ("constants", "path_loss"))
-_TRAINER_KEYS = tuple(f.name for f in fields(TrainerConfig))
-_TOP_KEYS = ("env", "trainer", "algo", "episodes", "n_runs", "base_seed", "out_dir")
+
+def _annotations(cls, skip=()) -> dict[str, str]:
+    """Field name to annotation text, in field order."""
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    # Compared exactly, so NaN, the infinities and integers too large for
+    # a float all fail.
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+# Annotation text -> (what the message asks for, predicate on the JSON value).
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_real),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[int, int]": ("a pair of integers",
+                        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))),
+    "tuple[float, ...] | float": ("a finite number or a list of finite numbers",
+                                  lambda v: _is_real(v) or (isinstance(v, list)
+                                                            and all(map(_is_real, v)))),
+}
+
+_PHY_TYPES = _annotations(PhyConstants)
+_PATHLOSS_TYPES = _annotations(PathLossModel)
+_ENV_TYPES = _annotations(EnvConfig, skip=("constants", "path_loss"))
+_TRAINER_TYPES = _annotations(TrainerConfig)
 
 
 @dataclass
@@ -49,24 +81,27 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+_RUN_TYPES = _annotations(ExperimentConfig, skip=("env", "trainer"))
+
+
+def _check_section(section: dict, types: dict[str, str], where: str) -> None:
+    """Reject unknown keys and values of the wrong JSON type."""
+    unknown = sorted(set(section) - set(types))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for key, value in section.items():
+        wanted, fits = _KINDS[types[key]]
+        if not fits(value):
+            raise ConfigError(f"{where}: {key} must be {wanted}, got {value!r}")
 
 
 def _env_from_dict(doc: dict) -> EnvConfig:
-    _check_keys(doc, _ENV_KEYS + _PHY_KEYS + _PATHLOSS_KEYS, "env section")
+    _check_section(doc, {**_ENV_TYPES, **_PHY_TYPES, **_PATHLOSS_TYPES}, "env section")
     try:
-        constants = PhyConstants(**{k: doc[k] for k in _PHY_KEYS if k in doc})
-        path_loss = PathLossModel(**{k: doc[k] for k in _PATHLOSS_KEYS if k in doc})
-        env_kwargs = {k: doc[k] for k in _ENV_KEYS if k in doc}
-        if "task_size_bits" in env_kwargs:
-            env_kwargs["task_size_bits"] = tuple(env_kwargs["task_size_bits"])
-        for name in ("distances_m", "rho", "arrival_rate", "p_max_offload_w",
-                     "p_max_local_w", "w_energy", "w_queue"):
-            if name in env_kwargs and isinstance(env_kwargs[name], list):
-                env_kwargs[name] = tuple(env_kwargs[name])
+        constants = PhyConstants(**{k: doc[k] for k in _PHY_TYPES if k in doc})
+        path_loss = PathLossModel(**{k: doc[k] for k in _PATHLOSS_TYPES if k in doc})
+        # EnvConfig turns the JSON lists into tuples.
+        env_kwargs = {k: doc[k] for k in _ENV_TYPES if k in doc}
         return EnvConfig(constants=constants, path_loss=path_loss, **env_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -75,16 +110,17 @@ def _env_from_dict(doc: dict) -> EnvConfig:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"top-level document must be an object, got {type(doc).__name__}")
-    _check_keys(doc, _TOP_KEYS, "top level")
     env_doc = doc.get("env", {})
     trainer_doc = doc.get("trainer", {})
     if not isinstance(env_doc, dict) or not isinstance(trainer_doc, dict):
         raise ConfigError("env and trainer sections must be objects")
-    _check_keys(trainer_doc, _TRAINER_KEYS, "trainer section")
+    run_doc = {k: v for k, v in doc.items() if k not in ("env", "trainer")}
+    _check_section(run_doc, _RUN_TYPES, "top level")
+    _check_section(trainer_doc, _TRAINER_TYPES, "trainer section")
     cfg = ExperimentConfig(
         env=_env_from_dict(env_doc),
         trainer=TrainerConfig(**trainer_doc),
-        **{k: doc[k] for k in ("algo", "episodes", "n_runs", "base_seed", "out_dir") if k in doc},
+        **run_doc,
     )
     cfg.validate()
     return cfg
@@ -92,9 +128,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     env = cfg.env
-    env_doc = {k: getattr(env.constants, k) for k in _PHY_KEYS}
-    env_doc.update({k: getattr(env.path_loss, k) for k in _PATHLOSS_KEYS})
-    for k in _ENV_KEYS:
+    env_doc = {k: getattr(env.constants, k) for k in _PHY_TYPES}
+    env_doc.update({k: getattr(env.path_loss, k) for k in _PATHLOSS_TYPES})
+    for k in _ENV_TYPES:
         v = getattr(env, k)
         env_doc[k] = list(v) if isinstance(v, tuple) else v
     return {
@@ -112,8 +148,12 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; unset fields default."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
+
+    def reject_nonfinite(name):
+        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject_nonfinite)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"

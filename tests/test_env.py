@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import seeds
+from mecrl import cmatrix, phy, seeds
 from mecrl.env import (Action, ActionError, ConfigError, EnvConfig, MecEnv,
                        StateError, TaskQueue, enqueue_arrivals, obs_vector,
                        perturb_reward, reward, serve_queue, spawn_arrivals)
@@ -244,6 +244,49 @@ class TestStep:
         env.reset()
         res = env.step([Action(1.0, 0.0), Action(0.5, 0.0)])
         assert [o.prev_sinr for o in res.observations] == [i["sinr"] for i in res.info]
+
+
+class TestSingularResample:
+    """A singular channel draw is replaced by one fresh draw of the same
+    stream, and the episode goes on."""
+
+    @staticmethod
+    def raise_once(monkeypatch):
+        real = cmatrix.invert_hpd
+        calls = []
+
+        def flaky(a):
+            calls.append(a)
+            if len(calls) == 1:
+                raise cmatrix.SingularMatrixError("injected")
+            return real(a)
+
+        monkeypatch.setattr(cmatrix, "invert_hpd", flaky)
+        return calls
+
+    def test_reset_draws_one_replacement(self, monkeypatch):
+        env, cfg = make_env(seed=4)
+        calls = self.raise_once(monkeypatch)
+        env.reset()
+        assert len(calls) == 2
+        rng = seeds.env_streams(4, 0)["rng_channel_init"]
+        draws = [phy.init_channel(cfg.constants, cfg.gains(), cfg.rho, rng) for _ in range(2)]
+        assert np.array_equal(env.channel.h, draws[1].h)
+        env.step([Action(0.0, 0.0)] * cfg.n_users)
+        assert env.slot == 1
+
+    def test_step_draws_one_replacement(self, monkeypatch):
+        env, cfg = make_env(seed=4)
+        env.reset()
+        before = env.channel
+        calls = self.raise_once(monkeypatch)
+        env.step([Action(1.0, 0.5)] * cfg.n_users)
+        assert len(calls) == 2
+        rng = seeds.env_streams(4, 0)["rng_channel"]
+        draws = [phy.evolve_channel(before, rng) for _ in range(2)]
+        assert np.array_equal(env.channel.h, draws[1].h)
+        env.step([Action(1.0, 0.5)] * cfg.n_users)
+        assert env.slot == 2
 
 
 class TestObsVector:

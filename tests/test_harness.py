@@ -67,6 +67,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"line 1 column 10"):
             load_config(path)
 
+    def test_nonfinite_constant_rejected_at_parse(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"env": {"noise_level": -Infinity}}')
+        with pytest.raises(ConfigError, match="non-finite number -Infinity"):
+            load_config(path)
+
     def test_round_trip(self, tmp_path):
         cfg = tiny_config(algo="rmaddpg")
         path = tmp_path / "cfg.json"
@@ -353,6 +359,35 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"episodes": 0}')
         assert main(["train", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("trainer", "hidden", '"64"'),
+        ("trainer", "batch_size", "12.5"),
+        (None, "episodes", "1.5"),
+        ("env", "task_size_bits", "5"),
+        ("env", "w_energy", "Infinity"),
+        ("trainer", "lr_critic", "NaN"),
+        ("env", "noise_level", "NaN"),
+        ("env", "w_queue", "1e999"),
+        ("env", "w_energy", "1" + "0" * 400),
+        ("env", "n_users", "true"),
+    ])
+    def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, key, value):
+        cfg_path = self._write_cfg(tmp_path)
+        doc = json.loads(cfg_path.read_text())
+        (doc[section] if section else doc)[key] = "@value@"
+        cfg_path.write_text(json.dumps(doc).replace('"@value@"', value))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mecrl: error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_rejects_nonfinite_level(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path)
+        assert main(["grid", "--config", str(cfg_path), "--gamma", "0.95",
+                     "--noise", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("mecrl: error:")
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
