@@ -3,10 +3,13 @@
 
 The noisy condition scales the reward-noise level to twice the typical
 per-step reward magnitude, measured under a uniform random policy on the
-same seeds. Outputs land under --out (default out/noise_pair).
+same seeds. Outputs land under --out (default out/noise_pair) as two grid
+cells, clean/ and noisy/, each holding a ddpg/ and an rmaddpg/ output tree
+and their overlay curves.svg.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from mecrl import seeds
+from mecrl.cli import train_cell
 from mecrl.config import ExperimentConfig
 from mecrl.env import Action, MecEnv
-from mecrl.runner import aggregate_runs, run_many, write_csv
-from mecrl.svgplot import render_svg
 
 
 def typical_reward_magnitude(cfg: ExperimentConfig, episodes: int = 5) -> float:
@@ -49,22 +51,13 @@ def main() -> int:
     noise = 2.0 * typical_reward_magnitude(base)
     print(f"reward-noise level: {noise:.3f}")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for tag, level in (("clean", 0.0), ("noisy", noise)):
-        overlays = []
-        for algo in ("ddpg", "rmaddpg"):
-            cfg = replace(base, algo=algo,
-                          env=replace(base.env, noise_level=level))
-            series = run_many(cfg, workers=args.workers)
-            agg = aggregate_runs(series)
-            write_csv(agg, series, out / f"{tag}_{algo}.csv")
-            finals = [np.mean([r.mean_true for r in s[-100:]]) for s in series]
-            print(f"{tag} {algo}: final-100 means "
-                  f"{[round(f, 2) for f in finals]}")
-            overlays.append((algo, agg))
-        render_svg(overlays, out / f"{tag}.svg")
-        print(f"wrote {out / (tag + '.svg')}")
+        cell = Path(args.out) / tag
+        cfg = replace(base, env=replace(base.env, noise_level=level))
+        for algo, agg in train_cell(cfg, cell, args.workers):
+            tail = agg.mean[-100:]
+            print(f"{tag} {algo}: final-100 mean return {math.fsum(tail) / len(tail):.2f}")
+        print(f"wrote {cell / 'curves.svg'}")
     return 0
 
 

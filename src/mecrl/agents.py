@@ -11,6 +11,7 @@ along a leading agent axis and one update steps every agent at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,6 +274,11 @@ class EpisodeStats:
     true_returns: tuple[float, ...]
     perceived_returns: tuple[float, ...]
     sigma: float
+
+    @property
+    def mean_true(self) -> float:
+        """Episode return averaged over users."""
+        return math.fsum(self.true_returns) / len(self.true_returns)
 
 
 class Trainer:

@@ -9,11 +9,12 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config, save_config
 from .env import ConfigError
-from .runner import (aggregate_runs, evaluate, read_aggregate_csv,
+from .runner import (AggregateSeries, aggregate_runs, evaluate, read_aggregate_csv,
                      run_training, save_checkpoints, write_csv, write_run_csv)
 from .svgplot import render_svg
 
@@ -56,25 +57,53 @@ def build_parser() -> _Parser:
     return p
 
 
-def _train_tree(cfg: ExperimentConfig) -> "AggregateSeries":
-    """Run cfg.n_runs seeded runs and write the documented output tree."""
+def _train_run(cfg: ExperimentConfig, k: int) -> list:
+    """Seeded run k of the tree: its CSV and, for run 0, the checkpoints.
+
+    The run's networks, optimizer state and replay buffer are released on
+    return, before the next run builds its own.
+    """
+    stats, trainer = run_training(cfg, k)
+    out = Path(cfg.out_dir)
+    write_run_csv(stats, out / f"run_{k}.csv")
+    if k == 0:
+        save_checkpoints(trainer, cfg.algo, out / "checkpoints")
+    return stats
+
+
+def _train_tree(cfg: ExperimentConfig, workers: int = 1) -> AggregateSeries:
+    """Run cfg.n_runs seeded runs and write the documented output tree.
+
+    Runs are self-contained and seeded, so the tree is byte-identical
+    whether they execute serially or across ``workers`` processes.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "resolved_config.json")
-    all_series = []
-    for k in range(cfg.n_runs):
-        records, trainer = run_training(cfg, k)
-        write_run_csv(records, out / f"run_{k}.csv")
-        if k == 0:
-            save_checkpoints(trainer, cfg.algo, out / "checkpoints")
-        # Release this run's networks, optimizer state and replay buffer
-        # before the next run builds its own.
-        del trainer
-        all_series.append(records)
+    run = partial(_train_run, cfg)
+    if workers <= 1:
+        all_series = [run(k) for k in range(cfg.n_runs)]
+    else:
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            all_series = pool.map(run, range(cfg.n_runs))
     agg = aggregate_runs(all_series)
     write_csv(agg, all_series, out / "aggregate.csv")
     render_svg([(cfg.algo, agg)], out / "curves.svg")
     return agg
+
+
+def train_cell(cfg: ExperimentConfig, cell: Path, workers: int = 1):
+    """Train ddpg and rmaddpg on cfg into cell/<algo> and overlay their
+    curves in cell/curves.svg; returns the (algo, aggregate) pairs."""
+    overlays = []
+    for algo in ("ddpg", "rmaddpg"):
+        sub_cfg = replace(cfg, algo=algo, out_dir=str(cell / algo))
+        sub_cfg.validate()
+        overlays.append((algo, _train_tree(sub_cfg, workers)))
+    render_svg(overlays, cell / "curves.svg")
+    return overlays
 
 
 def cmd_train(args) -> int:
@@ -134,18 +163,8 @@ def cmd_grid(args) -> int:
     for g_tok, g_val in gammas:
         for n_tok, n_val in noises:
             cell = root / f"g{g_tok}_n{n_tok}"
-            overlays = []
-            for algo in ("ddpg", "rmaddpg"):
-                sub_cfg = replace(
-                    cfg,
-                    algo=algo,
-                    out_dir=str(cell / algo),
-                    env=replace(cfg.env, noise_level=n_val),
-                    trainer=replace(cfg.trainer, gamma=g_val),
-                )
-                sub_cfg.validate()
-                overlays.append((algo, _train_tree(sub_cfg)))
-            render_svg(overlays, cell / "curves.svg")
+            train_cell(replace(cfg, env=replace(cfg.env, noise_level=n_val),
+                               trainer=replace(cfg.trainer, gamma=g_val)), cell)
             print(f"finished cell {cell}")
     return 0
 

@@ -10,12 +10,19 @@ All quantities in bits are integers so conservation checks are exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cmatrix, phy
 from .phy import PathLossModel, PhyConstants
+
+
+# Largest receive array an environment may have: the channel is an
+# (n_antennas, n_users) complex matrix and zero-forcing needs
+# n_users <= n_antennas.
+MAX_ANTENNAS = 256
 
 
 class ConfigError(ValueError):
@@ -70,6 +77,14 @@ class EnvConfig:
     def __post_init__(self):
         if not isinstance(self.n_users, int) or self.n_users < 1:
             raise ConfigError(f"n_users must be a positive integer, got {self.n_users}")
+        # Checked before the per-user fields are broadcast to n_users entries.
+        n_antennas = self.constants.n_antennas
+        if n_antennas > MAX_ANTENNAS:
+            raise ConfigError(f"n_antennas must be at most {MAX_ANTENNAS}, got {n_antennas}")
+        if n_antennas < self.n_users:
+            raise ConfigError(
+                f"zero-forcing needs n_antennas >= n_users, got {n_antennas} < {self.n_users}"
+            )
         for name in ("distances_m", "rho", "arrival_rate", "p_max_offload_w",
                      "p_max_local_w", "w_energy", "w_queue"):
             setattr(self, name, _per_user(getattr(self, name), self.n_users, name))
@@ -81,13 +96,15 @@ class EnvConfig:
         return self.constants.n_antennas + 2
 
     def validate(self) -> None:
-        c = self.constants
-        if c.n_antennas < self.n_users:
-            raise ConfigError(
-                f"zero-forcing needs n_antennas >= n_users, got {c.n_antennas} < {self.n_users}"
-            )
         if any(d <= 0 for d in self.distances_m):
             raise ConfigError("distances_m must be strictly positive")
+        for d in self.distances_m:
+            try:
+                gain = self.path_loss.gain(d)
+            except (OverflowError, ValueError):
+                gain = math.nan
+            if not sys.float_info.min <= gain <= sys.float_info.max:
+                raise ConfigError(f"path-loss gain at {d} m is outside the normal float range")
         if any(not 0.0 <= r <= 1.0 for r in self.rho):
             raise ConfigError("rho entries must lie in [0, 1]")
         if any(lam < 0 for lam in self.arrival_rate):

@@ -1,4 +1,4 @@
-"""Seeded multi-run execution, aggregation, CSV emission and evaluation."""
+"""Seeded run execution, aggregation, CSV emission and evaluation."""
 
 from __future__ import annotations
 
@@ -9,18 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from . import neural, seeds
-from .agents import Trainer, act, train_episode
+from .agents import EpisodeStats, Trainer, act, train_episode
 from .config import ExperimentConfig
 from .env import Action, ConfigError, MecEnv
-
-
-@dataclass(frozen=True)
-class EpisodeRecord:
-    episode: int
-    true_returns: tuple[float, ...]
-    perceived_returns: tuple[float, ...]
-    mean_true: float
-    sigma: float
 
 
 @dataclass
@@ -32,7 +23,7 @@ class AggregateSeries:
 
 
 def run_training(cfg: ExperimentConfig, run_index: int):
-    """Execute one seeded run; returns (records, trainer).
+    """Execute one seeded run; returns (per-episode stats, trainer).
 
     All randomness derives from ``(cfg.base_seed, run_index)`` through the
     purpose-split streams, so repeated calls are bit-identical and the
@@ -44,45 +35,12 @@ def run_training(cfg: ExperimentConfig, run_index: int):
                       seeds.stream(cfg.base_seed, run_index, "net_init"))
     rng_explore = seeds.stream(cfg.base_seed, run_index, "exploration")
     rng_sample = seeds.stream(cfg.base_seed, run_index, "buffer_sampling")
-    records = []
-    for ep in range(cfg.episodes):
-        stats = train_episode(env, trainer, rng_explore, rng_sample)
-        records.append(EpisodeRecord(
-            episode=ep,
-            true_returns=stats.true_returns,
-            perceived_returns=stats.perceived_returns,
-            mean_true=math.fsum(stats.true_returns) / len(stats.true_returns),
-            sigma=stats.sigma,
-        ))
-    return records, trainer
+    stats = [train_episode(env, trainer, rng_explore, rng_sample)
+             for _ in range(cfg.episodes)]
+    return stats, trainer
 
 
-def _run_records(job) -> list[EpisodeRecord]:
-    cfg, run_index = job
-    records, _ = run_training(cfg, run_index)
-    return records
-
-
-def run_jobs(jobs, workers: int = 1) -> list[list[EpisodeRecord]]:
-    """Execute (cfg, run_index) jobs, optionally across worker processes.
-
-    Runs are fully self-contained and seeded, so the results are identical
-    whether they execute serially or in parallel.
-    """
-    if workers <= 1:
-        return [_run_records(j) for j in jobs]
-    import multiprocessing as mp
-
-    with mp.get_context("fork").Pool(workers) as pool:
-        return pool.map(_run_records, jobs)
-
-
-def run_many(cfg: ExperimentConfig, workers: int = 1) -> list[list[EpisodeRecord]]:
-    """All ``cfg.n_runs`` seeded series for one experiment."""
-    return run_jobs([(cfg, k) for k in range(cfg.n_runs)], workers)
-
-
-def aggregate_runs(series: list[list[EpisodeRecord]]) -> AggregateSeries:
+def aggregate_runs(series: list[list[EpisodeStats]]) -> AggregateSeries:
     """Mean and population std of the per-run mean true return.
 
     fsum-based so the result is exactly invariant under run permutation.
@@ -107,7 +65,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv(agg: AggregateSeries, series: list[list[EpisodeRecord]], path) -> None:
+def write_csv(agg: AggregateSeries, series: list[list[EpisodeStats]], path) -> None:
     """Aggregate curve plus the per-run mean true returns, one row per episode."""
     lines = ["episode,mean_return,std_return," + ",".join(f"run{k}" for k in range(len(series)))]
     for e in range(len(agg.mean)):
@@ -117,13 +75,13 @@ def write_csv(agg: AggregateSeries, series: list[list[EpisodeRecord]], path) -> 
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def write_run_csv(records: list[EpisodeRecord], path) -> None:
-    n = len(records[0].true_returns)
+def write_run_csv(stats: list[EpisodeStats], path) -> None:
+    n = len(stats[0].true_returns)
     header = "episode,mean_return,perceived_mean_return,sigma," + ",".join(
         f"true_user{m}" for m in range(n))
     lines = [header]
-    for r in records:
-        row = [str(r.episode), _fmt(r.mean_true),
+    for e, r in enumerate(stats):
+        row = [str(e), _fmt(r.mean_true),
                _fmt(math.fsum(r.perceived_returns) / n), _fmt(r.sigma)]
         row += [_fmt(v) for v in r.true_returns]
         lines.append(",".join(row))

@@ -4,6 +4,8 @@ when a refactor moves or stops calling a patched function, or changes what
 a step computes."""
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -111,3 +113,12 @@ def test_env_steps_pass_independent_checks(checks, users, antennas):
         env.step([Action(p_off, p_loc) for p_off, p_loc in rng.uniform(0.0, p_max).tolist()])
     assert len(rows) == cfg.env.episode_len
     assert checks.check_steps(cfg, rows) == []
+
+
+def test_self_check_passes():
+    # Every workload at tiny size with every output check, untraced and
+    # traced, and the result schema against BENCHMARK.json.
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--self-check"],
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

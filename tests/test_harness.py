@@ -1,17 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecrl import seeds
-from mecrl.cli import main
-from mecrl.config import ExperimentConfig, config_from_dict, load_config, save_config
+from mecrl.agents import EpisodeStats
+from mecrl.cli import _train_tree, main
+from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
+                          load_config, save_config)
 from mecrl.env import ConfigError
-from mecrl.runner import (AggregateSeries, EpisodeRecord, aggregate_runs,
-                          evaluate, read_aggregate_csv, run_training,
-                          save_checkpoints, write_csv)
+from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
+                          read_aggregate_csv, run_training, save_checkpoints,
+                          write_csv, write_run_csv)
 from mecrl.svgplot import render_svg
 
 
@@ -27,9 +35,30 @@ def tiny_config(**over):
     return config_from_dict(doc)
 
 
-def record(ep, vals):
-    return EpisodeRecord(ep, tuple(vals), tuple(vals),
-                         float(np.mean(vals)), 0.1)
+def record(vals):
+    return EpisodeStats(tuple(vals), tuple(vals), 0.1)
+
+
+# JSON documents over the known keys: up to three keys of one section set
+# to arbitrary JSON values (integers up to 10**30, any float, strings, null,
+# booleans and lists of them), so that many documents get past the type
+# check to the value checks; or sections that are not objects.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**30, 10**30)
+                 | st.integers(-2, 300) | st.floats() | st.text(max_size=4))
+_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=4)
+_DEFAULT_DOC = config_to_dict(ExperimentConfig())
+
+
+def _some_keys(keys):
+    return st.dictionaries(st.sampled_from(sorted(keys)), _JSON_VALUES, max_size=3)
+
+
+CONFIG_DOCUMENTS = st.one_of(
+    _some_keys(set(_DEFAULT_DOC) - {"env", "trainer"}),
+    _some_keys(_DEFAULT_DOC["env"]).map(lambda env: {"env": env}),
+    _some_keys(_DEFAULT_DOC["trainer"]).map(lambda trainer: {"trainer": trainer}),
+    st.dictionaries(st.sampled_from(["env", "trainer"]), _JSON_VALUES, max_size=2),
+)
 
 
 class TestConfig:
@@ -83,6 +112,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="algo"):
             config_from_dict({"algo": "dqn"})
 
+    @settings(max_examples=300, deadline=1000, database=None)
+    @given(doc=CONFIG_DOCUMENTS)
+    def test_fuzzed_document_loads_or_raises_config_error(self, doc):
+        try:
+            cfg = config_from_dict(doc)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+
 
 class TestSeeds:
     def test_purposes_are_independent(self):
@@ -127,31 +165,33 @@ class TestRunner:
         b, _ = run_training(cfg, 0)
         assert a == b
 
-    def test_single_episode_series(self):
+    def test_single_episode_series(self, tmp_path):
         cfg = tiny_config(episodes=1)
-        records, _ = run_training(cfg, 0)
-        assert len(records) == 1 and records[0].episode == 0
+        stats, _ = run_training(cfg, 0)
+        assert len(stats) == 1
+        write_run_csv(stats, tmp_path / "run_0.csv")
+        assert tmp_path.joinpath("run_0.csv").read_text().splitlines()[1].startswith("0,")
 
     def test_aggregate_example(self):
-        runs = [[record(0, [1.0]), record(1, [2.0])],
-                [record(0, [3.0]), record(1, [4.0])]]
+        runs = [[record([1.0]), record([2.0])],
+                [record([3.0]), record([4.0])]]
         agg = aggregate_runs(runs)
         assert agg.mean == [2.0, 3.0]
         assert agg.std == [1.0, 1.0]
 
     def test_aggregate_single_run_zero_std(self):
-        agg = aggregate_runs([[record(0, [5.0]), record(1, [7.0])]])
+        agg = aggregate_runs([[record([5.0]), record([7.0])]])
         assert agg.std == [0.0, 0.0]
 
     def test_aggregate_permutation_invariant(self):
-        runs = [[record(0, [v])] for v in (0.1, 0.7, -2.3, 5.5, 1e-3)]
+        runs = [[record([v])] for v in (0.1, 0.7, -2.3, 5.5, 1e-3)]
         fwd = aggregate_runs(runs)
         rev = aggregate_runs(runs[::-1])
         assert fwd.mean == rev.mean and fwd.std == rev.std
 
     def test_aggregate_mean_within_run_range(self):
         rng = np.random.default_rng(0)
-        runs = [[record(e, [float(rng.normal())]) for e in range(10)] for _ in range(5)]
+        runs = [[record([float(rng.normal())]) for _ in range(10)] for _ in range(5)]
         agg = aggregate_runs(runs)
         for e in range(10):
             vals = [r[e].mean_true for r in runs]
@@ -159,13 +199,13 @@ class TestRunner:
 
     def test_aggregate_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            aggregate_runs([[record(0, [1.0])], [record(0, [1.0]), record(1, [1.0])]])
+            aggregate_runs([[record([1.0])], [record([1.0]), record([1.0])]])
 
 
 class TestCsv:
     def test_line_count(self, tmp_path):
-        runs = [[record(0, [1.0]), record(1, [2.0])],
-                [record(0, [3.0]), record(1, [4.0])]]
+        runs = [[record([1.0]), record([2.0])],
+                [record([3.0]), record([4.0])]]
         agg = aggregate_runs(runs)
         path = tmp_path / "agg.csv"
         write_csv(agg, runs, path)
@@ -175,7 +215,7 @@ class TestCsv:
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        runs = [[record(e, [float(rng.normal()) for _ in range(2)]) for e in range(7)]
+        runs = [[record([float(rng.normal()) for _ in range(2)]) for _ in range(7)]
                 for _ in range(3)]
         agg = aggregate_runs(runs)
         path = tmp_path / "agg.csv"
@@ -184,7 +224,7 @@ class TestCsv:
         assert back.mean == agg.mean and back.std == agg.std
 
     def test_deterministic_bytes(self, tmp_path):
-        runs = [[record(0, [0.123456789012345]), record(1, [2.0])]]
+        runs = [[record([0.123456789012345]), record([2.0])]]
         agg = aggregate_runs(runs)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(agg, runs, p1)
@@ -371,6 +411,11 @@ class TestCli:
         ("env", "w_queue", "1e999"),
         ("env", "w_energy", "1" + "0" * 400),
         ("env", "n_users", "true"),
+        ("env", "n_users", str(10**30)),
+        ("env", "n_users", str(2**62)),
+        ("env", "n_users", "10000000"),
+        ("env", "n_antennas", str(10**9)),
+        ("env", "g0_db", "1e308"),
     ])
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, key, value):
         cfg_path = self._write_cfg(tmp_path)
@@ -389,9 +434,45 @@ class TestCli:
         assert capsys.readouterr().err.startswith("mecrl: error:")
         assert not (tmp_path / "out").exists()
 
+    def test_serial_and_parallel_trees_identical(self, tmp_path):
+        # Updates and the reward-noise draw both run in every run.
+        cfg = tiny_config(algo="rmaddpg", n_runs=3,
+                          env={"n_users": 2, "episode_len": 8, "noise_level": 0.5})
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        _train_tree(replace(cfg, out_dir=str(serial)), workers=1)
+        _train_tree(replace(cfg, out_dir=str(parallel)), workers=2)
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*")
+                               if p.is_file())
+        assert len(files) == 6 + 2 * 5  # config, 3 runs, aggregate, svg; 2 agents x 5 nets
+        for rel in files:
+            a, b = (serial / rel).read_bytes(), (parallel / rel).read_bytes()
+            if rel.name == "resolved_config.json":
+                a, b = ({**json.loads(x), "out_dir": None} for x in (a, b))
+            assert a == b, rel
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
         main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
         main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
         assert ((tmp_path / "a" / "aggregate.csv").read_bytes()
                 == (tmp_path / "b" / "aggregate.csv").read_bytes())
+
+
+class TestNoisePair:
+    def test_writes_two_grid_cells(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"),
+                                                            os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, str(repo / "scripts" / "noise_pair.py"),
+                        "--episodes", "1", "--runs", "2", "--workers", "2",
+                        "--out", str(tmp_path)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        for tag in ("clean", "noisy"):
+            cell = tmp_path / tag
+            assert {p.name for p in cell.iterdir()} == {"ddpg", "rmaddpg", "curves.svg"}
+            for algo in ("ddpg", "rmaddpg"):
+                assert {p.name for p in (cell / algo).iterdir()} == {
+                    "resolved_config.json", "run_0.csv", "run_1.csv",
+                    "aggregate.csv", "curves.svg", "checkpoints"}
