@@ -71,16 +71,18 @@ class Batch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring sampled uniformly with replacement."""
+    """Fixed-capacity FIFO ring sampled uniformly with replacement; pushed
+    values are stored in ``dtype``."""
 
-    def __init__(self, capacity: int, n_users: int, obs_dim: int, act_dim: int = 2):
+    def __init__(self, capacity: int, n_users: int, obs_dim: int, act_dim: int = 2,
+                 dtype=np.float32):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._obs = np.empty((capacity, n_users, obs_dim))
-        self._acts = np.empty((capacity, n_users, act_dim))
-        self._rewards = np.empty((capacity, n_users))
-        self._next_obs = np.empty((capacity, n_users, obs_dim))
+        self._obs = np.empty((capacity, n_users, obs_dim), dtype)
+        self._acts = np.empty((capacity, n_users, act_dim), dtype)
+        self._rewards = np.empty((capacity, n_users), dtype)
+        self._next_obs = np.empty((capacity, n_users, obs_dim), dtype)
         self._size = 0
         self._cursor = 0
 
@@ -124,6 +126,10 @@ class NatureNet:
     net: MlpParams
 
 
+class TrainingDiverged(ValueError):
+    """A loss, objective or parameter of a network is no longer finite."""
+
+
 @dataclass
 class UpdateStats:
     """Diagnostics of one update, one entry per agent."""
@@ -133,9 +139,9 @@ class UpdateStats:
     nature_mean: np.ndarray | None = None
 
 
-def _squash(u: np.ndarray, p_max: np.ndarray) -> np.ndarray:
-    """Map unbounded actor outputs into [0, p_max] per dimension."""
-    return (np.tanh(u) + 1.0) * (0.5 * p_max)
+def _squash(u: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Map unbounded actor outputs into [0, 2 * half] per dimension."""
+    return (np.tanh(u) + 1.0) * half
 
 
 def _neg(g: Gradients) -> Gradients:
@@ -149,21 +155,25 @@ def act(actor: MlpParams, p_max: np.ndarray, obs: np.ndarray, sigma: float,
     exploration noise.
 
     ``actor`` is the stacked actor, ``p_max`` and the result are (M, 2),
-    ``obs`` is (M, obs_dim). The (M, 2) noise draw consumes the stream in
-    user order and gives the same values as one
+    ``obs`` is (M, obs_dim). The actor runs in its own dtype; squashing,
+    noise and clipping run in ``p_max``'s, so float64 bounds give actions
+    that lie within them exactly. The (M, 2) noise draw consumes the
+    stream in user order and gives the same values as one
     ``rng.normal(0, sigma * p_max[m])`` call per user would.
     """
-    a = _squash(eval_vec(actor, obs), p_max)
+    a = _squash(eval_vec(actor, obs), 0.5 * p_max)
     if sigma > 0.0:
         a += (sigma * p_max) * rng.standard_normal(p_max.shape)
-    return np.clip(a, 0.0, p_max, out=a)
+    # np.clip's per-call overhead is about twice that of these two ufuncs.
+    np.maximum(a, 0.0, out=a)
+    return np.minimum(a, p_max, out=a)
 
 
 def td_targets(critic_target: MlpParams, x_next, rewards: np.ndarray,
-               gamma: float) -> np.ndarray:
+               gamma: float, ones_column: bool = False) -> np.ndarray:
     """Bootstrapped regression targets of all agents:
     r + gamma * Q_target(s', a'), shape (M, k, 1)."""
-    return rewards + gamma * forward(critic_target, x_next)[0]
+    return rewards + gamma * forward(critic_target, x_next, ones_column)[0]
 
 
 def _nature_step(trainer: "Trainer", local: np.ndarray, stored: np.ndarray):
@@ -175,11 +185,11 @@ def _nature_step(trainer: "Trainer", local: np.ndarray, stored: np.ndarray):
     first and their activations are released before the agents' step.
     """
     k = stored.shape[1]
-    r_hat, cache = forward(trainer.nature, local)
+    r_hat, cache = forward(trainer.nature, local, ones_column=True)
     band = 2.0 * trainer.noise_level
     r_tilde = np.clip(r_hat, stored - band, stored + band)
     mean = r_hat.mean(axis=(1, 2))
-    g, _ = backward(trainer.nature, cache, np.full(r_hat.shape, 1.0 / k),
+    g, _ = backward(trainer.nature, cache, np.full(r_hat.shape, 1.0 / k, r_hat.dtype),
                     out=trainer.nature_grad, need_dx=False)
     adam_step(trainer.nature_opt, trainer.nature, g)
     return r_tilde, mean
@@ -189,7 +199,7 @@ def _critic_step(trainer: "Trainer", x, y: np.ndarray) -> np.ndarray:
     """One descent step on every critic's mean squared Bellman error;
     returns the per-agent loss before the step."""
     k = y.shape[1]
-    q, cache = forward(trainer.critic, x)
+    q, cache = forward(trainer.critic, x, ones_column=True)
     err = np.subtract(q, y, out=q)
     loss = np.einsum("mki,mki->m", err, err) / k
     err *= 2.0 / k
@@ -198,26 +208,25 @@ def _critic_step(trainer: "Trainer", x, y: np.ndarray) -> np.ndarray:
     return loss
 
 
-def _actor_step(trainer: "Trainer", obs: np.ndarray, acts: np.ndarray, x) -> np.ndarray:
+def _actor_step(trainer: "Trainer", work: "_UpdateBuffers", acts: np.ndarray) -> np.ndarray:
     """One ascent step of every actor on mean Q(s, a) with its own action
     columns set to its policy's output and the other users' columns taken
     from the batch; returns the per-agent objective before the step.
 
     Only the input gradient at the agent's own two action columns is
     needed, so the critic pass is written out here: the pre-activation is
-    x @ w1t plus a rank-2 correction through the agent's own action rows,
-    and no parameter gradient of the critic is formed.
+    the batch input (with its ones column) times the critic's first layer,
+    plus a rank-2 correction through the agent's own action rows, and no
+    parameter gradient of the critic is formed. ``acts`` are the batch
+    actions, (M, k, 2).
     """
-    critic, (n, k, _) = trainer.critic, obs.shape
-    if trainer.hidden_work.shape[2] != k:
-        trainer.hidden_work = np.empty((2, n, k, critic.hidden))
-    u, cache = forward(trainer.actor, obs)
+    critic, k = trainer.critic, work.k
+    u, cache = forward(trainer.actor, work.obs, ones_column=True)
     t = np.tanh(u)
     half = trainer.half[:, None, :]
-    w_own = critic.w1t[trainer.own_rows]                 # (M, 2, hidden)
-    z = np.matmul(x, critic.w1t, out=trainer.hidden_work[0])
-    z += np.matmul((t + 1.0) * half - acts, w_own, out=trainer.hidden_work[1])
-    z += critic.b1[:, None, :]
+    w_own = critic.l1[trainer.own_rows]                  # (M, 2, hidden)
+    z = np.matmul(work.x, critic.l1, out=work.hidden[0])
+    z += np.matmul((t + 1.0) * half - acts, w_own, out=work.hidden[1])
     np.maximum(z, 0.0, out=z)
     q = z @ critic.w2t
     q += critic.b2[:, None, :]
@@ -228,6 +237,36 @@ def _actor_step(trainer: "Trainer", obs: np.ndarray, acts: np.ndarray, x) -> np.
     g, _ = backward(trainer.actor, cache, du, out=trainer.actor_grad, need_dx=False)
     adam_step(trainer.actor_opt, trainer.actor, _neg(g))
     return objective
+
+
+class _UpdateBuffers:
+    """Buffers of one update for batch size ``k``, kept by the trainer and
+    rewritten in place: fresh ones of the (M, k, hidden) size on every
+    update were returned to the system and page-faulted in again each time.
+
+    The network inputs end in their ones column. ``obs``/``next_obs`` feed
+    the actors, (M, k, obs_dim + 1). ``x``/``x_next`` feed the critics:
+    each agent's own (obs, action) in ``ddpg``, (M, k, obs_dim + 3); the
+    joint (obs, action) of all users in user order otherwise,
+    (k, M * (obs_dim + 2) + 1). ``local`` holds each agent's own
+    (obs, action) for the ``rmaddpg`` adversaries; in ``ddpg`` it is ``x``.
+    ``hidden`` holds the actor step's two (M, k, hidden) activations.
+    """
+
+    def __init__(self, algo: str, n: int, obs_dim: int, k: int, hidden: int, dtype):
+        def buf(lead, width):
+            return neural.input_buffer(lead, width, dtype)
+
+        self.k = k
+        self.obs, self.next_obs = buf((n, k), obs_dim), buf((n, k), obs_dim)
+        if algo == "ddpg":
+            self.x, self.x_next = buf((n, k), obs_dim + 2), buf((n, k), obs_dim + 2)
+        else:
+            self.x, self.x_next = buf((k,), n * (obs_dim + 2)), buf((k,), n * (obs_dim + 2))
+        self.local = None
+        if algo != "maddpg":
+            self.local = self.x if algo == "ddpg" else buf((n, k), obs_dim + 2)
+        self.hidden = np.empty((2, n, k, hidden), dtype)
 
 
 def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
@@ -243,27 +282,34 @@ def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
     """
     tc = trainer.tc
     k, n, d = batch.obs.shape
+    if trainer.work.k != k:
+        trainer.work = _UpdateBuffers(trainer.algo, n, d, k, tc.hidden, trainer.critic.flat.dtype)
+    work = trainer.work
     obs = batch.obs.transpose(1, 0, 2)                   # (M, k, obs_dim)
     acts = batch.acts.transpose(1, 0, 2)                 # (M, k, 2)
     next_obs = batch.next_obs.transpose(1, 0, 2)
     rewards = batch.rewards.T[:, :, None]                # (M, k, 1)
-    a_next = _squash(forward(trainer.actor_target, next_obs)[0],
-                     trainer.p_max[:, None, :])          # (M, k, 2)
-    if trainer.algo == "ddpg" or trainer.nature is not None:
-        local = np.concatenate((obs, acts), axis=2)
+    work.obs[..., :-1] = obs
+    work.next_obs[..., :-1] = next_obs
+    a_next = _squash(forward(trainer.actor_target, work.next_obs, ones_column=True)[0],
+                     trainer.half[:, None, :])           # (M, k, 2)
+    if work.local is not None:
+        work.local[..., :d] = obs
+        work.local[..., d:-1] = acts
     if trainer.algo == "ddpg":
-        x = local
-        x_next = np.concatenate((next_obs, a_next), axis=2)
+        work.x_next[..., :d] = next_obs
+        work.x_next[..., d:-1] = a_next
     else:
-        x = np.concatenate((batch.obs.reshape(k, n * d), batch.acts.reshape(k, 2 * n)), axis=1)
-        x_next = np.concatenate((batch.next_obs.reshape(k, n * d),
-                                 a_next.transpose(1, 0, 2).reshape(k, 2 * n)), axis=1)
+        work.x[:, :n * d] = batch.obs.reshape(k, n * d)
+        work.x[:, n * d:-1] = batch.acts.reshape(k, 2 * n)
+        work.x_next[:, :n * d] = batch.next_obs.reshape(k, n * d)
+        work.x_next[:, n * d:-1] = a_next.transpose(1, 0, 2).reshape(k, 2 * n)
     nature_mean = None
     if trainer.nature is not None:
-        rewards, nature_mean = _nature_step(trainer, local, rewards)
-    y = td_targets(trainer.critic_target, x_next, rewards, tc.gamma)
-    critic_loss = _critic_step(trainer, x, y)
-    actor_objective = _actor_step(trainer, obs, acts, x)
+        rewards, nature_mean = _nature_step(trainer, work.local, rewards)
+    y = td_targets(trainer.critic_target, work.x_next, rewards, tc.gamma, ones_column=True)
+    critic_loss = _critic_step(trainer, work.x, y)
+    actor_objective = _actor_step(trainer, work, acts)
     soft_update(trainer.critic_target, trainer.critic, tc.tau_soft)
     soft_update(trainer.actor_target, trainer.actor, tc.tau_soft)
     return UpdateStats(critic_loss, actor_objective, nature_mean)
@@ -288,11 +334,15 @@ class Trainer:
     Networks of one role (actor, actor_target, critic, critic_target,
     nature) live in one stacked buffer with a leading agent axis, with one
     optimizer state and one gradient buffer per role; ``agents`` and
-    ``natures`` hold per-agent views into those stacks.
+    ``natures`` hold per-agent views into those stacks. Networks, replay
+    ring and update buffers are in ``dtype``; initial weights are drawn in
+    float64 and cast once, so the draw stream does not depend on it.
     """
 
+    ROLES = ("actor", "actor_target", "critic", "critic_target", "nature")
+
     def __init__(self, env_cfg: EnvConfig, tc: TrainerConfig, algo: str,
-                 rng_init: np.random.Generator):
+                 rng_init: np.random.Generator, *, dtype=np.float32):
         if algo not in ALGOS:
             raise ValueError(f"unknown algo {algo!r}, expected one of {ALGOS}")
         tc.validate()
@@ -308,47 +358,71 @@ class Trainer:
         for _ in range(n):
             actors.append(neural.init_mlp(obs_dim, 2, rng_init, tc.hidden))
             critics.append(neural.init_mlp(critic_in, 1, rng_init, tc.hidden))
-        self.actor = neural.stack_params(actors)
+        self.actor = neural.stack_params(actors, dtype)
         self.actor_target = self.actor.copy()
-        self.critic = neural.stack_params(critics)
+        self.critic = neural.stack_params(critics, dtype)
         self.critic_target = self.critic.copy()
         self.actor_opt = AdamState(lr=tc.lr_actor)
         self.critic_opt = AdamState(lr=tc.lr_critic)
-        self.actor_grad = Gradients(obs_dim, 2, tc.hidden, agents=n)
-        self.critic_grad = Gradients(critic_in, 1, tc.hidden, agents=n)
+        self.actor_grad = Gradients(obs_dim, 2, tc.hidden, agents=n, dtype=dtype)
+        self.critic_grad = Gradients(critic_in, 1, tc.hidden, agents=n, dtype=dtype)
         self.nature = self.nature_opt = self.nature_grad = None
         if algo == "rmaddpg":
             self.nature = neural.stack_params(
-                [neural.init_mlp(obs_dim + 2, 1, rng_init, tc.hidden) for _ in range(n)])
+                [neural.init_mlp(obs_dim + 2, 1, rng_init, tc.hidden) for _ in range(n)], dtype)
             self.nature_opt = AdamState(lr=tc.lr_nature)
-            self.nature_grad = Gradients(obs_dim + 2, 1, tc.hidden, agents=n)
+            self.nature_grad = Gradients(obs_dim + 2, 1, tc.hidden, agents=n, dtype=dtype)
+        # Actions are squashed and clipped against the float64 bounds the
+        # environment checks them with; the update squashes in ``dtype``.
         self.p_max = np.column_stack((env_cfg.p_max_offload_w, env_cfg.p_max_local_w))
-        self.half = 0.5 * self.p_max
+        self.half = (0.5 * self.p_max).astype(dtype)
         # Critic input rows of each agent's own action: after the agent's
         # observation in ddpg, after all observations in user order otherwise.
         first = np.full(n, obs_dim) if algo == "ddpg" else n * obs_dim + 2 * np.arange(n)
         self.own_rows = (np.arange(n)[:, None], first[:, None] + np.arange(2))
-        # The actor step's two (M, batch, hidden) activation buffers, kept
-        # across updates: fresh ones of this size on every update were
-        # returned to the system and page-faulted in again each time.
-        self.hidden_work = np.empty((2, n, tc.batch_size, tc.hidden))
+        self.work = _UpdateBuffers(algo, n, obs_dim, tc.batch_size, tc.hidden, dtype)
         self.agents = [DdpgAgent(self.actor.agent(m), self.actor_target.agent(m),
                                  self.critic.agent(m), self.critic_target.agent(m))
                        for m in range(n)]
         self.natures = (None if self.nature is None
                         else [NatureNet(self.nature.agent(m)) for m in range(n)])
-        self.buffer = ReplayBuffer(tc.buffer_capacity, n, obs_dim)
+        self.buffer = ReplayBuffer(tc.buffer_capacity, n, obs_dim, dtype=dtype)
         self.sigma = tc.explore_sigma0
         self.total_steps = 0
+        self.episode = 0
 
     def update(self, rng_sample: np.random.Generator) -> UpdateStats:
-        return td_update(self, self.buffer.sample_arrays(self.tc.batch_size, rng_sample))
+        """One update on a fresh sample; raises TrainingDiverged when a
+        loss, objective or adversary mean comes out non-finite."""
+        stats = td_update(self, self.buffer.sample_arrays(self.tc.batch_size, rng_sample))
+        for role, what, values in (("critic", "loss", stats.critic_loss),
+                                   ("actor", "objective", stats.actor_objective),
+                                   ("nature", "mean output", stats.nature_mean)):
+            if values is not None:
+                self._require_finite(role, what, np.isfinite(values))
+        return stats
+
+    def check_params(self) -> None:
+        """Raise TrainingDiverged naming the first agent and role whose
+        parameters hold a non-finite value."""
+        for role in self.ROLES:
+            net = getattr(self, role)
+            if net is not None:
+                self._require_finite(role, "parameters", np.isfinite(net.flat).all(axis=1))
+
+    def _require_finite(self, role: str, what: str, finite: np.ndarray) -> None:
+        """``finite`` holds one flag per agent."""
+        if not finite.all():
+            raise TrainingDiverged(f"episode {self.episode}: agent {int(np.argmin(finite))} "
+                                   f"{role}: {what} not finite")
 
 
 def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generator,
                   rng_sample: np.random.Generator) -> EpisodeStats:
     """One episode of interaction: act, step, store, and (after warmup)
-    update; exploration noise decays at the episode boundary."""
+    update; exploration noise decays at the episode boundary. Every
+    update's diagnostics are checked, and, if the episode updated, the
+    parameters at its end."""
     tc = trainer.tc
     n = env.cfg.n_users
     env.reset()
@@ -356,6 +430,7 @@ def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generato
     true_sums = np.zeros(n)
     perceived_sums = np.zeros(n)
     sigma = trainer.sigma
+    updated = False
     for _ in range(env.cfg.episode_len):
         acts = act(trainer.actor, trainer.p_max, obs, sigma, rng_explore)
         result: StepResult = env.step([Action(p_off, p_loc) for p_off, p_loc in acts.tolist()])
@@ -367,7 +442,11 @@ def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generato
         if trainer.total_steps > tc.warmup_steps and len(trainer.buffer) >= tc.batch_size:
             for _ in range(tc.updates_per_step):
                 trainer.update(rng_sample)
+                updated = True
         obs = next_obs
+    if updated:
+        trainer.check_params()
+    trainer.episode += 1
     trainer.sigma = max(trainer.sigma * tc.explore_decay, tc.explore_sigma_floor)
     return EpisodeStats(tuple(float(v) for v in true_sums),
                         tuple(float(v) for v in perceived_sums), sigma)

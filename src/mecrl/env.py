@@ -96,6 +96,11 @@ class EnvConfig:
         return self.constants.n_antennas + 2
 
     def validate(self) -> None:
+        if self.constants.noise_power_w < sys.float_info.min:
+            # A subnormal noise power can make the SINR, and with it the
+            # offload capacity, infinite.
+            raise ConfigError(f"noise_power_w must be at least the smallest normal float "
+                              f"{sys.float_info.min}, got {self.constants.noise_power_w}")
         if any(d <= 0 for d in self.distances_m):
             raise ConfigError("distances_m must be strictly positive")
         for d in self.distances_m:

@@ -3,10 +3,13 @@
 The deterministic policy update needs exact gradients with respect to the
 network *input* as well as the parameters, so both paths are derived
 analytically and checked against central finite differences. Parameters
-live in one flat float64 buffer with reshaped views per layer, which lets
-the optimizer and target blending run as single vector operations. A
-buffer may carry a leading agent axis: the same functions then evaluate,
-differentiate and step the networks of all agents of one role at once.
+live in one flat floating-point buffer with reshaped views per layer, which
+lets the optimizer and target blending run as single vector operations;
+computation runs in the buffer's dtype. Each layer's weights and bias are
+one contiguous matrix, applied to its input with a trailing ones column,
+so a layer is one matrix product. A buffer may carry a leading agent axis:
+the same functions then evaluate, differentiate and step the networks of
+all agents of one role at once.
 """
 
 from __future__ import annotations
@@ -27,36 +30,37 @@ class _LayerViews:
     Weights are stored in compute layout, ``w1t`` (in_dim, hidden) and
     ``w2t`` (hidden, out_dim), so that batches multiply them from the left
     without a transpose; ``w1``/``w2`` are the transposed views in the
-    conventional (out, in) orientation. With ``agents`` set, the buffer has
-    a leading agent axis, ``flat`` is (agents, size), and every view gains
-    that axis: one buffer holds the networks of all agents of one role.
+    conventional (out, in) orientation. Each bias follows its weights, so
+    ``l1`` (in_dim + 1, hidden) and ``l2`` (hidden + 1, out_dim) view a
+    whole layer as one matrix whose last row is the bias. With ``agents``
+    set, the buffer has a leading agent axis, ``flat`` is (agents, size),
+    and every view gains that axis: one buffer holds the networks of all
+    agents of one role. A new zero buffer takes ``dtype``; a given one
+    keeps its own.
     """
 
     __slots__ = ("in_dim", "hidden", "out_dim", "agents", "flat",
-                 "w1t", "b1", "w2t", "b2", "w1", "w2")
+                 "l1", "l2", "w1t", "b1", "w2t", "b2", "w1", "w2")
 
     def __init__(self, in_dim: int, out_dim: int, hidden: int = HIDDEN, flat=None,
-                 agents: int | None = None):
+                 agents: int | None = None, dtype=np.float64):
         if in_dim < 1 or out_dim < 1 or hidden < 1:
             raise ValueError("layer dimensions must be >= 1")
         lead = () if agents is None else (agents,)
-        shape = lead + (hidden * in_dim + hidden + out_dim * hidden + out_dim,)
+        n1 = (in_dim + 1) * hidden
+        shape = lead + (n1 + (hidden + 1) * out_dim,)
         if flat is None:
-            flat = np.zeros(shape)
+            flat = np.zeros(shape, dtype)
         else:
-            flat = np.asarray(flat, dtype=np.float64)
+            flat = np.asarray(flat)
             if flat.shape != shape:
                 raise ValueError(f"flat buffer must have shape {shape}, got {flat.shape}")
         self.in_dim, self.hidden, self.out_dim, self.agents = in_dim, hidden, out_dim, agents
         self.flat = flat
-        o = 0
-        self.w1t = flat[..., o:o + in_dim * hidden].reshape(lead + (in_dim, hidden))
-        o += in_dim * hidden
-        self.b1 = flat[..., o:o + hidden]
-        o += hidden
-        self.w2t = flat[..., o:o + hidden * out_dim].reshape(lead + (hidden, out_dim))
-        o += hidden * out_dim
-        self.b2 = flat[..., o:]
+        self.l1 = flat[..., :n1].reshape(lead + (in_dim + 1, hidden))
+        self.l2 = flat[..., n1:].reshape(lead + (hidden + 1, out_dim))
+        self.w1t, self.b1 = self.l1[..., :-1, :], self.l1[..., -1, :]
+        self.w2t, self.b2 = self.l2[..., :-1, :], self.l2[..., -1, :]
         self.w1 = self.w1t.swapaxes(-1, -2)
         self.w2 = self.w2t.swapaxes(-1, -2)
 
@@ -90,43 +94,66 @@ def init_mlp(in_dim: int, out_dim: int, rng: np.random.Generator, hidden: int = 
     return p
 
 
-def stack_params(nets: list[MlpParams]) -> MlpParams:
-    """Copy same-shaped single networks into one stacked buffer, in order."""
+def stack_params(nets: list[MlpParams], dtype=None) -> MlpParams:
+    """Copy same-shaped single networks into one stacked buffer, in order,
+    cast to ``dtype`` if given."""
     first = nets[0]
     if any(not first.same_shape(p) for p in nets):
         raise ValueError("networks of different shapes cannot be stacked")
     return MlpParams(first.in_dim, first.out_dim, first.hidden,
-                     np.stack([p.flat for p in nets]), len(nets))
+                     np.stack([p.flat for p in nets], dtype=dtype), len(nets))
 
 
-def forward(p: MlpParams, x):
+def input_buffer(lead: tuple[int, ...], width: int, dtype) -> np.ndarray:
+    """Uninitialised (*lead, width + 1) array whose last column is ones: a
+    layer input of ``width`` features with its bias column in place."""
+    buf = np.empty(lead + (width + 1,), dtype)
+    buf[..., -1] = 1.0
+    return buf
+
+
+def forward(p: MlpParams, x, ones_column: bool = False):
     """Evaluate the network; returns (y, cache) with cache for backward.
 
     For a single network ``x`` may be one input vector or a (batch, in_dim)
     matrix; the output shape follows suit. For a stacked network ``x`` is
     either a (batch, in_dim) matrix every agent reads, or one
     (batch, in_dim) matrix per agent, (agents, batch, in_dim); the output is
-    (agents, batch, out_dim).
+    (agents, batch, out_dim). With ``ones_column`` the input already ends
+    in the bias column of ones, (..., in_dim + 1), as from
+    :func:`input_buffer`; otherwise it is copied into such a buffer. The
+    input is cast to the parameters' dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     single = x.ndim == 1
     xb = x[None, :] if single else x
     ndims = (2,) if p.agents is None else (2, 3)
-    if xb.ndim not in ndims or xb.shape[-1] != p.in_dim or (
+    if xb.ndim not in ndims or xb.shape[-1] != p.in_dim + ones_column or (
             xb.ndim == 3 and xb.shape[0] != p.agents):
-        raise ValueError(f"input has shape {x.shape}, network expects in_dim {p.in_dim}")
-    h1 = xb @ p.w1t
-    h1 += p.b1[..., None, :]
-    np.maximum(h1, 0.0, out=h1)
-    y = h1 @ p.w2t
-    y += p.b2[..., None, :]
-    return (y[0] if single else y), (xb, h1, single)
+        raise ValueError(f"input has shape {x.shape}, network expects in_dim {p.in_dim}"
+                         + (" plus a ones column" if ones_column else ""))
+    dtype = p.flat.dtype
+    if ones_column:
+        xb = xb.astype(dtype, copy=False)
+    else:
+        xa = input_buffer(xb.shape[:-1], p.in_dim, dtype)
+        xa[..., :-1] = xb
+        xb = xa
+    lead = () if p.agents is None else (p.agents,)
+    h = input_buffer(lead + xb.shape[-2:-1], p.hidden, dtype)
+    np.matmul(xb, p.l1, out=h[..., :-1])
+    # The ReLU leaves the ones column as it is.
+    np.maximum(h, 0.0, out=h)
+    y = h @ p.l2
+    return (y[0] if single else y), (xb, h, single)
 
 
 def eval_vec(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Cache-free evaluation of one input vector per network (hot path for
     acting): ``x`` is (in_dim,) for a single network, (agents, in_dim) for a
-    stacked one."""
+    stacked one. The small input is cast to the parameters' dtype, so the
+    weights are never converted."""
+    x = x.astype(p.flat.dtype, copy=False)
     h1 = np.matmul(x[..., None, :], p.w1t)[..., 0, :]
     h1 += p.b1
     np.maximum(h1, 0.0, out=h1)
@@ -141,30 +168,34 @@ def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: boo
     Returns ``(g, dx)``; ``dx`` is None when ``need_dx`` is false. ``out``
     may supply a preallocated Gradients buffer. A cache serves one backward
     call: the hidden-layer gradient is formed in its activation buffer.
+    Each layer's input carries a ones column, so the last row of each
+    weight-gradient product is the bias gradient.
     """
-    xb, h1, single = cache
-    dy = np.asarray(dy, dtype=np.float64)
+    xb, h, single = cache
+    dy = np.asarray(dy, dtype=p.flat.dtype)
     dyb = dy[None, :] if single else dy
-    if dyb.shape != h1.shape[:-1] + (p.out_dim,):
+    if dyb.shape != h.shape[:-1] + (p.out_dim,):
         raise ValueError(
             f"upstream gradient shape {dy.shape} does not match cache batch "
-            f"{h1.shape[:-1]} and out_dim {p.out_dim}"
+            f"{h.shape[:-1]} and out_dim {p.out_dim}"
         )
-    g = out if out is not None else Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents)
-    np.matmul(h1.swapaxes(-1, -2), dyb, out=g.w2t)
-    np.sum(dyb, axis=-2, out=g.b2)
-    # ReLU mask: post-activation h1 is positive exactly where the
-    # pre-activation was.
-    active = h1 > 0.0
+    g = out if out is not None else Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents,
+                                              dtype=p.flat.dtype)
+    np.matmul(h.swapaxes(-1, -2), dyb, out=g.l2)
+    # ReLU mask: post-activation h is positive exactly where the
+    # pre-activation was. The ones column's entry of the product below
+    # (dy times b2) is never read.
+    active = h > 0.0
+    l2t = p.l2.swapaxes(-1, -2)
     if p.out_dim == 1:
-        # dy @ w2 is an outer product here; numpy's matmul takes a slow
+        # dy @ l2t is an outer product here; numpy's matmul takes a slow
         # loop for a unit inner dimension, a broadcast multiply does not.
-        dz1 = np.multiply(dyb, p.w2, out=h1)
+        dz = np.multiply(dyb, l2t, out=h)
     else:
-        dz1 = np.matmul(dyb, p.w2, out=h1)
-    dz1 *= active
-    np.matmul(xb.swapaxes(-1, -2), dz1, out=g.w1t)
-    np.sum(dz1, axis=-2, out=g.b1)
+        dz = np.matmul(dyb, l2t, out=h)
+    dz *= active
+    dz1 = dz[..., :-1]
+    np.matmul(xb.swapaxes(-1, -2), dz1, out=g.l1)
     if not need_dx:
         return g, None
     dx = dz1 @ p.w1
@@ -286,8 +317,9 @@ def params_from_doc(doc: dict) -> MlpParams:
 
 
 def save_params(p: MlpParams, path) -> None:
+    # json.dumps takes the C encoder; json.dump would encode in Python.
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(params_to_doc(p), f)
+        f.write(json.dumps(params_to_doc(p)))
 
 
 def load_params(path) -> MlpParams:

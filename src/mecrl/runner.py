@@ -31,12 +31,16 @@ def run_training(cfg: ExperimentConfig, run_index: int):
     """
     cfg.validate()
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, run_index))
-    trainer = Trainer(cfg.env, cfg.trainer, cfg.algo,
-                      seeds.stream(cfg.base_seed, run_index, "net_init"))
     rng_explore = seeds.stream(cfg.base_seed, run_index, "exploration")
     rng_sample = seeds.stream(cfg.base_seed, run_index, "buffer_sampling")
-    stats = [train_episode(env, trainer, rng_explore, rng_sample)
-             for _ in range(cfg.episodes)]
+    # The trainer's guard names the network a non-finite value reaches;
+    # numpy's floating-point warnings on the way there would only add
+    # unattributed lines to the one-line error.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        trainer = Trainer(cfg.env, cfg.trainer, cfg.algo,
+                          seeds.stream(cfg.base_seed, run_index, "net_init"))
+        stats = [train_episode(env, trainer, rng_explore, rng_sample)
+                 for _ in range(cfg.episodes)]
     return stats, trainer
 
 

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecrl import neural, seeds
-from mecrl.agents import (ReplayBuffer, Trainer, TrainerConfig, act, td_targets,
-                          td_update, train_episode)
+from mecrl.agents import (ALGOS, Batch, ReplayBuffer, Trainer, TrainerConfig,
+                          TrainingDiverged, act, td_targets, td_update, train_episode)
 from mecrl.env import EnvConfig, MecEnv
 
 
@@ -22,11 +22,15 @@ class Row:
 
 
 def make_transition(rng, n_users=2, obs_dim=6):
+    """Random transition of values the float32 ring stores exactly."""
+    def f32(a):
+        return np.asarray(a, dtype=np.float32).astype(np.float64)
+
     return Row(
-        obs=rng.normal(size=(n_users, obs_dim)),
-        acts=rng.uniform(0, 2, size=(n_users, 2)),
-        rewards=[float(rng.normal()) for _ in range(n_users)],
-        next_obs=rng.normal(size=(n_users, obs_dim)),
+        obs=f32(rng.normal(size=(n_users, obs_dim))),
+        acts=f32(rng.uniform(0, 2, size=(n_users, 2))),
+        rewards=[float(v) for v in f32(rng.normal(size=n_users))],
+        next_obs=f32(rng.normal(size=(n_users, obs_dim))),
     )
 
 
@@ -48,12 +52,12 @@ def stored(buf):
             for i in order]
 
 
-def filled_trainer(algo, seed=0, n_users=2, **tc_overrides):
+def filled_trainer(algo, seed=0, n_users=2, dtype=np.float32, **tc_overrides):
     """Trainer plus a buffer filled from real environment interaction."""
     env_cfg = EnvConfig(n_users=n_users, noise_level=tc_overrides.pop("noise_level", 5.0))
     tc = TrainerConfig(warmup_steps=10**9, **tc_overrides)
     env = MecEnv(env_cfg, **seeds.env_streams(seed, 0))
-    trainer = Trainer(env_cfg, tc, algo, seeds.stream(seed, 0, "net_init"))
+    trainer = Trainer(env_cfg, tc, algo, seeds.stream(seed, 0, "net_init"), dtype=dtype)
     rx = seeds.stream(seed, 0, "exploration")
     rs = seeds.stream(seed, 0, "buffer_sampling")
     for _ in range(2):
@@ -315,8 +319,10 @@ class TestStackedMatchesReference:
     @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
     def test_three_updates(self, algo):
         # Noise level 1: a band of +-2 around the stored rewards, which
-        # clamps about half of the adversary's estimates on this batch.
-        trainer, rs = filled_trainer(algo, seed=11, n_users=3, noise_level=1.0)
+        # clamps about half of the adversary's estimates on this batch. A
+        # float64 trainer, so the two orders of summation agree to 1e-12.
+        trainer, rs = filled_trainer(algo, seed=11, n_users=3, dtype=np.float64,
+                                     noise_level=1.0)
         tc = trainer.tc
         batch = trainer.buffer.sample_arrays(64, rs)
         ref = []
@@ -389,3 +395,67 @@ class TestTrainEpisode:
         rs = seeds.stream(10, 0, "buffer_sampling")
         sigmas = [train_episode(env, trainer, rx, rs).sigma for _ in range(4)]
         assert sigmas == [0.1, 0.05, 0.04, 0.04]
+
+
+class TestFloat32:
+    def test_default_trainer_is_float32_throughout(self):
+        trainer, rs = filled_trainer("rmaddpg", seed=12)
+        batch = trainer.buffer.sample_arrays(32, rs)
+        stats = td_update(trainer, batch)
+        work = trainer.work
+        arrays = {role: getattr(trainer, role).flat for role in Trainer.ROLES}
+        for role in ("actor", "critic", "nature"):
+            arrays[f"{role}_grad"] = getattr(trainer, f"{role}_grad").flat
+            opt = getattr(trainer, f"{role}_opt")
+            arrays[f"{role}_opt.m"], arrays[f"{role}_opt.v"] = opt.m, opt.v
+        for name in ("_obs", "_acts", "_rewards", "_next_obs"):
+            arrays[f"buffer.{name}"] = getattr(trainer.buffer, name)
+        for name in ("obs", "acts", "rewards", "next_obs"):
+            arrays[f"batch.{name}"] = getattr(batch, name)
+        for name in ("obs", "next_obs", "x", "x_next", "local", "hidden"):
+            arrays[f"work.{name}"] = getattr(work, name)
+        arrays.update(critic_loss=stats.critic_loss, actor_objective=stats.actor_objective,
+                      nature_mean=stats.nature_mean, half=trainer.half)
+        assert {name: a.dtype for name, a in arrays.items()
+                if a.dtype != np.float32} == {}
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_tracks_float64_trainer(self, algo):
+        # Both trainers start from the same float64 draws and take 20
+        # updates on the same batches. Over seeds 0-5 and all algos the
+        # worst norm-wise relative deviation of any role's parameters was
+        # 4.4e-8 to 5.2e-8 after the initial cast and 2.3e-7 to 2.4e-7
+        # after 20 updates; the bound leaves a margin of 4x.
+        env_cfg = EnvConfig(n_users=3, noise_level=1.0)
+        tc = TrainerConfig(warmup_steps=10**9)
+        env = MecEnv(env_cfg, **seeds.env_streams(2, 0))
+        t64 = Trainer(env_cfg, tc, algo, seeds.stream(2, 0, "net_init"), dtype=np.float64)
+        t32 = Trainer(env_cfg, tc, algo, seeds.stream(2, 0, "net_init"))
+        rx, rs = seeds.stream(2, 0, "exploration"), seeds.stream(2, 0, "buffer_sampling")
+        for _ in range(2):
+            train_episode(env, t64, rx, rs)
+        for _ in range(20):
+            batch = t64.buffer.sample_arrays(64, rs)
+            td_update(t64, batch)
+            td_update(t32, Batch(*(a.astype(np.float32) for a in astuple(batch))))
+        for role in Trainer.ROLES:
+            if getattr(t64, role) is None:
+                continue
+            ref, got = getattr(t64, role).flat, getattr(t32, role).flat
+            assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref), role
+
+
+class TestGuard:
+    def test_nonfinite_rewards_stop_the_update(self):
+        trainer, rs = filled_trainer("maddpg", seed=13)
+        trainer.buffer._rewards[:] = -np.inf
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged, match="episode 2: agent 0 critic: loss"):
+            trainer.update(rs)
+
+    def test_nonfinite_parameter_is_named(self):
+        trainer, _ = filled_trainer("rmaddpg", seed=14)
+        trainer.check_params()
+        trainer.nature.flat[1, 7] = np.nan
+        with pytest.raises(TrainingDiverged, match="episode 2: agent 1 nature: parameters"):
+            trainer.check_params()

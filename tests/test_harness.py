@@ -416,6 +416,7 @@ class TestCli:
         ("env", "n_users", "10000000"),
         ("env", "n_antennas", str(10**9)),
         ("env", "g0_db", "1e308"),
+        ("env", "noise_power_w", "1e-320"),
     ])
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, key, value):
         cfg_path = self._write_cfg(tmp_path)
@@ -426,6 +427,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("mecrl: error:") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("w_energy", [
+        "1e308",  # the rewards overflow in float64 already
+        "1e39",   # finite in float64, beyond the float32 replay ring's range
+    ])
+    def test_diverging_training_exits_one_naming_the_network(self, tmp_path, capsys, w_energy):
+        cfg_path = self._write_cfg(tmp_path)
+        doc = json.loads(cfg_path.read_text())
+        doc["env"]["w_energy"] = "@value@"
+        cfg_path.write_text(json.dumps(doc).replace('"@value@"', w_energy))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "mecrl: error: episode 0: agent 0 critic: loss not finite\n", err
 
     def test_grid_rejects_nonfinite_level(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path)

@@ -83,6 +83,26 @@ class TestForward:
         x = rng.normal(size=4)
         assert np.allclose(neural.eval_vec(p, x), forward(p, x)[0])
 
+    def test_dtype_follows_parameters(self, rng):
+        p = neural.stack_params([init_mlp(4, 2, rng, hidden=8)], np.float32)
+        x = rng.normal(size=(1, 5, 4))
+        y, cache = forward(p, x)
+        g, dx = backward(p, cache, np.ones((1, 5, 2)))
+        outputs = (y, g.flat, dx, neural.eval_vec(p, x[:, 0]))
+        assert {a.dtype for a in outputs} == {np.dtype(np.float32)}
+        assert np.allclose(y, forward(neural.stack_params([p.agent(0)], np.float64), x)[0],
+                           rtol=1e-5, atol=1e-6)
+
+    def test_ones_column_input(self, rng):
+        p = init_mlp(4, 2, rng, hidden=8)
+        p.b1[:] = rng.normal(size=8)
+        x = rng.normal(size=(3, 4))
+        xa = neural.input_buffer((3,), 4, np.float64)
+        xa[:, :-1] = x
+        assert np.array_equal(forward(p, xa, ones_column=True)[0], forward(p, x)[0])
+        with pytest.raises(ValueError):
+            forward(p, x, ones_column=True)
+
     def test_dimension_error(self, rng):
         p = init_mlp(4, 2, rng)
         with pytest.raises(ValueError):
@@ -237,6 +257,22 @@ class TestSerialization:
         assert set(doc) == {"w1", "b1", "w2", "b2"}
         assert doc["w1"]["shape"] == [4, 3]
         assert len(doc["w1"]["data"]) == 12
+
+    def test_file_is_the_documents_json_text(self, rng, tmp_path):
+        p = init_mlp(5, 2, rng, hidden=8)
+        path = tmp_path / "net.json"
+        neural.save_params(p, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(neural.params_to_doc(p))
+
+    def test_float32_values_round_trip_exactly(self, rng, tmp_path):
+        p = neural.stack_params([init_mlp(6, 2, rng)], np.float32).agent(0)
+        p.b1[:] = rng.normal(size=p.hidden)
+        path = tmp_path / "net.json"
+        neural.save_params(p, path)
+        q = neural.load_params(path)
+        assert q.flat.dtype == np.float64
+        assert np.array_equal(q.flat, p.flat)
+        assert np.array_equal(q.flat.astype(np.float32), p.flat)
 
     def test_inconsistent_shapes_rejected(self, rng, tmp_path):
         p = init_mlp(3, 1, rng, hidden=4)
