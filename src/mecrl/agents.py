@@ -170,10 +170,11 @@ def act(actor: MlpParams, p_max: np.ndarray, obs: np.ndarray, sigma: float,
 
 
 def td_targets(critic_target: MlpParams, x_next, rewards: np.ndarray,
-               gamma: float, ones_column: bool = False) -> np.ndarray:
+               gamma: float) -> np.ndarray:
     """Bootstrapped regression targets of all agents:
-    r + gamma * Q_target(s', a'), shape (M, k, 1)."""
-    return rewards + gamma * forward(critic_target, x_next, ones_column)[0]
+    r + gamma * Q_target(s', a'), shape (M, k, 1). ``x_next`` ends in a
+    ones column (see ``neural.input_buffer``)."""
+    return rewards + gamma * forward(critic_target, x_next, ones_column=True)[0]
 
 
 def _nature_step(trainer: "Trainer", local: np.ndarray, stored: np.ndarray):
@@ -307,7 +308,7 @@ def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
     nature_mean = None
     if trainer.nature is not None:
         rewards, nature_mean = _nature_step(trainer, work.local, rewards)
-    y = td_targets(trainer.critic_target, work.x_next, rewards, tc.gamma, ones_column=True)
+    y = td_targets(trainer.critic_target, work.x_next, rewards, tc.gamma)
     critic_loss = _critic_step(trainer, work.x, y)
     actor_objective = _actor_step(trainer, work, acts)
     soft_update(trainer.critic_target, trainer.critic, tc.tau_soft)

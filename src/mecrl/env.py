@@ -320,9 +320,15 @@ class MecEnv:
         sinrs, true_rewards, perceived, info = [], [], [], []
         for m, a in enumerate(actions):
             gamma = phy.sinr(a.p_offload_w, float(self._zf[m]), c.noise_power_w)
-            cap_local = math.floor(phy.local_capacity(c, a.p_local_w))
-            cap_off = math.floor(phy.offload_capacity(c, gamma))
             before = self.queues[m]
+            backlog = before.backlog_bits
+            # Neither path serves more than the backlog, so capping the
+            # capacities there first changes nothing served and keeps an
+            # infinite capacity (huge power, tiny kappa) out of math.floor.
+            cap_local = phy.local_capacity(c, a.p_local_w)
+            cap_local = backlog if cap_local >= backlog else math.floor(cap_local)
+            cap_off = phy.offload_capacity(c, gamma)
+            cap_off = backlog if cap_off >= backlog else math.floor(cap_off)
             bits_local, bits_off, served = serve_queue(before, cap_local, cap_off)
             arrived = spawn_arrivals(cfg, m, self._rng_arrivals)
             after = enqueue_arrivals(served, arrived, cfg.buffer_cap_bits)

@@ -179,7 +179,8 @@ class TestTdStructure:
     def test_zero_gamma_target_is_reward(self, rng):
         critic_target = neural.stack_params([neural.init_mlp(8, 1, rng) for _ in range(2)])
         rewards = rng.normal(size=(2, 16, 1))
-        x_next = rng.uniform(0, 2, size=(2, 16, 8))
+        x_next = neural.input_buffer((2, 16), 8, np.float64)
+        x_next[..., :-1] = rng.uniform(0, 2, size=(2, 16, 8))
         y = td_targets(critic_target, x_next, rewards, gamma=0.0)
         assert np.allclose(y[:, :, 0], rewards[:, :, 0])
 

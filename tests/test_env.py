@@ -188,6 +188,17 @@ class TestStep:
                 assert 0 <= remaining <= cfg.buffer_cap_bits
                 prev[m] = remaining
 
+    def test_infinite_local_capacity_serves_the_backlog(self):
+        # p / kappa overflows to inf; the step serves the whole backlog.
+        env, cfg = make_env(seed=4, constants=phy.PhyConstants(kappa=1e-320), p_max_local_w=1e300)
+        assert phy.local_capacity(cfg.constants, 1e300) == float("inf")
+        env.reset()
+        res = env.step([Action(0.0, 0.0)] * cfg.n_users)
+        res = env.step([Action(0.0, 1e300)] * cfg.n_users)
+        for m, info in enumerate(res.info):
+            assert info["bits_offloaded"] == 0 and info["bits_local"] > 0
+            assert res.observations[m].backlog_bits == info["bits_arrived"]
+
     def test_out_of_range_action(self):
         env, _ = make_env()
         env.reset()

@@ -1,9 +1,13 @@
 """Golden values: the float columns of a tiny ``mecrl train`` per algo.
 
 Values are compared at a relative tolerance of 1e-12 rather than by byte
-hash, so a last-bit change in a BLAS or LAPACK kernel does not count as a
-change in behaviour; headers, row counts, episode numbers and the
-exploration scale ``sigma`` must match exactly. Byte-identical reruns are
+hash; headers, row counts, episode numbers and the exploration scale
+``sigma`` must match exactly. The tolerance was set when training ran in
+float64, where a last-bit change in a BLAS or LAPACK kernel stayed inside
+it. Training now runs in float32, and the goldens hold only under the
+OpenBLAS kernels they were pinned with (AVX-512, SkylakeX): under the AVX2
+(Haswell) or AVX (Sandybridge) kernels every case fails at up to about
+3e-7 relative, which is a kernel difference, not a change in behaviour. Byte-identical reruns are
 checked separately, by test_harness's ``test_byte_identical_reruns``.
 
 Regenerate ``data/golden.json`` with ``PYTHONPATH=src python

@@ -428,15 +428,16 @@ class TestCli:
         assert err.startswith("mecrl: error:") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("w_energy", [
-        "1e308",  # the rewards overflow in float64 already
-        "1e39",   # finite in float64, beyond the float32 replay ring's range
+    @pytest.mark.parametrize("key,value", [
+        ("w_energy", "1e308"),        # the rewards overflow in float64 already
+        ("w_energy", "1e39"),         # finite in float64, beyond the float32 replay ring's range
+        ("p_max_local_w", "1e300"),   # infinite local capacity, then the energy term overflows
     ])
-    def test_diverging_training_exits_one_naming_the_network(self, tmp_path, capsys, w_energy):
+    def test_diverging_training_exits_one_naming_the_network(self, tmp_path, capsys, key, value):
         cfg_path = self._write_cfg(tmp_path)
         doc = json.loads(cfg_path.read_text())
-        doc["env"]["w_energy"] = "@value@"
-        cfg_path.write_text(json.dumps(doc).replace('"@value@"', w_energy))
+        doc["env"][key] = "@value@"
+        cfg_path.write_text(json.dumps(doc).replace('"@value@"', value))
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err == "mecrl: error: episode 0: agent 0 critic: loss not finite\n", err
