@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .env import Action, EnvConfig, MecEnv, StepResult
+from .env import Action, ConfigError, EnvConfig, MecEnv, StepResult
 from .neural import (AdamState, Gradients, MlpParams, adam_step, backward,
                      eval_vec, forward, soft_update)
 
@@ -27,7 +27,8 @@ ALGOS = ("ddpg", "maddpg", "rmaddpg")
 @dataclass
 class TrainerConfig:
     """Training hyperparameters; exploration scales are fractions of the
-    per-dimension power ceiling."""
+    per-dimension power ceiling. Construction raises ConfigError for an
+    out-of-range value."""
 
     gamma: float = 0.95
     batch_size: int = 128
@@ -43,21 +44,21 @@ class TrainerConfig:
     lr_nature: float = 1e-3
     hidden: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+            raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.batch_size < 1 or self.batch_size > self.buffer_capacity:
-            raise ValueError("batch_size must satisfy 1 <= batch_size <= buffer_capacity")
+            raise ConfigError("batch_size must satisfy 1 <= batch_size <= buffer_capacity")
         if self.warmup_steps < 0 or self.updates_per_step < 0:
-            raise ValueError("warmup_steps and updates_per_step must be nonnegative")
+            raise ConfigError("warmup_steps and updates_per_step must be nonnegative")
         if self.explore_sigma0 < 0 or self.explore_sigma_floor < 0:
-            raise ValueError("exploration scales must be nonnegative")
+            raise ConfigError("exploration scales must be nonnegative")
         if not 0.0 < self.explore_decay <= 1.0:
-            raise ValueError(f"explore_decay must lie in (0, 1], got {self.explore_decay}")
+            raise ConfigError(f"explore_decay must lie in (0, 1], got {self.explore_decay}")
         if not 0.0 <= self.tau_soft <= 1.0:
-            raise ValueError(f"tau_soft must lie in [0, 1], got {self.tau_soft}")
+            raise ConfigError(f"tau_soft must lie in [0, 1], got {self.tau_soft}")
         if min(self.lr_actor, self.lr_critic, self.lr_nature) < 0 or self.hidden < 1:
-            raise ValueError("learning rates must be nonnegative and hidden >= 1")
+            raise ConfigError("learning rates must be nonnegative and hidden >= 1")
 
 
 @dataclass
@@ -346,8 +347,6 @@ class Trainer:
                  rng_init: np.random.Generator, *, dtype=np.float32):
         if algo not in ALGOS:
             raise ValueError(f"unknown algo {algo!r}, expected one of {ALGOS}")
-        tc.validate()
-        env_cfg.validate()
         self.algo = algo
         self.tc = tc
         self.noise_level = env_cfg.noise_level

@@ -76,10 +76,10 @@ def _train_tree(cfg: ExperimentConfig, workers: int = 1) -> AggregateSeries:
 
     Runs are self-contained and seeded, so the tree is byte-identical
     whether they execute serially or across ``workers`` processes.
+    ``resolved_config.json`` is written last: a tree that has it is complete.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "resolved_config.json")
     run = partial(_train_run, cfg)
     if workers <= 1:
         all_series = [run(k) for k in range(cfg.n_runs)]
@@ -91,6 +91,7 @@ def _train_tree(cfg: ExperimentConfig, workers: int = 1) -> AggregateSeries:
     agg = aggregate_runs(all_series)
     write_csv(agg, all_series, out / "aggregate.csv")
     render_svg([(cfg.algo, agg)], out / "curves.svg")
+    save_config(cfg, out / "resolved_config.json")
     return agg
 
 
@@ -100,7 +101,6 @@ def train_cell(cfg: ExperimentConfig, cell: Path, workers: int = 1):
     overlays = []
     for algo in ("ddpg", "rmaddpg"):
         sub_cfg = replace(cfg, algo=algo, out_dir=str(cell / algo))
-        sub_cfg.validate()
         overlays.append((algo, _train_tree(sub_cfg, workers)))
     render_svg(overlays, cell / "curves.svg")
     return overlays
@@ -112,7 +112,6 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, n_runs=args.runs)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    cfg.validate()
     _train_tree(cfg)
     print(f"wrote {Path(cfg.out_dir) / 'aggregate.csv'} and curves.svg ({cfg.n_runs} runs)")
     return 0

@@ -55,7 +55,8 @@ _TRAINER_TYPES = _annotations(TrainerConfig)
 
 @dataclass
 class ExperimentConfig:
-    """Full closure of one experiment: environment, trainer, run controls."""
+    """Full closure of one experiment: environment, trainer, run controls.
+    Checks only the run controls; the nested configs check their own."""
 
     env: EnvConfig = field(default_factory=EnvConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
@@ -65,7 +66,7 @@ class ExperimentConfig:
     base_seed: int = 0
     out_dir: str = "out"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.algo not in ALGOS:
             raise ConfigError(f"algo must be one of {ALGOS}, got {self.algo!r}")
         if self.episodes < 1:
@@ -74,11 +75,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if not isinstance(self.base_seed, int) or self.base_seed < 0:
             raise ConfigError(f"base_seed must be a nonnegative integer, got {self.base_seed}")
-        self.env.validate()
-        try:
-            self.trainer.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 _RUN_TYPES = _annotations(ExperimentConfig, skip=("env", "trainer"))
@@ -117,13 +113,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     run_doc = {k: v for k, v in doc.items() if k not in ("env", "trainer")}
     _check_section(run_doc, _RUN_TYPES, "top level")
     _check_section(trainer_doc, _TRAINER_TYPES, "trainer section")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         env=_env_from_dict(env_doc),
         trainer=TrainerConfig(**trainer_doc),
         **run_doc,
     )
-    cfg.validate()
-    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

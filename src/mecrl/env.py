@@ -52,7 +52,9 @@ class EnvConfig:
     """Every free parameter of one environment instance.
 
     Per-user fields accept a scalar (broadcast to all users) or a
-    length-``n_users`` sequence.
+    length-``n_users`` sequence. Construction (``dataclasses.replace``
+    included) raises ConfigError for an out-of-range value, so an
+    instance is valid and the simulator does not check it again.
     """
 
     n_users: int = 2
@@ -88,14 +90,8 @@ class EnvConfig:
         for name in ("distances_m", "rho", "arrival_rate", "p_max_offload_w",
                      "p_max_local_w", "w_energy", "w_queue"):
             setattr(self, name, _per_user(getattr(self, name), self.n_users, name))
-        lo, hi = self.task_size_bits
-        self.task_size_bits = (int(lo), int(hi))
-
-    @property
-    def obs_dim(self) -> int:
-        return self.constants.n_antennas + 2
-
-    def validate(self) -> None:
+        lo, hi = (int(v) for v in self.task_size_bits)
+        self.task_size_bits = (lo, hi)
         if self.constants.noise_power_w < sys.float_info.min:
             # A subnormal noise power can make the SINR, and with it the
             # offload capacity, infinite.
@@ -114,7 +110,6 @@ class EnvConfig:
             raise ConfigError("rho entries must lie in [0, 1]")
         if any(lam < 0 for lam in self.arrival_rate):
             raise ConfigError("arrival_rate entries must be nonnegative")
-        lo, hi = self.task_size_bits
         if not 0 < lo <= hi:
             raise ConfigError(f"task_size_bits must satisfy 0 < min <= max, got {self.task_size_bits}")
         if self.buffer_cap_bits <= 0:
@@ -128,6 +123,10 @@ class EnvConfig:
             raise ConfigError(f"episode_len must be >= 1, got {self.episode_len}")
         if self.obs_sinr_clip <= 0 or self.obs_chan_clip <= 0:
             raise ConfigError("observation clip scales must be positive")
+
+    @property
+    def obs_dim(self) -> int:
+        return self.constants.n_antennas + 2
 
     def gains(self) -> np.ndarray:
         return np.array([self.path_loss.gain(d) for d in self.distances_m])
@@ -208,8 +207,6 @@ def perturb_reward(true_reward: float, noise_level: float, rng: np.random.Genera
     The acceptance test depends only on the standard-normal draw, so the
     number of draws consumed is independent of the reward value.
     """
-    if noise_level < 0:
-        raise ValueError(f"noise_level must be nonnegative, got {noise_level}")
     if noise_level == 0:
         return true_reward
     while True:
@@ -238,7 +235,6 @@ class MecEnv:
     def __init__(self, cfg: EnvConfig, *, rng_channel_init: np.random.Generator,
                  rng_channel: np.random.Generator, rng_arrivals: np.random.Generator,
                  rng_noise: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         self._rng_channel_init = rng_channel_init
         self._rng_channel = rng_channel

@@ -250,8 +250,6 @@ def soft_update(target: MlpParams, online: MlpParams, tau_soft: float) -> None:
     """Blend ``target`` toward ``online``: (1 - tau)*target + tau*online."""
     if not target.same_shape(online):
         raise ValueError("target and online networks differ in shape")
-    if not 0.0 <= tau_soft <= 1.0:
-        raise ValueError(f"tau_soft must lie in [0, 1], got {tau_soft}")
     target.flat *= 1.0 - tau_soft
     target.flat += tau_soft * online.flat
 

@@ -29,8 +29,6 @@ class PathLossModel:
 
     def gain(self, distance_m: float) -> float:
         """Linear power gain at the given distance."""
-        if distance_m <= 0:
-            raise ValueError(f"distance must be positive, got {distance_m}")
         db = self.g0_db - 10.0 * self.alpha * math.log10(distance_m / self.d0_m)
         return 10.0 ** (db / 10.0)
 
@@ -79,16 +77,8 @@ def init_channel(constants: PhyConstants, gains, rho, rng: np.random.Generator) 
     """Draw a channel from the stationary distribution of the recursion."""
     gains = np.asarray(gains, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)
-    if gains.ndim != 1 or gains.size < 1:
-        raise ValueError("gains must be a nonempty 1-d sequence")
-    if rho.shape != gains.shape:
-        raise ValueError(f"per-user lists differ in length: {rho.shape} vs {gains.shape}")
-    if np.any(gains <= 0):
-        raise ValueError("path-loss gains must be strictly positive")
-    if np.any((rho < 0) | (rho > 1)):
-        raise ValueError("correlation coefficients must lie in [0, 1]")
     h = _draw_columns(constants.n_antennas, gains, rng)
-    return ChannelState(h=h, rho=rho.copy(), gains=gains.copy())
+    return ChannelState(h=h, rho=rho, gains=gains)
 
 
 def evolve_channel(state: ChannelState, rng: np.random.Generator) -> ChannelState:
@@ -104,9 +94,9 @@ def zf_norms(h) -> np.ndarray:
     The m-th row of the channel pseudo-inverse has squared norm equal to
     the m-th diagonal entry of the inverse Gram matrix, so the
     pseudo-inverse never needs to be formed. Raises SingularMatrixError
-    for rank-deficient channels.
+    for rank-deficient channels; a non-finite channel makes a non-finite
+    Gram matrix, which ``invert_hpd`` rejects.
     """
-    h = cmatrix.as_cmatrix(h)
     if h.shape[0] < h.shape[1]:
         raise cmatrix.DimensionError(
             f"more users than antennas: channel shape {h.shape}"
@@ -117,19 +107,11 @@ def zf_norms(h) -> np.ndarray:
 
 def sinr(p_offload_w: float, zf_norm: float, noise_power_w: float) -> float:
     """Post-combining SINR: transmit power over noise times the row norm."""
-    if zf_norm <= 0:
-        raise ValueError(f"combining norm must be positive, got {zf_norm}")
-    if noise_power_w <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power_w}")
-    if p_offload_w < 0:
-        raise ValueError(f"transmit power must be nonnegative, got {p_offload_w}")
     return p_offload_w / (noise_power_w * zf_norm)
 
 
 def offload_capacity(constants: PhyConstants, gamma: float) -> float:
     """Bits transmittable in one slot at the given SINR."""
-    if gamma < 0:
-        raise ValueError(f"SINR must be nonnegative, got {gamma}")
     return constants.slot_s * constants.bandwidth_hz * math.log2(1.0 + gamma)
 
 
@@ -139,7 +121,5 @@ def local_capacity(constants: PhyConstants, p_local_w: float) -> float:
     The feasible CPU frequency is the cube root of power over the switched
     capacitance, so the capacity grows with the cube root of power.
     """
-    if p_local_w < 0:
-        raise ValueError(f"compute power must be nonnegative, got {p_local_w}")
     freq = (p_local_w / constants.kappa) ** (1.0 / 3.0)
     return constants.slot_s * freq / constants.cycles_per_bit

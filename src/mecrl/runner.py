@@ -29,7 +29,6 @@ def run_training(cfg: ExperimentConfig, run_index: int):
     purpose-split streams, so repeated calls are bit-identical and the
     environment draws match across algorithms.
     """
-    cfg.validate()
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, run_index))
     rng_explore = seeds.stream(cfg.base_seed, run_index, "exploration")
     rng_sample = seeds.stream(cfg.base_seed, run_index, "buffer_sampling")
@@ -136,7 +135,6 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
     configured reward noise is nonzero. Streams derive from
     ``(base_seed, run_index = n_runs)``, the first index unused by training.
     """
-    cfg.validate()
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
     ckpt = Path(checkpoint_dir)

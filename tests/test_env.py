@@ -16,11 +16,11 @@ def make_env(seed=0, **overrides):
 
 class TestConfig:
     def test_defaults_validate(self):
-        EnvConfig().validate()
+        EnvConfig()
 
     def test_more_users_than_antennas(self):
         with pytest.raises(ConfigError):
-            EnvConfig(n_users=5).validate()
+            EnvConfig(n_users=5)
 
     def test_scalar_broadcast(self):
         cfg = EnvConfig(n_users=3, distances_m=50.0)
@@ -32,7 +32,7 @@ class TestConfig:
 
     def test_bad_task_sizes(self):
         with pytest.raises(ConfigError):
-            EnvConfig(task_size_bits=(0, 100)).validate()
+            EnvConfig(task_size_bits=(0, 100))
 
 
 class TestArrivals:

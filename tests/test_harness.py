@@ -112,6 +112,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="algo"):
             config_from_dict({"algo": "dqn"})
 
+    def test_replace_rejects_out_of_range_values(self):
+        cfg = tiny_config()
+        with pytest.raises(ConfigError, match="n_runs"):
+            replace(cfg, n_runs=0)
+        with pytest.raises(ConfigError, match="rho"):
+            replace(cfg.env, rho=2.0)
+        with pytest.raises(ConfigError, match="tau_soft"):
+            replace(cfg.trainer, tau_soft=-0.5)
+
     @settings(max_examples=300, deadline=1000, database=None)
     @given(doc=CONFIG_DOCUMENTS)
     def test_fuzzed_document_loads_or_raises_config_error(self, doc):
@@ -417,6 +426,11 @@ class TestCli:
         ("env", "n_antennas", str(10**9)),
         ("env", "g0_db", "1e308"),
         ("env", "noise_power_w", "1e-320"),
+        ("env", "noise_power_w", "0"),
+        ("env", "rho", "1.5"),
+        ("env", "distances_m", "0"),
+        ("env", "noise_level", "-1"),
+        ("trainer", "tau_soft", "1.5"),
     ])
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, key, value):
         cfg_path = self._write_cfg(tmp_path)
@@ -441,12 +455,29 @@ class TestCli:
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err == "mecrl: error: episode 0: agent 0 critic: loss not finite\n", err
+        # Only a complete tree has its resolved config.
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+
+    def test_zero_runs_override_exits_one_with_one_line(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--runs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mecrl: error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_rejects_nonfinite_level(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path)
         assert main(["grid", "--config", str(cfg_path), "--gamma", "0.95",
                      "--noise", "nan"]) == 1
         assert capsys.readouterr().err.startswith("mecrl: error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_rejects_out_of_range_gamma(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path)
+        assert main(["grid", "--config", str(cfg_path), "--gamma", "1.5",
+                     "--noise", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mecrl: error: gamma") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
     def test_serial_and_parallel_trees_identical(self, tmp_path):

@@ -39,14 +39,6 @@ class TestChannel:
         state = phy.init_channel(c, [1.0], [0.9], rng)
         assert state.h.shape == (4, 1)
 
-    def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            phy.init_channel(PhyConstants(), [1.0, 2.0], [0.9], rng)
-
-    def test_zero_gain_rejected(self, rng):
-        with pytest.raises(ValueError):
-            phy.init_channel(PhyConstants(), [0.0], [0.9], rng)
-
     def test_marginal_variance(self):
         # Monte Carlo oracle: per-entry variance of the draw equals the gain.
         rng = np.random.default_rng(7)
@@ -135,14 +127,6 @@ class TestSinr:
     def test_inverse_in_noise(self):
         assert phy.sinr(1.0, 1.0, 2e-9) == pytest.approx(phy.sinr(1.0, 1.0, 1e-9) / 2)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            phy.sinr(1.0, 0.0, 1e-9)
-        with pytest.raises(ValueError):
-            phy.sinr(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            phy.sinr(-1.0, 1.0, 1e-9)
-
 
 class TestCapacities:
     C = PhyConstants(bandwidth_hz=1e6, slot_s=1e-3)
@@ -156,10 +140,6 @@ class TestCapacities:
     def test_offload_gamma_three(self):
         assert phy.offload_capacity(self.C, 3.0) == pytest.approx(2000.0)
 
-    def test_offload_negative_gamma(self):
-        with pytest.raises(ValueError):
-            phy.offload_capacity(self.C, -0.1)
-
     def test_local_zero(self):
         assert phy.local_capacity(self.C, 0.0) == 0.0
 
@@ -170,10 +150,6 @@ class TestCapacities:
     def test_local_cube_root_scaling(self):
         c = PhyConstants(kappa=1e-27, cycles_per_bit=500, slot_s=1e-3)
         assert phy.local_capacity(c, 8e-9) == pytest.approx(4.0)
-
-    def test_local_negative_power(self):
-        with pytest.raises(ValueError):
-            phy.local_capacity(self.C, -1e-12)
 
     @given(st.floats(0, 2), st.floats(0, 2))
     @settings(max_examples=50, deadline=None)
