@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cmatrix, phy
+from .errors import ConfigError
 from .phy import PathLossModel, PhyConstants
 
 
@@ -23,10 +24,6 @@ from .phy import PathLossModel, PhyConstants
 # (n_antennas, n_users) complex matrix and zero-forcing needs
 # n_users <= n_antennas.
 MAX_ANTENNAS = 256
-
-
-class ConfigError(ValueError):
-    """A configuration invariant is violated."""
 
 
 class ActionError(ValueError):
@@ -201,27 +198,16 @@ def reward(cfg: EnvConfig, user: int, action: Action, backlog_after_bits: int) -
     return -energy - cfg.w_queue[user] * backlog_after_bits
 
 
-def perturb_reward(true_reward: float, noise_level: float, rng: np.random.Generator) -> float:
-    """Gaussian sample around the true reward, rejected outside two sigmas.
-
-    The acceptance test depends only on the standard-normal draw, so the
-    number of draws consumed is independent of the reward value.
-    """
-    if noise_level == 0:
-        return true_reward
-    while True:
-        z = rng.standard_normal()
-        if abs(z) <= 2.0:
-            return true_reward + noise_level * z
-
-
-def obs_vector(cfg: EnvConfig, obs: Observation, gain: float) -> np.ndarray:
-    """Flatten an observation to the network input, min-max scaled to [0,1]."""
-    out = np.empty(cfg.obs_dim)
-    out[0] = obs.backlog_bits / cfg.buffer_cap_bits
-    out[1] = min(obs.prev_sinr, cfg.obs_sinr_clip) / cfg.obs_sinr_clip
-    np.minimum(obs.chan_power / (cfg.obs_chan_clip * gain), 1.0, out=out[2:])
-    return out
+def accepted_normals(rng: np.random.Generator, n: int, carry: np.ndarray):
+    """The next ``n`` standard normals with ``|z| <= 2`` of ``rng``, after
+    those in ``carry``: the values a draw-and-reject loop would return, in
+    the same order. Returns them and the accepted draws left over, which the
+    next call takes as its ``carry``."""
+    z = carry
+    while z.size < n:
+        fresh = rng.standard_normal(int(1.05 * (n - z.size)) + 16)
+        z = np.concatenate((z, fresh[np.abs(fresh) <= 2.0]))
+    return z[:n], z[n:]
 
 
 class MecEnv:
@@ -230,6 +216,9 @@ class MecEnv:
     Randomness flows through four explicitly-passed streams so parallel
     runs and cross-algorithm comparisons stay independent: channel
     initialization, channel evolution, task arrivals, and reward noise.
+    None of them depends on the actions, so ``reset`` draws the whole
+    episode's channel, zero-forcing norms and reward noise at once, and
+    ``step`` reads its slot from them.
     """
 
     def __init__(self, cfg: EnvConfig, *, rng_channel_init: np.random.Generator,
@@ -242,63 +231,104 @@ class MecEnv:
         self._rng_noise = rng_noise
         self._gains = cfg.gains()
         self._rho = np.asarray(cfg.rho)
+        self._noise_carry = np.empty(0)
         self.queues: list[TaskQueue] | None = None
-        self.channel: phy.ChannelState | None = None
         self.prev_sinr: list[float] | None = None
         self.slot: int | None = None
-        self._zf: np.ndarray | None = None
-        self._last_obs: list[Observation] | None = None
+        # The episode's trace, slot-major; see reset().
+        self._h: np.ndarray | None = None
+        self._zf: list[list[float]] | None = None
+        self._power: np.ndarray | None = None
+        self._chan_obs: np.ndarray | None = None
+        self._noise: list[list[float]] | None = None
+
+    @property
+    def channel(self) -> phy.ChannelState | None:
+        """The current slot's channel."""
+        if self.slot is None:
+            return None
+        return phy.ChannelState(h=self._h[self.slot], rho=self._rho, gains=self._gains)
 
     def reset(self) -> list[Observation]:
-        """Empty queues, fresh stationary channel, zero SINR memory."""
-        self.queues = [TaskQueue() for _ in range(self.cfg.n_users)]
-        channel = phy.init_channel(self.cfg.constants, self._gains, self._rho, self._rng_channel_init)
-        try:
-            zf = phy.zf_norms(channel.h)
-        except cmatrix.SingularMatrixError:
-            channel = phy.init_channel(self.cfg.constants, self._gains, self._rho, self._rng_channel_init)
-            zf = phy.zf_norms(channel.h)
-        self.channel = channel
-        self._zf = zf
-        self.prev_sinr = [0.0] * self.cfg.n_users
+        """Empty queues and zero SINR memory, and the episode's exogenous
+        trace: the channel of every slot (a fresh stationary draw, then
+        the fading recursion), its zero-forcing norms, its per-antenna
+        powers, and the reward noise."""
+        cfg = self.cfg
+        n_slots = cfg.episode_len
+        self._h, zf = self._channel_trace(n_slots)
+        self._zf = zf.tolist()
+        h = self._h
+        power = (h.real * h.real + h.imag * h.imag).transpose(0, 2, 1)
+        self._power = np.ascontiguousarray(power)
+        self._chan_obs = np.minimum(self._power / (cfg.obs_chan_clip * self._gains)[:, None], 1.0)
+        self._noise = None
+        if cfg.noise_level != 0:
+            z, self._noise_carry = accepted_normals(self._rng_noise, n_slots * cfg.n_users,
+                                                    self._noise_carry)
+            self._noise = (cfg.noise_level * z).reshape(n_slots, cfg.n_users).tolist()
+        self.queues = [TaskQueue() for _ in range(cfg.n_users)]
+        self.prev_sinr = [0.0] * cfg.n_users
         self.slot = 0
-        self._last_obs = self._observations()
-        return self._last_obs
+        return self._observations()
+
+    def _channel_trace(self, n_slots: int):
+        """Channel (n_slots + 1, N, M) and zero-forcing norms (n_slots + 1, M).
+
+        A singular slot 0 is replaced by one more draw of the init stream.
+        A singular later slot takes the next innovation of the evolution
+        stream instead of its own, and the trace is rebuilt from there on.
+        These are the draws a step-by-step evolution with one retry per
+        slot would make; a second failure at one slot raises.
+        """
+        rng = self._rng_channel
+        start = rng.bit_generator.state
+        init = phy.init_channel(self.cfg.constants, self._gains, self._rho, self._rng_channel_init)
+        h = phy.evolve_channel(init, rng, n_slots)
+        failed, skipped = set(), []
+        while True:
+            try:
+                return h, phy.zf_norms(h)
+            except cmatrix.SingularMatrixError as exc:
+                slot = exc.index
+                if slot in failed:
+                    raise
+                failed.add(slot)
+            if slot == 0:
+                init = phy.init_channel(self.cfg.constants, self._gains, self._rho,
+                                        self._rng_channel_init)
+            else:
+                # Earlier skips all lie before this slot.
+                skipped.append(slot - 1 + len(skipped))
+            rng.bit_generator.state = start
+            innov = phy.innovations(init, rng, n_slots + len(skipped))
+            h = phy.ar_trace(init, np.delete(innov, skipped, axis=0))
 
     def _observations(self) -> list[Observation]:
-        h = self.channel.h
-        power = h.real * h.real + h.imag * h.imag
-        return [
-            Observation(
-                backlog_bits=self.queues[m].backlog_bits,
-                prev_sinr=self.prev_sinr[m],
-                chan_power=np.ascontiguousarray(power[:, m]),
-            )
-            for m in range(self.cfg.n_users)
-        ]
+        power = self._power[self.slot]
+        return [Observation(q.backlog_bits, s, power[m])
+                for m, (q, s) in enumerate(zip(self.queues, self.prev_sinr))]
 
     def obs_vectors(self) -> np.ndarray:
         """Normalized observation vectors for the current state, one row per
-        user: (n_users, obs_dim)."""
-        if self._last_obs is None:
+        user, min-max scaled to [0, 1]: (n_users, obs_dim)."""
+        if self.slot is None:
             raise StateError("reset() must be called before obs_vectors()")
-        return np.array([obs_vector(self.cfg, o, self._gains[m])
-                         for m, o in enumerate(self._last_obs)])
-
-    def _evolved_channel(self):
-        """One fading step; on a singular draw, resample the innovation once."""
-        nxt = phy.evolve_channel(self.channel, self._rng_channel)
-        try:
-            return nxt, phy.zf_norms(nxt.h)
-        except cmatrix.SingularMatrixError:
-            nxt = phy.evolve_channel(self.channel, self._rng_channel)
-            return nxt, phy.zf_norms(nxt.h)
+        cfg = self.cfg
+        out = np.empty((cfg.n_users, cfg.obs_dim))
+        out[:, 0] = [q.backlog_bits for q in self.queues]
+        out[:, 0] /= cfg.buffer_cap_bits
+        np.minimum(self.prev_sinr, cfg.obs_sinr_clip, out=out[:, 1])
+        out[:, 1] /= cfg.obs_sinr_clip
+        out[:, 2:] = self._chan_obs[self.slot]
+        return out
 
     def step(self, actions: list[Action]) -> StepResult:
         cfg = self.cfg
-        if self.slot is None:
+        t = self.slot
+        if t is None:
             raise StateError("reset() must be called before step()")
-        if self.slot >= cfg.episode_len:
+        if t >= cfg.episode_len:
             raise StateError(f"episode exhausted after {cfg.episode_len} slots; reset() to continue")
         if len(actions) != cfg.n_users:
             raise ActionError(f"expected {cfg.n_users} actions, got {len(actions)}")
@@ -313,9 +343,11 @@ class MecEnv:
                 )
 
         c = cfg.constants
+        zf = self._zf[t]
+        noise = None if self._noise is None else self._noise[t]
         sinrs, true_rewards, perceived, info = [], [], [], []
         for m, a in enumerate(actions):
-            gamma = phy.sinr(a.p_offload_w, float(self._zf[m]), c.noise_power_w)
+            gamma = phy.sinr(a.p_offload_w, zf[m], c.noise_power_w)
             before = self.queues[m]
             backlog = before.backlog_bits
             # Neither path serves more than the backlog, so capping the
@@ -329,11 +361,10 @@ class MecEnv:
             arrived = spawn_arrivals(cfg, m, self._rng_arrivals)
             after = enqueue_arrivals(served, arrived, cfg.buffer_cap_bits)
             r_true = reward(cfg, m, a, after.backlog_bits)
-            r_perc = perturb_reward(r_true, cfg.noise_level, self._rng_noise)
             self.queues[m] = after
             sinrs.append(gamma)
             true_rewards.append(r_true)
-            perceived.append(r_perc)
+            perceived.append(r_true if noise is None else r_true + noise[m])
             info.append({
                 "sinr": gamma,
                 "bits_local": bits_local,
@@ -342,8 +373,6 @@ class MecEnv:
                 "bits_dropped": after.dropped_bits - before.dropped_bits,
             })
 
-        self.channel, self._zf = self._evolved_channel()
         self.prev_sinr = sinrs
         self.slot += 1
-        self._last_obs = self._observations()
-        return StepResult(self._last_obs, true_rewards, perceived, info)
+        return StepResult(self._observations(), true_rewards, perceived, info)

@@ -65,12 +65,17 @@ class ChannelState:
     gains: np.ndarray   # (M,) positive linear power gains
 
 
-def _draw_columns(n_antennas: int, gains: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, per-entry variance gains[m]."""
+def _draw_columns(n_antennas: int, gains: np.ndarray, rng: np.random.Generator,
+                  lead: tuple = ()) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian, per-entry variance gains[m].
+
+    One ``lead + (2, n_antennas, M)`` standard-normal draw: per leading
+    index, the real parts and then the imaginary parts, which is the order
+    of one draw per leading index.
+    """
     scale = np.sqrt(gains / 2.0)
-    re = rng.standard_normal((n_antennas, gains.size))
-    im = rng.standard_normal((n_antennas, gains.size))
-    return scale * (re + 1j * im)
+    z = rng.standard_normal(lead + (2, n_antennas, gains.size))
+    return scale * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
 
 
 def init_channel(constants: PhyConstants, gains, rho, rng: np.random.Generator) -> ChannelState:
@@ -81,28 +86,48 @@ def init_channel(constants: PhyConstants, gains, rho, rng: np.random.Generator) 
     return ChannelState(h=h, rho=rho, gains=gains)
 
 
-def evolve_channel(state: ChannelState, rng: np.random.Generator) -> ChannelState:
-    """One autoregressive step; preserves the per-entry variance."""
-    innovation = _draw_columns(state.h.shape[0], state.gains, rng)
-    h = state.rho * state.h + np.sqrt(1.0 - state.rho * state.rho) * innovation
-    return ChannelState(h=h, rho=state.rho, gains=state.gains)
+def innovations(state: ChannelState, rng: np.random.Generator, steps: int) -> np.ndarray:
+    """The next ``steps`` innovations of the recursion: (steps, N, M)."""
+    return _draw_columns(state.h.shape[0], state.gains, rng, (steps,))
+
+
+def ar_trace(state: ChannelState, innov: np.ndarray) -> np.ndarray:
+    """``state.h`` followed by one autoregressive step per innovation:
+    (len(innov) + 1, N, M). Each step preserves the per-entry variance."""
+    trace = np.empty((len(innov) + 1,) + state.h.shape, dtype=np.complex128)
+    trace[0] = state.h
+    keep = np.sqrt(1.0 - state.rho * state.rho) * innov
+    for t in range(len(innov)):
+        np.multiply(state.rho, trace[t], out=trace[t + 1])
+        trace[t + 1] += keep[t]
+    return trace
+
+
+def evolve_channel(state: ChannelState, rng: np.random.Generator, steps: int) -> np.ndarray:
+    """The channel trace of ``steps`` autoregressive steps from ``state``:
+    (steps + 1, N, M), slot 0 being ``state.h``. The innovations are one
+    (steps, 2, N, M) draw, the same values in the same stream order as
+    ``steps`` draws of one step each."""
+    return ar_trace(state, innovations(state, rng, steps))
 
 
 def zf_norms(h) -> np.ndarray:
-    """Per-user squared norms of the zero-forcing combining rows.
+    """Per-user squared norms of the zero-forcing combining rows, for one
+    (N, M) channel or each of a (..., N, M) stack: (..., M).
 
     The m-th row of the channel pseudo-inverse has squared norm equal to
     the m-th diagonal entry of the inverse Gram matrix, so the
-    pseudo-inverse never needs to be formed. Raises SingularMatrixError
-    for rank-deficient channels; a non-finite channel makes a non-finite
-    Gram matrix, which ``invert_hpd`` rejects.
+    pseudo-inverse never needs to be formed. Raises SingularMatrixError,
+    naming the first failing channel of a stack, for rank-deficient
+    channels; a non-finite channel makes a non-finite Gram matrix, which
+    ``invert_hpd`` rejects.
     """
-    if h.shape[0] < h.shape[1]:
+    if h.shape[-2] < h.shape[-1]:
         raise cmatrix.DimensionError(
             f"more users than antennas: channel shape {h.shape}"
         )
-    gram_inv = cmatrix.invert_hpd(h.conj().T @ h)
-    return np.ascontiguousarray(np.diagonal(gram_inv).real)
+    gram_inv = cmatrix.invert_hpd(h.conj().swapaxes(-1, -2) @ h)
+    return np.ascontiguousarray(np.diagonal(gram_inv, axis1=-2, axis2=-1).real)
 
 
 def sinr(p_offload_w: float, zf_norm: float, noise_power_w: float) -> float:

@@ -80,7 +80,10 @@ def test_training_calls_every_agents_target(tracing, algo):
 
 @pytest.mark.parametrize("users,antennas", [(2, 4), (8, 8)])
 def test_one_zf_inverse_per_step(tracing, users, antennas):
-    # layer_metrics reads cmatrix.invert_hpd.calls_per_step from these spans.
+    # layer_metrics reads phy.evolve_channel, phy.zf_norms and
+    # cmatrix.invert_hpd from these spans: each reset draws the episode's
+    # channel trace and inverts its Gram matrices in one call each, and a
+    # step makes none of these calls.
     env_cfg = EnvConfig(n_users=users, constants=PhyConstants(n_antennas=antennas),
                         episode_len=12)
     tracer = traced_episode(tracing, "ddpg", env_cfg)
@@ -91,10 +94,14 @@ def test_one_zf_inverse_per_step(tracing, users, antennas):
         return np.bincount(parent[nid == ids[name]], minlength=nid.size)[nid == ids[of]]
 
     assert np.count_nonzero(nid == ids["env.step"]) == 12
-    assert np.all(children("env.step", "phy.zf_norms") == 1)
+    assert np.count_nonzero(nid == ids["env.reset"]) == 1
+    assert np.all(children("env.reset", "phy.evolve_channel") == 1)
+    assert np.all(children("env.reset", "phy.zf_norms") == 1)
     assert np.all(children("phy.zf_norms", "cmatrix.invert_hpd") == 1)
+    for name in ("phy.evolve_channel", "phy.zf_norms", "cmatrix.invert_hpd"):
+        assert np.all(children("env.step", name) == 0)
     calls = {name: s["calls"] for name, s in tracer.summary().items()}
-    assert calls["phy.zf_norms"] == calls["cmatrix.invert_hpd"] == 12 + calls["env.reset"]
+    assert calls["phy.evolve_channel"] == calls["phy.zf_norms"] == calls["cmatrix.invert_hpd"] == 1
 
 
 @pytest.mark.parametrize("users,antennas", [(2, 4), (8, 8)])

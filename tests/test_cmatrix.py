@@ -70,3 +70,50 @@ class TestInvertHpd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             cmatrix.invert_hpd(cmat([[np.nan]]))
+
+
+class TestStack:
+    @staticmethod
+    def grams(rng, count, k):
+        hs = [random_channel(rng, k + 2, k) for _ in range(count)]
+        return np.stack([h.conj().T @ h for h in hs])
+
+    def test_matches_one_matrix_at_a_time(self, rng):
+        for k in (1, 2, 4, 8):
+            stack = self.grams(rng, 12, k)
+            out = cmatrix.invert_hpd(stack.reshape(3, 4, k, k)).reshape(12, k, k)
+            for j in range(12):
+                assert np.array_equal(out[j], cmatrix.invert_hpd(stack[j]))
+
+    def test_pivot_names_matrix_and_row(self, rng):
+        stack = self.grams(rng, 5, 2)
+        stack[3] = cmat([[1, 0], [0, 1e-13]])
+        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 3: .* row 1") as info:
+            cmatrix.invert_hpd(stack)
+        assert info.value.index == 3
+
+    def test_first_bad_matrix_is_named(self, rng):
+        stack = self.grams(rng, 6, 2)
+        stack[4] = cmat([[1, 2], [2, 1]])
+        stack[5] = cmat([[1, 1], [1, 1]])
+        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 4: matrix is not positive") as info:
+            cmatrix.invert_hpd(stack)
+        assert info.value.index == 4
+
+    def test_two_leading_axes_name_a_tuple(self, rng):
+        stack = self.grams(rng, 6, 2).reshape(2, 3, 2, 2)
+        stack[1, 2] = cmat([[1, 1], [1, 1]])
+        with pytest.raises(cmatrix.SingularMatrixError, match=r"matrix \(1, 2\)") as info:
+            cmatrix.invert_hpd(stack)
+        assert info.value.index == (1, 2)
+
+    def test_not_hermitian_is_named(self, rng):
+        stack = self.grams(rng, 4, 2)
+        stack[2] = cmat([[1, 1], [0, 1]])
+        with pytest.raises(cmatrix.NotHermitianError, match="matrix 2"):
+            cmatrix.invert_hpd(stack)
+
+    def test_single_matrix_has_no_index(self):
+        with pytest.raises(cmatrix.SingularMatrixError) as info:
+            cmatrix.invert_hpd(cmat([[1, 1], [1, 1]]))
+        assert info.value.index is None and "matrix 0" not in str(info.value)

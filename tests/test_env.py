@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from mecrl import cmatrix, phy, seeds
 from mecrl.env import (Action, ActionError, ConfigError, EnvConfig, MecEnv,
-                       StateError, TaskQueue, enqueue_arrivals, obs_vector,
-                       perturb_reward, reward, serve_queue, spawn_arrivals)
+                       StateError, TaskQueue, accepted_normals, enqueue_arrivals,
+                       reward, serve_queue, spawn_arrivals)
 
 
 def make_env(seed=0, **overrides):
@@ -105,19 +105,56 @@ class TestReward:
 
 
 class TestPerturbReward:
-    def test_zero_noise_identity(self, rng):
-        for r in (-5.0, 0.0, 3.25):
-            assert perturb_reward(r, 0.0, rng) == r
+    def test_zero_noise_identity(self):
+        env, cfg = make_env(seed=6, noise_level=0.0)
+        untouched = seeds.env_streams(6, 0)["rng_noise"].bit_generator.state
+        env.reset()
+        for r in range(cfg.episode_len):
+            res = env.step([Action(0.1 * (r % 3), 0.5)] * cfg.n_users)
+            assert res.perceived_rewards == res.true_rewards
+        # A noiseless env draws nothing from its noise stream.
+        assert env._rng_noise.bit_generator.state == untouched
 
     def test_bounded(self, rng):
-        vals = [perturb_reward(-10.0, 200.0, rng) for _ in range(10_000)]
-        assert all(-410.0 <= v <= 390.0 for v in vals)
+        z, _ = accepted_normals(rng, 10_000, np.empty(0))
+        vals = -10.0 + 200.0 * z
+        assert np.all((-410.0 <= vals) & (vals <= 390.0))
 
     def test_mean(self):
         rng = np.random.default_rng(5)
         n = 20_000
-        mean = sum(perturb_reward(-7.0, 50.0, rng) for _ in range(n)) / n
+        z, _ = accepted_normals(rng, n, np.empty(0))
+        mean = float(np.mean(-7.0 + 50.0 * z))
         assert abs(mean + 7.0) <= 0.01 * 7.0 + 2 * 50.0 / np.sqrt(n)
+
+    def test_matches_rejection_loop(self):
+        # Chunks of any size, with the leftovers carried, give the values of
+        # one draw-and-reject loop over the same stream, in order.
+        ref_rng = np.random.default_rng(8)
+        ref = []
+        while len(ref) < 3000:
+            z = ref_rng.standard_normal()
+            if abs(z) <= 2.0:
+                ref.append(z)
+        rng, carry, got = np.random.default_rng(8), np.empty(0), []
+        for n in (1, 7, 200, 0, 1792, 1000):
+            z, carry = accepted_normals(rng, n, carry)
+            assert z.size == n
+            got.extend(z.tolist())
+        assert got == ref
+
+    def test_episodes_draw_one_continuous_sequence(self):
+        # The noise of consecutive episodes is the accepted-draw sequence
+        # of the stream, read slot by slot and user by user.
+        env, cfg = make_env(seed=12, noise_level=3.0, episode_len=7)
+        z, _ = accepted_normals(seeds.env_streams(12, 0)["rng_noise"], 3 * 7 * 2, np.empty(0))
+        got = []
+        for _ in range(3):
+            env.reset()
+            for _ in range(cfg.episode_len):
+                res = env.step([Action(0.3, 0.2)] * cfg.n_users)
+                got += [p - t for p, t in zip(res.perceived_rewards, res.true_rewards)]
+        assert np.allclose(got, 3.0 * z, rtol=0, atol=1e-12)
 
 
 class TestReset:
@@ -259,54 +296,114 @@ class TestStep:
 
 class TestSingularResample:
     """A singular channel draw is replaced by one fresh draw of the same
-    stream, and the episode goes on."""
+    stream, and the episode goes on: the draws a step-by-step evolution
+    with one retry per slot makes."""
 
     @staticmethod
-    def raise_once(monkeypatch):
+    def fail_at(monkeypatch, *slots):
+        """invert_hpd fails at the given stack positions, one per call."""
         real = cmatrix.invert_hpd
         calls = []
 
         def flaky(a):
             calls.append(a)
-            if len(calls) == 1:
-                raise cmatrix.SingularMatrixError("injected")
+            if len(calls) <= len(slots):
+                raise cmatrix.SingularMatrixError("injected", slots[len(calls) - 1])
             return real(a)
 
         monkeypatch.setattr(cmatrix, "invert_hpd", flaky)
         return calls
 
-    def test_reset_draws_one_replacement(self, monkeypatch):
-        env, cfg = make_env(seed=4)
-        calls = self.raise_once(monkeypatch)
+    @staticmethod
+    def per_step_reference(cfg, seed, singular_slot):
+        """Channels of one episode drawn one slot at a time, a singular
+        slot redrawn once from its own stream."""
+        streams = seeds.env_streams(seed, 0)
+        scale = np.sqrt(cfg.gains() / 2.0)
+        rho = np.asarray(cfg.rho)
+        shape = (cfg.constants.n_antennas, cfg.n_users)
+
+        def draw(rng):
+            re = rng.standard_normal(shape)
+            im = rng.standard_normal(shape)
+            return scale * (re + 1j * im)
+
+        h = draw(streams["rng_channel_init"])
+        if singular_slot == 0:
+            h = draw(streams["rng_channel_init"])
+        trace = [h]
+        for t in range(1, cfg.episode_len + 1):
+            innovation = draw(streams["rng_channel"])
+            if t == singular_slot:
+                innovation = draw(streams["rng_channel"])
+            h = rho * h + np.sqrt(1.0 - rho * rho) * innovation
+            trace.append(h)
+        return trace
+
+    def check_slot(self, monkeypatch, slot):
+        env, cfg = make_env(seed=4, episode_len=12)
+        calls = self.fail_at(monkeypatch, slot)
         env.reset()
         assert len(calls) == 2
-        rng = seeds.env_streams(4, 0)["rng_channel_init"]
-        draws = [phy.init_channel(cfg.constants, cfg.gains(), cfg.rho, rng) for _ in range(2)]
-        assert np.array_equal(env.channel.h, draws[1].h)
-        env.step([Action(0.0, 0.0)] * cfg.n_users)
-        assert env.slot == 1
+        ref = self.per_step_reference(cfg, 4, slot)
+        for t in range(cfg.episode_len):
+            assert np.array_equal(env.channel.h, ref[t]), f"slot {t}"
+            res = env.step([Action(1.0, 0.5)] * cfg.n_users)
+            sinr = [i["sinr"] for i in res.info]
+            zf = phy.zf_norms(ref[t])
+            assert sinr == [1.0 / (cfg.constants.noise_power_w * z) for z in zf]
+        assert np.array_equal(env.channel.h, ref[-1])
+        assert env.slot == cfg.episode_len
+
+    def test_reset_draws_one_replacement(self, monkeypatch):
+        self.check_slot(monkeypatch, 0)
 
     def test_step_draws_one_replacement(self, monkeypatch):
-        env, cfg = make_env(seed=4)
+        self.check_slot(monkeypatch, 5)
+
+    def test_two_failures_at_later_slots(self, monkeypatch):
+        env, cfg = make_env(seed=4, episode_len=12)
+        self.fail_at(monkeypatch, 3, 9)
         env.reset()
-        before = env.channel
-        calls = self.raise_once(monkeypatch)
-        env.step([Action(1.0, 0.5)] * cfg.n_users)
-        assert len(calls) == 2
-        rng = seeds.env_streams(4, 0)["rng_channel"]
-        draws = [phy.evolve_channel(before, rng) for _ in range(2)]
-        assert np.array_equal(env.channel.h, draws[1].h)
-        env.step([Action(1.0, 0.5)] * cfg.n_users)
-        assert env.slot == 2
+        streams = seeds.env_streams(4, 0)
+        init = phy.init_channel(cfg.constants, cfg.gains(), cfg.rho, streams["rng_channel_init"])
+        innov = phy.innovations(init, streams["rng_channel"], cfg.episode_len + 2)
+        # Slot 3 skips stream draw 2; slot 9 then skips stream draw 9.
+        ref = phy.ar_trace(init, np.delete(innov, [2, 9], axis=0))
+        assert np.array_equal(env._h, ref)
+
+    def test_second_failure_at_one_slot_raises(self, monkeypatch):
+        env, _ = make_env(seed=4)
+        self.fail_at(monkeypatch, 5, 5)
+        with pytest.raises(cmatrix.SingularMatrixError, match="injected"):
+            env.reset()
 
 
 class TestObsVector:
     def test_clipping(self):
-        cfg = EnvConfig()
-        from mecrl.env import Observation
-        obs = Observation(backlog_bits=cfg.buffer_cap_bits,
-                          prev_sinr=1e9,
-                          chan_power=np.full(4, 1e6))
-        v = obs_vector(cfg, obs, gain=1e-9)
+        # A full buffer, a huge SINR and channel powers far above the clip
+        # scale each read 1.
+        env, cfg = make_env(obs_chan_clip=1e-12)
+        env.reset()
+        env.queues = [TaskQueue(cfg.buffer_cap_bits, 0) for _ in range(cfg.n_users)]
+        env.prev_sinr = [1e9] * cfg.n_users
+        v = env.obs_vectors()
         assert np.all(v <= 1.0) and np.all(v >= 0.0)
-        assert v[0] == 1.0 and v[1] == 1.0
+        assert np.all(v[:, 0] == 1.0) and np.all(v[:, 1] == 1.0)
+        assert np.all(v[:, 2:] == 1.0)
+
+    def test_rows_match_observations(self):
+        # Each row is the user's Observation, scaled field by field.
+        env, cfg = make_env(seed=5, noise_level=1.0)
+        obs = env.reset()
+        gains = cfg.gains()
+        for _ in range(4):
+            v = env.obs_vectors()
+            for m, o in enumerate(obs):
+                assert v[m, 0] == o.backlog_bits / cfg.buffer_cap_bits
+                assert v[m, 1] == min(o.prev_sinr, cfg.obs_sinr_clip) / cfg.obs_sinr_clip
+                assert np.array_equal(
+                    v[m, 2:], np.minimum(o.chan_power / (cfg.obs_chan_clip * gains[m]), 1.0))
+                h = env.channel.h[:, m]
+                assert np.array_equal(o.chan_power, h.real * h.real + h.imag * h.imag)
+            obs = env.step([Action(1.5, 0.2)] * cfg.n_users).observations

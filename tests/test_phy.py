@@ -52,18 +52,33 @@ class TestChannel:
 
     def test_evolve_rho_one_is_frozen(self, rng):
         state = phy.init_channel(PhyConstants(), [1.0, 1.0], [1.0, 1.0], rng)
-        nxt = phy.evolve_channel(state, rng)
-        assert np.array_equal(nxt.h, state.h)
+        trace = phy.evolve_channel(state, rng, 3)
+        assert trace.shape == (4, 4, 2)
+        assert all(np.array_equal(h, state.h) for h in trace)
 
     def test_evolve_rho_zero_is_pure_innovation(self):
         r1 = np.random.default_rng(3)
         r2 = np.random.default_rng(3)
         state = phy.init_channel(PhyConstants(), [1.0], [0.0], r1)
-        nxt = phy.evolve_channel(state, r1)
+        trace = phy.evolve_channel(state, r1, 1)
         # Same stream replayed: the innovation is exactly the next draw.
         phy.init_channel(PhyConstants(), [1.0], [0.0], r2)
         expected = phy._draw_columns(4, np.array([1.0]), r2)
-        assert np.array_equal(nxt.h, expected)
+        assert np.array_equal(trace[0], state.h)
+        assert np.array_equal(trace[1], expected)
+
+    def test_trace_matches_per_step_draws(self):
+        # One batched draw and recursion give the values, in stream order,
+        # of one (N, M) real and one (N, M) imaginary draw per step.
+        gains, rho = np.array([0.5, 2.0, 1e-9]), np.array([0.9, 0.95, 0.3])
+        state = phy.init_channel(PhyConstants(n_antennas=6), gains, rho, np.random.default_rng(1))
+        trace = phy.evolve_channel(state, np.random.default_rng(2), 30)
+        rng, h = np.random.default_rng(2), state.h
+        for t in range(1, 31):
+            re = rng.standard_normal((6, 3))
+            im = rng.standard_normal((6, 3))
+            h = rho * h + np.sqrt(1.0 - rho * rho) * (np.sqrt(gains / 2.0) * (re + 1j * im))
+            assert np.array_equal(trace[t], h), f"slot {t}"
 
     def test_evolve_preserves_variance(self):
         # 2000 parallel trials evolved 200 steps at the default correlation.
@@ -72,8 +87,8 @@ class TestChannel:
         gains = np.full(2000, 0.8)
         rho = np.full(2000, 0.95)
         state = phy.init_channel(c, gains, rho, rng)
-        for _ in range(200):
-            state = phy.evolve_channel(state, rng)
+        for _ in range(10):
+            state = phy.ChannelState(phy.evolve_channel(state, rng, 20)[-1], rho, gains)
         var = np.var(state.h.real) + np.var(state.h.imag)
         assert var == pytest.approx(0.8, rel=0.05)
 
@@ -98,6 +113,20 @@ class TestZfNorms:
         col = random_channel(rng, 4, 1)
         with pytest.raises(cmatrix.SingularMatrixError):
             phy.zf_norms(np.hstack([col, col]))
+
+    def test_stack_matches_one_channel_at_a_time(self, rng):
+        stack = np.stack([random_channel(rng, 8, 8) for _ in range(30)]).reshape(5, 6, 8, 8)
+        norms = phy.zf_norms(stack)
+        assert norms.shape == (5, 6, 8)
+        for k in np.ndindex(5, 6):
+            assert np.array_equal(norms[k], phy.zf_norms(stack[k]))
+
+    def test_stack_names_the_singular_channel(self, rng):
+        stack = np.stack([random_channel(rng, 4, 2) for _ in range(6)])
+        stack[4, :, 1] = stack[4, :, 0]
+        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 4") as info:
+            phy.zf_norms(stack)
+        assert info.value.index == 4
 
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
