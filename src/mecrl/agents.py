@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .env import Action, ConfigError, EnvConfig, MecEnv, StepResult
+from .env import Action, EnvConfig, MecEnv, StepResult
+from .errors import ConfigError
 from .neural import (AdamState, Gradients, MlpParams, adam_step, backward,
                      eval_vec, forward, soft_update)
 

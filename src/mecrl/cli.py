@@ -13,7 +13,7 @@ from functools import partial
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config, save_config
-from .env import ConfigError
+from .errors import ConfigError
 from .runner import (AggregateSeries, aggregate_runs, evaluate, read_aggregate_csv,
                      run_training, save_checkpoints, write_csv, write_run_csv)
 from .svgplot import render_svg

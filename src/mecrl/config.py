@@ -15,7 +15,8 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .agents import ALGOS, TrainerConfig
-from .env import ConfigError, EnvConfig
+from .env import EnvConfig
+from .errors import ConfigError
 from .phy import PathLossModel, PhyConstants
 
 
@@ -93,14 +94,11 @@ def _check_section(section: dict, types: dict[str, str], where: str) -> None:
 
 def _env_from_dict(doc: dict) -> EnvConfig:
     _check_section(doc, {**_ENV_TYPES, **_PHY_TYPES, **_PATHLOSS_TYPES}, "env section")
-    try:
-        constants = PhyConstants(**{k: doc[k] for k in _PHY_TYPES if k in doc})
-        path_loss = PathLossModel(**{k: doc[k] for k in _PATHLOSS_TYPES if k in doc})
-        # EnvConfig turns the JSON lists into tuples.
-        env_kwargs = {k: doc[k] for k in _ENV_TYPES if k in doc}
-        return EnvConfig(constants=constants, path_loss=path_loss, **env_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    constants = PhyConstants(**{k: doc[k] for k in _PHY_TYPES if k in doc})
+    path_loss = PathLossModel(**{k: doc[k] for k in _PATHLOSS_TYPES if k in doc})
+    # EnvConfig turns the JSON lists into tuples.
+    env_kwargs = {k: doc[k] for k in _ENV_TYPES if k in doc}
+    return EnvConfig(constants=constants, path_loss=path_loss, **env_kwargs)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class PathLossModel:
 
     def __post_init__(self):
         if self.d0_m <= 0:
-            raise ValueError("reference distance d0_m must be positive")
+            raise ConfigError("reference distance d0_m must be positive")
 
     def gain(self, distance_m: float) -> float:
         """Linear power gain at the given distance."""
@@ -47,7 +48,7 @@ class PhyConstants:
     def __post_init__(self):
         for name in ("noise_power_w", "bandwidth_hz", "slot_s", "kappa", "cycles_per_bit", "n_antennas"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ConfigError(f"{name} must be strictly positive")
 
 
 @dataclass

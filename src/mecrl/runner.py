@@ -11,7 +11,8 @@ import numpy as np
 from . import neural, seeds
 from .agents import EpisodeStats, Trainer, act, train_episode
 from .config import ExperimentConfig
-from .env import Action, ConfigError, MecEnv
+from .env import Action, MecEnv
+from .errors import ConfigError
 
 
 @dataclass

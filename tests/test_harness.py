@@ -120,6 +120,10 @@ class TestConfig:
             replace(cfg.env, rho=2.0)
         with pytest.raises(ConfigError, match="tau_soft"):
             replace(cfg.trainer, tau_soft=-0.5)
+        with pytest.raises(ConfigError, match="kappa"):
+            replace(cfg.env.constants, kappa=0)
+        with pytest.raises(ConfigError, match="d0_m"):
+            replace(cfg.env.path_loss, d0_m=0.0)
 
     @settings(max_examples=300, deadline=1000, database=None)
     @given(doc=CONFIG_DOCUMENTS)
