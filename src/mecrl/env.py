@@ -162,13 +162,16 @@ class StepResult:
     info: list[dict]
 
 
-def spawn_arrivals(cfg: EnvConfig, user: int, rng: np.random.Generator) -> int:
-    """Poisson task count times uniform integer task sizes, in bits."""
-    count = int(rng.poisson(cfg.arrival_rate[user]))
-    if count == 0:
-        return 0
+def draw_arrivals(cfg: EnvConfig, rng: np.random.Generator, n_slots: int) -> np.ndarray:
+    """Arrived bits per slot and user, (n_slots, n_users): Poisson task
+    counts times uniform integer task sizes. One draw of every count, then
+    one draw of every task size in slot-major order, summed per slot."""
+    counts = rng.poisson(cfg.arrival_rate, size=(n_slots, cfg.n_users))
     lo, hi = cfg.task_size_bits
-    return int(rng.integers(lo, hi + 1, size=count).sum())
+    sizes = rng.integers(lo, hi + 1, size=int(counts.sum()))
+    # Bits of the first k tasks, read at the end of each slot's tasks.
+    upto = np.concatenate(([0], np.cumsum(sizes)))[np.cumsum(counts)]
+    return np.diff(upto, prepend=0).reshape(counts.shape)
 
 
 def serve_queue(queue: TaskQueue, cap_local_bits: int, cap_offload_bits: int):
@@ -217,8 +220,9 @@ class MecEnv:
     runs and cross-algorithm comparisons stay independent: channel
     initialization, channel evolution, task arrivals, and reward noise.
     None of them depends on the actions, so ``reset`` draws the whole
-    episode's channel, zero-forcing norms and reward noise at once, and
-    ``step`` reads its slot from them.
+    episode's channel, zero-forcing norms, arrivals and reward noise at
+    once, and ``step`` reads its slot from them. A reset before the end of
+    an episode discards the rest of that episode's draws.
     """
 
     def __init__(self, cfg: EnvConfig, *, rng_channel_init: np.random.Generator,
@@ -240,6 +244,7 @@ class MecEnv:
         self._zf: list[list[float]] | None = None
         self._power: np.ndarray | None = None
         self._chan_obs: np.ndarray | None = None
+        self._arrivals: list[list[int]] | None = None
         self._noise: list[list[float]] | None = None
 
     @property
@@ -253,7 +258,7 @@ class MecEnv:
         """Empty queues and zero SINR memory, and the episode's exogenous
         trace: the channel of every slot (a fresh stationary draw, then
         the fading recursion), its zero-forcing norms, its per-antenna
-        powers, and the reward noise."""
+        powers, the arrivals and the reward noise."""
         cfg = self.cfg
         n_slots = cfg.episode_len
         self._h, zf = self._channel_trace(n_slots)
@@ -262,6 +267,7 @@ class MecEnv:
         power = (h.real * h.real + h.imag * h.imag).transpose(0, 2, 1)
         self._power = np.ascontiguousarray(power)
         self._chan_obs = np.minimum(self._power / (cfg.obs_chan_clip * self._gains)[:, None], 1.0)
+        self._arrivals = draw_arrivals(cfg, self._rng_arrivals, n_slots).tolist()
         self._noise = None
         if cfg.noise_level != 0:
             z, self._noise_carry = accepted_normals(self._rng_noise, n_slots * cfg.n_users,
@@ -343,7 +349,7 @@ class MecEnv:
                 )
 
         c = cfg.constants
-        zf = self._zf[t]
+        zf, arrivals = self._zf[t], self._arrivals[t]
         noise = None if self._noise is None else self._noise[t]
         sinrs, true_rewards, perceived, info = [], [], [], []
         for m, a in enumerate(actions):
@@ -358,7 +364,7 @@ class MecEnv:
             cap_off = phy.offload_capacity(c, gamma)
             cap_off = backlog if cap_off >= backlog else math.floor(cap_off)
             bits_local, bits_off, served = serve_queue(before, cap_local, cap_off)
-            arrived = spawn_arrivals(cfg, m, self._rng_arrivals)
+            arrived = arrivals[m]
             after = enqueue_arrivals(served, arrived, cfg.buffer_cap_bits)
             r_true = reward(cfg, m, a, after.backlog_bits)
             self.queues[m] = after

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from mecrl import cmatrix, phy, seeds
 from mecrl.env import (Action, ActionError, ConfigError, EnvConfig, MecEnv,
-                       StateError, TaskQueue, accepted_normals, enqueue_arrivals,
-                       reward, serve_queue, spawn_arrivals)
+                       StateError, TaskQueue, accepted_normals, draw_arrivals,
+                       enqueue_arrivals, reward, serve_queue)
 
 
 def make_env(seed=0, **overrides):
@@ -38,18 +38,42 @@ class TestConfig:
 class TestArrivals:
     def test_zero_rate(self, rng):
         cfg = EnvConfig(arrival_rate=0.0)
-        assert all(spawn_arrivals(cfg, 0, rng) == 0 for _ in range(100))
+        assert np.all(draw_arrivals(cfg, rng, 100) == 0)
 
     def test_degenerate_size(self, rng):
         cfg = EnvConfig(arrival_rate=3.0, task_size_bits=(500, 500))
-        for _ in range(200):
-            assert spawn_arrivals(cfg, 0, rng) % 500 == 0
+        assert np.all(draw_arrivals(cfg, rng, 200) % 500 == 0)
 
     def test_mean(self):
         rng = np.random.default_rng(42)
-        cfg = EnvConfig(arrival_rate=2.0, task_size_bits=(250, 750))
-        total = sum(spawn_arrivals(cfg, 0, rng) for _ in range(100_000))
+        cfg = EnvConfig(n_users=1, arrival_rate=2.0, task_size_bits=(250, 750))
+        total = int(draw_arrivals(cfg, rng, 100_000).sum())
         assert total / 100_000 == pytest.approx(1000.0, rel=0.02)
+
+    def test_compound_poisson_moments(self):
+        # Per slot: mean λ·E[S], variance λ·E[S²], and no arrival with
+        # probability e^-λ, for S uniform on the integers lo..hi. The
+        # tolerances are about five standard errors at 10^5 slots.
+        lam, lo, hi = 2.0, 250, 750
+        cfg = EnvConfig(n_users=1, arrival_rate=lam, task_size_bits=(lo, hi))
+        bits = draw_arrivals(cfg, np.random.default_rng(7), 100_000)[:, 0]
+        mean_s = (lo + hi) / 2
+        mean_s2 = ((hi - lo + 1) ** 2 - 1) / 12 + mean_s ** 2
+        assert bits.mean() == pytest.approx(lam * mean_s, rel=0.012)
+        assert bits.var() == pytest.approx(lam * mean_s2, rel=0.03)
+        assert np.mean(bits == 0) == pytest.approx(np.exp(-lam), abs=0.006)
+
+    def test_slot_sums_of_one_size_draw(self):
+        # Counts come first, slot-major; then one size per task, in the
+        # same order; each slot gets the sum of its own tasks' sizes.
+        cfg = EnvConfig(n_users=3, arrival_rate=(0.0, 1.5, 4.0), task_size_bits=(1, 9))
+        bits = draw_arrivals(cfg, np.random.default_rng(3), 40)
+        rng = np.random.default_rng(3)
+        counts = rng.poisson(cfg.arrival_rate, size=(40, 3))
+        sizes = iter(rng.integers(1, 10, size=int(counts.sum())).tolist())
+        ref = [[sum(next(sizes) for _ in range(c)) for c in row] for row in counts.tolist()]
+        assert bits.tolist() == ref
+        assert np.all(bits[:, 0] == 0)
 
 
 class TestQueueOps:
@@ -292,6 +316,28 @@ class TestStep:
         env.reset()
         res = env.step([Action(1.0, 0.0), Action(0.5, 0.0)])
         assert [o.prev_sinr for o in res.observations] == [i["sinr"] for i in res.info]
+
+
+class TestEpisodeTrace:
+    def test_trace_does_not_depend_on_actions(self):
+        # Channel, zero-forcing norms, arrivals and reward noise are drawn
+        # at reset, and each episode's draws leave the streams where the
+        # next episode starts, whatever the actions were.
+        envs = [make_env(seed=30, noise_level=1.0, episode_len=15)[0] for _ in range(2)]
+        cfg = envs[0].cfg
+        rng = np.random.default_rng(1)
+        p_max = np.column_stack((cfg.p_max_offload_w, cfg.p_max_local_w))
+        for _ in range(3):
+            for env in envs:
+                env.reset()
+            a, b = envs
+            assert np.array_equal(a._h, b._h)
+            assert a._zf == b._zf and a._arrivals == b._arrivals and a._noise == b._noise
+            for _ in range(cfg.episode_len):
+                ra = a.step([Action(0.0, 0.0)] * cfg.n_users)
+                rb = b.step([Action(*p) for p in rng.uniform(0.0, p_max).tolist()])
+                assert [i["bits_arrived"] for i in ra.info] == [i["bits_arrived"] for i in rb.info]
+                assert np.array_equal(a.channel.h, b.channel.h)
 
 
 class TestSingularResample:
