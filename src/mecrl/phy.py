@@ -97,10 +97,15 @@ def ar_trace(state: ChannelState, innov: np.ndarray) -> np.ndarray:
     (len(innov) + 1, N, M). Each step preserves the per-entry variance."""
     trace = np.empty((len(innov) + 1,) + state.h.shape, dtype=np.complex128)
     trace[0] = state.h
-    keep = np.sqrt(1.0 - state.rho * state.rho) * innov
-    for t in range(len(innov)):
-        np.multiply(state.rho, trace[t], out=trace[t + 1])
-        trace[t + 1] += keep[t]
+    trace[1:] = np.sqrt(1.0 - state.rho * state.rho) * innov
+    # Each step adds rho * h to the scaled innovation already in its slot:
+    # the same products and sums as one step at a time. rho is cast to
+    # complex once, as the multiply would cast it in every step.
+    rho = state.rho.astype(np.complex128)
+    scratch = np.empty_like(trace[0])
+    rows = list(trace)
+    for prev, nxt in zip(rows, rows[1:]):
+        np.add(nxt, np.multiply(rho, prev, scratch), nxt)
     return trace
 
 
