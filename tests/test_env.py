@@ -332,7 +332,8 @@ class TestEpisodeTrace:
                 env.reset()
             a, b = envs
             assert np.array_equal(a._h, b._h)
-            assert a._zf == b._zf and a._arrivals == b._arrivals and a._noise == b._noise
+            for name in ("_zf", "_arrivals", "_noise"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
             for _ in range(cfg.episode_len):
                 ra = a.step([Action(0.0, 0.0)] * cfg.n_users)
                 rb = b.step([Action(*p) for p in rng.uniform(0.0, p_max).tolist()])
