@@ -97,7 +97,7 @@ def invert_hpd(a) -> np.ndarray:
     # The pivots are the squared diagonal entries of the factor.
     root = low.diagonal(axis1=-2, axis2=-1).real
     row = root.argmin(axis=-1)
-    pivot = np.take_along_axis(root, row[..., None], axis=-1)[..., 0] ** 2
+    pivot = root.min(axis=-1) ** 2
     pivot_floor = PIVOT_RTOL * np.abs(a.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
     k = first(pivot <= pivot_floor)
     if k is not None:

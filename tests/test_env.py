@@ -331,8 +331,7 @@ class TestEpisodeTrace:
             for env in envs:
                 env.reset()
             a, b = envs
-            assert np.array_equal(a._h, b._h)
-            for name in ("_zf", "_arrivals", "_noise"):
+            for name in ("_h", "_zf", "_arrivals", "_noise"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             for _ in range(cfg.episode_len):
                 ra = a.step([Action(0.0, 0.0)] * cfg.n_users)
@@ -362,8 +361,8 @@ class TestSingularResample:
         return calls
 
     @staticmethod
-    def per_step_reference(cfg, seed, singular_slot):
-        """Channels of one episode drawn one slot at a time, a singular
+    def per_step_reference(cfg, seed, singular_slots):
+        """Channels of one episode drawn one slot at a time, each singular
         slot redrawn once from its own stream."""
         streams = seeds.env_streams(seed, 0)
         scale = np.sqrt(cfg.gains() / 2.0)
@@ -376,23 +375,23 @@ class TestSingularResample:
             return scale * (re + 1j * im)
 
         h = draw(streams["rng_channel_init"])
-        if singular_slot == 0:
+        if 0 in singular_slots:
             h = draw(streams["rng_channel_init"])
         trace = [h]
         for t in range(1, cfg.episode_len + 1):
             innovation = draw(streams["rng_channel"])
-            if t == singular_slot:
+            if t in singular_slots:
                 innovation = draw(streams["rng_channel"])
             h = rho * h + np.sqrt(1.0 - rho * rho) * innovation
             trace.append(h)
         return trace
 
-    def check_slot(self, monkeypatch, slot):
+    def check_slots(self, monkeypatch, *slots):
         env, cfg = make_env(seed=4, episode_len=12)
-        calls = self.fail_at(monkeypatch, slot)
+        calls = self.fail_at(monkeypatch, *slots)
         env.reset()
-        assert len(calls) == 2
-        ref = self.per_step_reference(cfg, 4, slot)
+        assert len(calls) == len(slots) + 1
+        ref = self.per_step_reference(cfg, 4, slots)
         for t in range(cfg.episode_len):
             assert np.array_equal(env.channel.h, ref[t]), f"slot {t}"
             res = env.step([Action(1.0, 0.5)] * cfg.n_users)
@@ -403,21 +402,13 @@ class TestSingularResample:
         assert env.slot == cfg.episode_len
 
     def test_reset_draws_one_replacement(self, monkeypatch):
-        self.check_slot(monkeypatch, 0)
+        self.check_slots(monkeypatch, 0)
 
     def test_step_draws_one_replacement(self, monkeypatch):
-        self.check_slot(monkeypatch, 5)
+        self.check_slots(monkeypatch, 5)
 
     def test_two_failures_at_later_slots(self, monkeypatch):
-        env, cfg = make_env(seed=4, episode_len=12)
-        self.fail_at(monkeypatch, 3, 9)
-        env.reset()
-        streams = seeds.env_streams(4, 0)
-        init = phy.init_channel(cfg.constants, cfg.gains(), cfg.rho, streams["rng_channel_init"])
-        innov = phy.innovations(init, streams["rng_channel"], cfg.episode_len + 2)
-        # Slot 3 skips stream draw 2; slot 9 then skips stream draw 9.
-        ref = phy.ar_trace(init, np.delete(innov, [2, 9], axis=0))
-        assert np.array_equal(env._h, ref)
+        self.check_slots(monkeypatch, 3, 9)
 
     def test_second_failure_at_one_slot_raises(self, monkeypatch):
         env, _ = make_env(seed=4)
