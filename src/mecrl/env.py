@@ -261,9 +261,8 @@ class MecEnv:
         powers, the arrivals and the reward noise."""
         cfg = self.cfg
         n_slots = cfg.episode_len
-        self._h, zf = self._channel_trace(n_slots)
-        self._zf = zf
-        h = self._h
+        h, self._zf = self._channel_trace(n_slots)
+        self._h = h
         power = (h.real * h.real + h.imag * h.imag).transpose(0, 2, 1)
         self._power = np.ascontiguousarray(power)
         self._chan_obs = np.minimum(self._power / (cfg.obs_chan_clip * self._gains)[:, None], 1.0)
