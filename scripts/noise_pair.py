@@ -42,7 +42,6 @@ def main() -> int:
     ap.add_argument("--episodes", type=int, default=1000)
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--out", default="out/noise_pair")
     args = ap.parse_args()
 
@@ -54,7 +53,7 @@ def main() -> int:
     for tag, level in (("clean", 0.0), ("noisy", noise)):
         cell = Path(args.out) / tag
         cfg = replace(base, env=replace(base.env, noise_level=level))
-        for algo, agg in train_cell(cfg, cell, args.workers):
+        for algo, agg in train_cell(cfg, cell):
             tail = agg.mean[-100:]
             print(f"{tag} {algo}: final-100 mean return {math.fsum(tail) / len(tail):.2f}")
         print(f"wrote {cell / 'curves.svg'}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -71,23 +72,82 @@ def _train_run(cfg: ExperimentConfig, k: int) -> list:
     return stats
 
 
-def _train_tree(cfg: ExperimentConfig, workers: int = 1) -> AggregateSeries:
+def _train_share(run, runs, conn) -> None:
+    """A worker's share: train ``runs`` in order and send each result, or
+    the error of the first failing run and stop."""
+    for k in runs:
+        try:
+            conn.send(run(k))
+        except Exception as exc:
+            conn.send(exc)
+            return
+
+
+def _train_parallel(run, n_runs: int, workers: int) -> list:
+    """``[run(k) for k in range(n_runs)]`` over ``workers`` processes.
+
+    This process trains runs 0, W, 2W, ... itself and ``workers - 1``
+    forked ones train the rest. Results are taken in run order, so the
+    error raised is the one of the earliest failing run, as in the serial
+    loop. No worker outlives the call.
+    """
+    import multiprocessing
+
+    # Forked, not spawned: a worker starts as a copy of this process, so it
+    # does not import numpy and mecrl again, a large share of a short tree.
+    # The CLI starts no threads, and OpenBLAS stops its own around a fork.
+    ctx = multiprocessing.get_context("fork")
+    shares = []
+    for j in range(1, workers):
+        conn, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_train_share, args=(run, range(j, n_runs, workers), send))
+        proc.start()
+        send.close()
+        shares.append((proc, conn))
+    results = []
+    try:
+        for k in range(n_runs):
+            if k % workers == 0:
+                results.append(run(k))
+                continue
+            proc, conn = shares[k % workers - 1]
+            try:
+                result = conn.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"the process training run {k} exited "
+                                        f"with code {proc.exitcode}") from None
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        for proc, _ in shares:
+            proc.join()
+    finally:
+        for proc, conn in shares:
+            proc.terminate()  # only a worker still training; a joined one is not signalled
+            proc.join()
+            conn.close()
+    return results
+
+
+def _train_tree(cfg: ExperimentConfig, workers: int | None = None) -> AggregateSeries:
     """Run cfg.n_runs seeded runs and write the documented output tree.
 
-    Runs are self-contained and seeded, so the tree is byte-identical
-    whether they execute serially or across ``workers`` processes.
+    The runs spread over ``min(n_runs, workers)`` processes, by default
+    one per CPU this process may run on. Runs are self-contained and
+    seeded, so the tree is byte-identical however they are spread.
     ``resolved_config.json`` is written last: a tree that has it is complete.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = partial(_train_run, cfg)
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = min(workers, cfg.n_runs)
     if workers <= 1:
         all_series = [run(k) for k in range(cfg.n_runs)]
     else:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            all_series = pool.map(run, range(cfg.n_runs))
+        all_series = _train_parallel(run, cfg.n_runs, workers)
     agg = aggregate_runs(all_series)
     write_csv(agg, all_series, out / "aggregate.csv")
     render_svg([(cfg.algo, agg)], out / "curves.svg")
@@ -95,13 +155,13 @@ def _train_tree(cfg: ExperimentConfig, workers: int = 1) -> AggregateSeries:
     return agg
 
 
-def train_cell(cfg: ExperimentConfig, cell: Path, workers: int = 1):
+def train_cell(cfg: ExperimentConfig, cell: Path):
     """Train ddpg and rmaddpg on cfg into cell/<algo> and overlay their
     curves in cell/curves.svg; returns the (algo, aggregate) pairs."""
     overlays = []
     for algo in ("ddpg", "rmaddpg"):
         sub_cfg = replace(cfg, algo=algo, out_dir=str(cell / algo))
-        overlays.append((algo, _train_tree(sub_cfg, workers)))
+        overlays.append((algo, _train_tree(sub_cfg)))
     render_svg(overlays, cell / "curves.svg")
     return overlays
 

@@ -25,6 +25,15 @@ from .phy import PathLossModel, PhyConstants
 # n_users <= n_antennas.
 MAX_ANTENNAS = 256
 
+# Memory budget of one reset, which draws the whole episode (see
+# MecEnv.reset) while the previous episode's draws are still held. Measured
+# under tracemalloc, the channel trace and its zero-forcing temporaries
+# take at most 120 bytes per slot, user and (antenna + 1), the arrivals
+# 24 bytes per task; each training process holds its own.
+RESET_BUDGET_BYTES = 64 << 20
+RESET_SLOT_BYTES = 128
+RESET_TASK_BYTES = 24
+
 
 class ActionError(ValueError):
     """An action lies outside its power box."""
@@ -105,7 +114,7 @@ class EnvConfig:
                 raise ConfigError(f"path-loss gain at {d} m is outside the normal float range")
         if any(not 0.0 <= r <= 1.0 for r in self.rho):
             raise ConfigError("rho entries must lie in [0, 1]")
-        if any(lam < 0 for lam in self.arrival_rate):
+        if any(not lam >= 0 for lam in self.arrival_rate):
             raise ConfigError("arrival_rate entries must be nonnegative")
         if not 0 < lo <= hi:
             raise ConfigError(f"task_size_bits must satisfy 0 < min <= max, got {self.task_size_bits}")
@@ -118,6 +127,16 @@ class EnvConfig:
             raise ConfigError(f"noise_level must be nonnegative, got {self.noise_level}")
         if self.episode_len < 1:
             raise ConfigError(f"episode_len must be >= 1, got {self.episode_len}")
+        tasks = sum(self.arrival_rate)
+        slot_bytes = RESET_SLOT_BYTES * self.n_users * (n_antennas + 1) + RESET_TASK_BYTES * tasks
+        # Compared as a slot count, so a huge episode_len cannot overflow.
+        max_len = RESET_BUDGET_BYTES / slot_bytes
+        if not self.episode_len <= max_len:
+            raise ConfigError(
+                f"episode_len {self.episode_len} exceeds the {RESET_BUDGET_BYTES >> 20} MiB "
+                f"budget of one reset: at {self.n_users} users, {n_antennas} antennas and "
+                f"{tasks:g} expected tasks per slot (arrival_rate), a slot takes about "
+                f"{slot_bytes:.0f} bytes, so at most {int(max_len)} slots fit")
         if self.obs_sinr_clip <= 0 or self.obs_chan_clip <= 0:
             raise ConfigError("observation clip scales must be positive")
 

@@ -254,37 +254,6 @@ def soft_update(target: MlpParams, online: MlpParams, tau_soft: float) -> None:
     target.flat += tau_soft * online.flat
 
 
-def grad_check(p: MlpParams, x, dy, step: float = 1e-6) -> float:
-    """Max relative deviation of backward against central differences.
-
-    Covers every parameter and every input component. The relative error
-    uses a guarded denominator so an all-zero comparison reports 0.
-    """
-    xa = np.array(x, dtype=np.float64)
-    dya = np.asarray(dy, dtype=np.float64)
-
-    def objective() -> float:
-        y, _ = forward(p, xa)
-        return float(np.sum(dya * y))
-
-    y, cache = forward(p, xa)
-    g, dx = backward(p, cache, dya)
-
-    worst = 0.0
-    for arr, analytic in ((p.flat, g.flat), (xa.ravel(), np.asarray(dx).ravel())):
-        for i in range(arr.size):
-            orig = arr[i]
-            arr[i] = orig + step
-            f_plus = objective()
-            arr[i] = orig - step
-            f_minus = objective()
-            arr[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            denom = max(abs(numeric) + abs(analytic[i]), 1e-8)
-            worst = max(worst, abs(numeric - analytic[i]) / denom)
-    return worst
-
-
 def params_to_doc(p: MlpParams) -> dict:
     """Shape-tagged flat decimal arrays, one entry per layer."""
     return {

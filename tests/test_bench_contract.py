@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mecrl import agents, seeds
+from mecrl import agents, cli, seeds
 from mecrl.agents import Trainer, TrainerConfig
 from mecrl.config import ExperimentConfig
 from mecrl.env import Action, EnvConfig, MecEnv
@@ -129,3 +129,23 @@ def test_self_check_passes():
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_default_train_tree_traces_this_process(tracing, tmp_path):
+    # layer_metrics reads runner.run_training, runner.save_checkpoints and
+    # runner.write_csv from the spans of the process that runs `mecrl
+    # train`, so at the default worker count that process trains its share
+    # of the runs, run 0 among them.
+    cfg = ExperimentConfig(env=EnvConfig(n_users=2, episode_len=8),
+                           trainer=TrainerConfig(warmup_steps=6, batch_size=4, buffer_capacity=50),
+                           episodes=2, n_runs=2, out_dir=str(tmp_path))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli._train_tree(cfg)
+    finally:
+        tracer.uninstall()
+    calls = {name: s["calls"] for name, s in tracer.summary().items()}
+    assert calls.get("runner.run_training", 0) >= 1
+    assert calls.get("runner.save_checkpoints") == 1
+    assert calls.get("runner.write_csv", 0) >= 2  # run 0's CSV and the aggregate

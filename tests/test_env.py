@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecrl import cmatrix, phy, seeds
-from mecrl.env import (Action, ActionError, ConfigError, EnvConfig, MecEnv,
-                       StateError, TaskQueue, accepted_normals, draw_arrivals,
-                       enqueue_arrivals, reward, serve_queue)
+from mecrl.env import (RESET_BUDGET_BYTES, RESET_SLOT_BYTES, RESET_TASK_BYTES, Action,
+                       ActionError, ConfigError, EnvConfig, MecEnv, StateError, TaskQueue,
+                       accepted_normals, draw_arrivals, enqueue_arrivals, reward, serve_queue)
 
 
 def make_env(seed=0, **overrides):
@@ -33,6 +35,33 @@ class TestConfig:
     def test_bad_task_sizes(self):
         with pytest.raises(ConfigError):
             EnvConfig(task_size_bits=(0, 100))
+
+    @pytest.mark.parametrize("users,antennas,rate", [(1, 1, 0.0), (2, 4, 30.0), (8, 8, 2.0)])
+    def test_reset_memory_within_the_estimate_the_bound_uses(self, users, antennas, rate):
+        cfg = EnvConfig(n_users=users, constants=phy.PhyConstants(n_antennas=antennas),
+                        arrival_rate=rate, noise_level=1.0, episode_len=2000)
+        estimate = cfg.episode_len * (RESET_SLOT_BYTES * users * (antennas + 1)
+                                      + RESET_TASK_BYTES * users * rate)
+        env = MecEnv(cfg, **seeds.env_streams(0, 0))
+        tracemalloc.start()
+        try:
+            env.reset()
+            env.reset()  # the steady state: the previous trace is held meanwhile
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate
+
+    def test_episode_bounded_by_the_reset_budget(self):
+        slot_bytes = RESET_SLOT_BYTES * 2 * 5 + RESET_TASK_BYTES * 2 * 2.0
+        longest = int(RESET_BUDGET_BYTES // slot_bytes)
+        EnvConfig(episode_len=longest)
+        with pytest.raises(ConfigError, match=f"at most {longest} slots fit"):
+            EnvConfig(episode_len=longest + 1)
+        with pytest.raises(ConfigError, match="at most 0 slots fit"):
+            EnvConfig(arrival_rate=(1e300, 1e300))
+        with pytest.raises(ConfigError, match="arrival_rate entries must be nonnegative"):
+            EnvConfig(arrival_rate=float("nan"))
 
 
 class TestArrivals:

@@ -1,7 +1,10 @@
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -11,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import seeds
-from mecrl.agents import EpisodeStats
+from mecrl import cli, seeds
+from mecrl.agents import EpisodeStats, TrainingDiverged
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
@@ -435,6 +438,10 @@ class TestCli:
         ("env", "distances_m", "0"),
         ("env", "noise_level", "-1"),
         ("trainer", "tau_soft", "1.5"),
+        ("env", "arrival_rate", "1e6"),
+        ("env", "arrival_rate", "1e308"),
+        ("env", "episode_len", "1000000"),
+        ("env", "episode_len", "1" + "0" * 400),
     ])
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, key, value):
         cfg_path = self._write_cfg(tmp_path)
@@ -485,21 +492,67 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_serial_and_parallel_trees_identical(self, tmp_path):
-        # Updates and the reward-noise draw both run in every run.
-        cfg = tiny_config(algo="rmaddpg", n_runs=3,
-                          env={"n_users": 2, "episode_len": 8, "noise_level": 0.5})
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        _train_tree(replace(cfg, out_dir=str(serial)), workers=1)
-        _train_tree(replace(cfg, out_dir=str(parallel)), workers=2)
-        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*")
-                               if p.is_file())
-        assert len(files) == 6 + 2 * 5  # config, 3 runs, aggregate, svg; 2 agents x 5 nets
-        for rel in files:
-            a, b = (serial / rel).read_bytes(), (parallel / rel).read_bytes()
-            if rel.name == "resolved_config.json":
-                a, b = ({**json.loads(x), "out_dir": None} for x in (a, b))
-            assert a == b, rel
+        # Updates and the reward-noise draw both run in every run. This
+        # process trains runs 0 and 2 of 3 or runs 0, 2 and 4 of 5 with 2
+        # workers, and runs 0 or runs 0 and 3 with 3.
+        for n_runs in (3, 5):
+            cfg = tiny_config(algo="rmaddpg", n_runs=n_runs,
+                              env={"n_users": 2, "episode_len": 8, "noise_level": 0.5})
+            serial = tmp_path / f"r{n_runs}w1"
+            _train_tree(replace(cfg, out_dir=str(serial)), workers=1)
+            files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+            # config, the runs, aggregate, svg; 2 agents x 5 nets
+            assert len(files) == 3 + n_runs + 2 * 5
+            for workers in (2, 3):
+                parallel = tmp_path / f"r{n_runs}w{workers}"
+                _train_tree(replace(cfg, out_dir=str(parallel)), workers=workers)
+                assert multiprocessing.active_children() == []
+                assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*")
+                                       if p.is_file())
+                for rel in files:
+                    a, b = (serial / rel).read_bytes(), (parallel / rel).read_bytes()
+                    if rel.name == "resolved_config.json":
+                        a, b = ({**json.loads(x), "out_dir": None} for x in (a, b))
+                    assert a == b, (n_runs, workers, rel)
+
+    @pytest.mark.parametrize("failing", [(1,), (1, 2)])
+    def test_parallel_tree_reports_the_earliest_failing_run(self, tmp_path, capsys,
+                                                            monkeypatch, failing):
+        real = cli.run_training
+
+        def run_training(cfg, k):
+            if k in failing:
+                if k == 1:
+                    time.sleep(0.2)  # run 2 fails first
+                raise TrainingDiverged(f"episode 0: run {k} diverged")
+            return real(cfg, k)
+
+        # The forked workers inherit the patch.
+        monkeypatch.setattr(cli, "run_training", run_training)
+        cfg_path = self._write_cfg(tmp_path, n_runs=3)
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "mecrl: error: episode 0: run 1 diverged\n"
+            assert not (out / "resolved_config.json").exists()
+            assert multiprocessing.active_children() == []
+
+    def test_killed_worker_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_training
+
+        def run_training(cfg, k):
+            if k == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cfg, k)
+
+        monkeypatch.setattr(cli, "run_training", run_training)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["train", "--config", str(self._write_cfg(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err == "mecrl: i/o error: the process training run 1 exited with code -9\n", err
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
@@ -516,7 +569,7 @@ class TestNoisePair:
                "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"),
                                                             os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, str(repo / "scripts" / "noise_pair.py"),
-                        "--episodes", "1", "--runs", "2", "--workers", "2",
+                        "--episodes", "1", "--runs", "2",
                         "--out", str(tmp_path)],
                        env=env, check=True, capture_output=True, timeout=120)
         for tag in ("clean", "noisy"):
