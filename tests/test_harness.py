@@ -539,10 +539,11 @@ class TestCli:
             assert multiprocessing.active_children() == []
 
     def test_killed_worker_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
-        real = cli.run_training
+        real, caller = cli.run_training, os.getpid()
 
         def run_training(cfg, k):
             if k == 1:
+                assert os.getpid() != caller, "run 1 trains in a worker"
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(cfg, k)
 
