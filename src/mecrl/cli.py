@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigError
-from .runner import (AggregateSeries, aggregate_runs, evaluate, read_aggregate_csv,
+from .runner import (AggregateSeries, aggregate_runs, evaluate, fan_out, read_aggregate_csv,
                      run_training, save_checkpoints, write_csv, write_run_csv)
 from .svgplot import render_svg
 
@@ -72,82 +71,18 @@ def _train_run(cfg: ExperimentConfig, k: int) -> list:
     return stats
 
 
-def _train_share(run, runs, conn) -> None:
-    """A worker's share: train ``runs`` in order and send each result, or
-    the error of the first failing run and stop."""
-    for k in runs:
-        try:
-            conn.send(run(k))
-        except Exception as exc:
-            conn.send(exc)
-            return
-
-
-def _train_parallel(run, n_runs: int, workers: int) -> list:
-    """``[run(k) for k in range(n_runs)]`` over ``workers`` processes.
-
-    This process trains runs 0, W, 2W, ... itself and ``workers - 1``
-    forked ones train the rest. Results are taken in run order, so the
-    error raised is the one of the earliest failing run, as in the serial
-    loop. No worker outlives the call.
-    """
-    import multiprocessing
-
-    # Forked, not spawned: a worker starts as a copy of this process, so it
-    # does not import numpy and mecrl again, a large share of a short tree.
-    # The CLI starts no threads, and OpenBLAS stops its own around a fork.
-    ctx = multiprocessing.get_context("fork")
-    shares = []
-    for j in range(1, workers):
-        conn, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_train_share, args=(run, range(j, n_runs, workers), send))
-        proc.start()
-        send.close()
-        shares.append((proc, conn))
-    results = []
-    try:
-        for k in range(n_runs):
-            if k % workers == 0:
-                results.append(run(k))
-                continue
-            proc, conn = shares[k % workers - 1]
-            try:
-                result = conn.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(f"the process training run {k} exited "
-                                        f"with code {proc.exitcode}") from None
-            if isinstance(result, Exception):
-                raise result
-            results.append(result)
-        for proc, _ in shares:
-            proc.join()
-    finally:
-        for proc, conn in shares:
-            proc.terminate()  # only a worker still training; a joined one is not signalled
-            proc.join()
-            conn.close()
-    return results
-
-
 def _train_tree(cfg: ExperimentConfig, workers: int | None = None) -> AggregateSeries:
     """Run cfg.n_runs seeded runs and write the documented output tree.
 
-    The runs spread over ``min(n_runs, workers)`` processes, by default
-    one per CPU this process may run on. Runs are self-contained and
-    seeded, so the tree is byte-identical however they are spread.
+    The runs spread over processes as :func:`runner.fan_out` spreads
+    items, by default one per CPU this process may run on. Runs are
+    self-contained and seeded, so the tree is byte-identical however they
+    are spread.
     ``resolved_config.json`` is written last: a tree that has it is complete.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = partial(_train_run, cfg)
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    workers = min(workers, cfg.n_runs)
-    if workers <= 1:
-        all_series = [run(k) for k in range(cfg.n_runs)]
-    else:
-        all_series = _train_parallel(run, cfg.n_runs, workers)
+    all_series = fan_out(partial(_train_run, cfg), cfg.n_runs, workers, "training run")
     agg = aggregate_runs(all_series)
     write_csv(agg, all_series, out / "aggregate.csv")
     render_svg([(cfg.algo, agg)], out / "curves.svg")

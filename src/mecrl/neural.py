@@ -202,6 +202,17 @@ def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: boo
     return g, (dx[0] if single else dx)
 
 
+# Every FLUSH_EVERY-th step, adam_step zeroes the moment entries that
+# decaying with a zero gradient would take below the dtype's smallest normal
+# number before the next flush. Moments of dead units would otherwise decay
+# into subnormals, on which every pass over the buffer runs several times
+# slower. A zeroed first moment is below tiny / beta1**64, about 1e-35 in
+# float32, so the parameter change it would have made, at most lr * m / eps,
+# is lost in rounding on any parameter above about 1e-22 in magnitude; a
+# zeroed second moment is far below eps**2.
+FLUSH_EVERY = 64
+
+
 @dataclass
 class AdamState:
     """First/second-moment accumulators and step constants for one network
@@ -238,12 +249,22 @@ def adam_step(state: AdamState, p: MlpParams, g: Gradients) -> None:
     np.multiply(g.flat, g.flat, out=s)
     s *= 1.0 - b2
     state.v += s
+    if state.t % FLUSH_EVERY == 0:
+        _flush_small(state.m, b1)
+        _flush_small(state.v, b2)
     np.multiply(state.v, 1.0 / (1.0 - b2 ** state.t), out=s)
     np.sqrt(s, out=s)
     s += state.eps
     np.divide(state.m, s, out=s)
     s *= state.lr / (1.0 - b1 ** state.t)
     p.flat -= s
+
+
+def _flush_small(moment: np.ndarray, beta: float) -> None:
+    """Zero the entries that ``FLUSH_EVERY`` decays by ``beta`` would take
+    below the smallest normal number of the moment's dtype."""
+    floor = np.finfo(moment.dtype).tiny / beta ** FLUSH_EVERY
+    moment[np.abs(moment) < floor] = 0.0
 
 
 def soft_update(target: MlpParams, online: MlpParams, tau_soft: float) -> None:
@@ -279,6 +300,8 @@ def params_from_doc(doc: dict) -> MlpParams:
         arr = np.asarray(data[name], dtype=np.float64)
         if arr.size != getattr(p, name).size:
             raise ValueError(f"layer {name}: expected {getattr(p, name).size} values, got {arr.size}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"layer {name}: value {arr[~np.isfinite(arr)][0]} is not finite")
         getattr(p, name)[:] = arr.reshape(shapes[name])
     return p
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,71 @@ class AggregateSeries:
 
     mean: list[float]
     std: list[float]
+
+
+def _share(fn, items, conn) -> None:
+    """A worker's share: ``fn`` over ``items`` in order, each result sent
+    back, or the error of the first failing item and stop."""
+    for k in items:
+        try:
+            conn.send(fn(k))
+        except Exception as exc:
+            conn.send(exc)
+            return
+
+
+def fan_out(fn, n: int, workers: int | None, doing: str) -> list:
+    """``[fn(k) for k in range(n)]`` over ``W = min(n, workers)`` processes.
+
+    ``workers`` None means the CPUs this process may run on. This process
+    calls ``fn`` on items 0, W, 2W, ... itself and ``W - 1`` forked ones
+    take the rest, each process its items in increasing order. Results are
+    taken in item order, so the error raised is the one of the earliest
+    failing item, as in the serial loop. No worker outlives the call; one
+    that dies raises ``ChildProcessError``, naming the item as ``doing k``.
+    """
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = min(workers, n)
+    if workers <= 1:
+        return [fn(k) for k in range(n)]
+    import multiprocessing
+
+    # Forked, not spawned: a worker starts as a copy of this process, so it
+    # does not import numpy and mecrl again, a large share of a short call.
+    # mecrl starts no threads, and OpenBLAS stops its own around a fork.
+    ctx = multiprocessing.get_context("fork")
+    shares = []
+    for j in range(1, workers):
+        conn, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_share, args=(fn, range(j, n, workers), send))
+        proc.start()
+        send.close()
+        shares.append((proc, conn))
+    results = []
+    try:
+        for k in range(n):
+            if k % workers == 0:
+                results.append(fn(k))
+                continue
+            proc, conn = shares[k % workers - 1]
+            try:
+                result = conn.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"the process {doing} {k} exited "
+                                        f"with code {proc.exitcode}") from None
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        for proc, _ in shares:
+            proc.join()
+    finally:
+        for proc, conn in shares:
+            proc.terminate()  # only a worker still busy; a joined one is not signalled
+            proc.join()
+            conn.close()
+    return results
 
 
 def run_training(cfg: ExperimentConfig, run_index: int):
@@ -129,12 +195,15 @@ class EvalSummary:
     episode_returns: tuple[float, ...]
 
 
-def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSummary:
+def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
+             workers: int | None = None) -> EvalSummary:
     """Roll the saved deterministic policies with zero exploration noise.
 
     Reported returns are the true (unperturbed) rewards even when the
     configured reward noise is nonzero. Streams derive from
     ``(base_seed, run_index = n_runs)``, the first index unused by training.
+    The episodes spread over processes as :func:`fan_out` spreads items;
+    the summary is the same for any ``workers``.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -146,7 +215,10 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
         path = ckpt / f"{cfg.algo}_{m}_actor.json"
         if not path.exists():
             raise FileNotFoundError(f"missing checkpoint {path}")
-        p = neural.load_params(path)
+        try:
+            p = neural.load_params(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if p.in_dim != obs_dim or p.out_dim != 2:
             raise ConfigError(
                 f"{path}: checkpoint shape ({p.in_dim} -> {p.out_dim}) does not match "
@@ -157,10 +229,16 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
     p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
 
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
-    episode_returns = []
-    per_user = np.zeros(n)
-    for _ in range(n_episodes):
-        env.reset()
+    drawn = 0  # episodes whose draws this process has taken
+
+    def episode_sums(e: int) -> np.ndarray:
+        # A reset draws the episode's whole trace and nothing depends on the
+        # actions, so replaying the resets of the episodes this process
+        # skips leaves its env where the serial loop has it at episode e.
+        nonlocal drawn
+        for _ in range(drawn, e + 1):
+            env.reset()
+        drawn = e + 1
         obs = env.obs_vectors()
         sums = np.zeros(n)
         for _ in range(cfg.env.episode_len):
@@ -168,6 +246,11 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
             result = env.step([Action(p_off, p_loc) for p_off, p_loc in acts.tolist()])
             sums += result.true_rewards
             obs = env.obs_vectors()
+        return sums
+
+    episode_returns = []
+    per_user = np.zeros(n)
+    for sums in fan_out(episode_sums, n_episodes, workers, "evaluating episode"):
         episode_returns.append(math.fsum(sums) / n)
         per_user += sums
     mu = math.fsum(episode_returns) / n_episodes

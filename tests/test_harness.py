@@ -19,7 +19,7 @@ from mecrl.agents import EpisodeStats, TrainingDiverged
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
-from mecrl.env import ConfigError
+from mecrl.env import ConfigError, MecEnv
 from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
                           read_aggregate_csv, run_training, save_checkpoints,
                           write_csv, write_run_csv)
@@ -554,6 +554,88 @@ class TestCli:
         assert err == "mecrl: i/o error: the process training run 1 exited with code -9\n", err
         assert not (tmp_path / "out" / "resolved_config.json").exists()
         assert multiprocessing.active_children() == []
+
+    def _trained(self, tmp_path, algo="ddpg"):
+        cfg_path = self._write_cfg(tmp_path, algo=algo, env={
+            "n_users": 2, "episode_len": 6, "noise_level": 0.5})
+        _train_tree(load_config(cfg_path), workers=1)
+        return cfg_path, tmp_path / "out" / "checkpoints"
+
+    @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
+    def test_serial_and_parallel_eval_identical(self, tmp_path, capsys, monkeypatch, algo):
+        # At 3 workers this process rolls episodes 0 and 3 of 5 and must
+        # replay the resets of episodes 1 and 2 in between.
+        cfg_path, ckpt = self._trained(tmp_path, algo)
+        cfg = load_config(cfg_path)
+        for episodes in (5, 7):
+            serial = evaluate(cfg, ckpt, episodes, workers=1)
+            printed = []
+            for cpus in (1, 2, 3):
+                assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
+                             "--episodes", str(episodes)]) == 0
+                printed.append(capsys.readouterr().out)
+                assert multiprocessing.active_children() == []
+            assert printed[0].startswith(f"evaluated {episodes} episodes: "
+                                         f"mean true return {serial.mean_true_return:.4f}")
+            assert printed == [printed[0]] * 3
+
+    @pytest.mark.parametrize("failing", [(1,), (1, 2)])
+    def test_parallel_eval_reports_the_earliest_failing_episode(self, tmp_path, capsys,
+                                                                monkeypatch, failing):
+        cfg_path, ckpt = self._trained(tmp_path)
+        real_reset, real_step = MecEnv.reset, MecEnv.step
+
+        def reset(env):
+            env.resets = getattr(env, "resets", 0) + 1
+            return real_reset(env)
+
+        def step(env, actions):
+            episode = env.resets - 1  # steps run only in the episodes rolled
+            if episode in failing:
+                if episode == 1:
+                    time.sleep(0.2)  # episode 2 fails first
+                raise ValueError(f"episode {episode}: step failed")
+            return real_step(env, actions)
+
+        # The forked workers inherit the patches.
+        monkeypatch.setattr(MecEnv, "reset", reset)
+        monkeypatch.setattr(MecEnv, "step", step)
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
+                         "--episodes", "5"]) == 1
+            assert capsys.readouterr() == ("", "mecrl: error: episode 1: step failed\n")
+            assert multiprocessing.active_children() == []
+
+    def test_killed_eval_worker_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
+        cfg_path, ckpt = self._trained(tmp_path)
+        real, caller = MecEnv.step, os.getpid()
+
+        def step(env, actions):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(env, actions)
+
+        monkeypatch.setattr(MecEnv, "step", step)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
+                     "--episodes", "4"]) == 2
+        assert capsys.readouterr() == (
+            "", "mecrl: i/o error: the process evaluating episode 1 exited with code -9\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_nonfinite_checkpoint_exits_one_naming_the_file(self, tmp_path, capsys, value):
+        cfg_path, ckpt = self._trained(tmp_path)
+        path = ckpt / "ddpg_1_actor.json"
+        doc = json.loads(path.read_text())
+        doc["b1"]["data"][0] = "@value@"
+        path.write_text(json.dumps(doc).replace('"@value@"', value))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"mecrl: error: {path}: layer b1: value {float(value)} is not finite\n", err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)

@@ -239,6 +239,39 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState(), init_mlp(3, 2, rng), Gradients(4, 2))
 
+    @pytest.mark.parametrize("beta2,scale", [(0.999, 1.0), (0.99, 3e-17)])
+    def test_moments_never_subnormal_and_steps_unchanged(self, rng, beta2, scale):
+        # Ten steps along a gradient, then 2,000 without one: the moments of
+        # a dead unit decay. With beta2 = 0.99 and gradients near 3e-17 the
+        # second moments decay below float32's normal range as well.
+        stack = neural.stack_params([init_mlp(5, 2, rng, hidden=8) for _ in range(3)],
+                                    np.float32)
+        g = Gradients(5, 2, 8, agents=3, dtype=np.float32)
+        g.flat[:] = scale * rng.choice([-1.0, 1.0], g.flat.shape) * rng.uniform(1, 2, g.flat.shape)
+        state = AdamState(beta2=beta2)
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        # The step without the flush, in adam_step's order of operations.
+        p, m, v = stack.flat.copy(), np.zeros_like(stack.flat), np.zeros_like(stack.flat)
+        tiny = np.finfo(np.float32).tiny
+
+        def subnormal(x):
+            return bool(np.any((x != 0) & (np.abs(x) < tiny)))
+
+        ref_subnormal = {"m": False, "v": False}
+        for t in range(1, 2011):
+            if t == 11:
+                g.flat[:] = 0.0
+            adam_step(state, stack, g)
+            m = m * b1 + g.flat * (1.0 - b1)
+            v = v * b2 + g.flat * g.flat * (1.0 - b2)
+            p -= m / (np.sqrt(v * (1.0 / (1.0 - b2 ** t))) + eps) * (lr / (1.0 - b1 ** t))
+            assert not subnormal(state.m) and not subnormal(state.v), t
+            ref_subnormal["m"] |= subnormal(m)
+            ref_subnormal["v"] |= subnormal(v)
+        assert ref_subnormal == {"m": True, "v": beta2 == 0.99}
+        assert p.dtype == stack.flat.dtype == np.float32
+        assert np.array_equal(stack.flat, p)
+
 
 class TestSoftUpdate:
     def test_tau_one_copies(self, rng):
@@ -305,6 +338,13 @@ class TestSerialization:
         assert q.flat.dtype == np.float64
         assert np.array_equal(q.flat, p.flat)
         assert np.array_equal(q.flat.astype(np.float32), p.flat)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_value_rejected_naming_the_layer(self, rng, value):
+        doc = neural.params_to_doc(init_mlp(3, 1, rng, hidden=4))
+        doc["w2"]["data"][2] = value
+        with pytest.raises(ValueError, match=r"^layer w2: value -?(nan|inf) is not finite$"):
+            neural.params_from_doc(doc)
 
     def test_inconsistent_shapes_rejected(self, rng, tmp_path):
         p = init_mlp(3, 1, rng, hidden=4)
