@@ -156,16 +156,18 @@ def act(actor: MlpParams, p_max: np.ndarray, obs: np.ndarray, sigma: float,
     """Deterministic policy outputs of all users plus clipped Gaussian
     exploration noise.
 
-    ``actor`` is the stacked actor, ``p_max`` and the result are (M, 2),
-    ``obs`` is (M, obs_dim). The actor runs in its own dtype; squashing,
-    noise and clipping run in ``p_max``'s, so float64 bounds give actions
-    that lie within them exactly. The (M, 2) noise draw consumes the
-    stream in user order and gives the same values as one
+    ``actor`` is the stacked actor and ``p_max`` is (M, 2). ``obs`` is
+    (M, obs_dim), or (E, M, obs_dim) for E episodes at once; the result is
+    (M, 2) or (E, M, 2), each row the same as a call on its episode alone
+    gives. The actor runs in its own dtype; squashing, noise and clipping
+    run in ``p_max``'s, so float64 bounds give actions that lie within them
+    exactly. The noise draw takes the result's shape; for (M, 2) it
+    consumes the stream in user order and gives the same values as one
     ``rng.normal(0, sigma * p_max[m])`` call per user would.
     """
     a = _squash(eval_vec(actor, obs), 0.5 * p_max)
     if sigma > 0.0:
-        a += (sigma * p_max) * rng.standard_normal(p_max.shape)
+        a += (sigma * p_max) * rng.standard_normal(a.shape)
     # np.clip's per-call overhead is about twice that of these two ufuncs.
     np.maximum(a, 0.0, out=a)
     return np.minimum(a, p_max, out=a)

@@ -128,7 +128,7 @@ class EnvConfig:
         if self.episode_len < 1:
             raise ConfigError(f"episode_len must be >= 1, got {self.episode_len}")
         tasks = sum(self.arrival_rate)
-        slot_bytes = RESET_SLOT_BYTES * self.n_users * (n_antennas + 1) + RESET_TASK_BYTES * tasks
+        slot_bytes = self.reset_slot_bytes()
         # Compared as a slot count, so a huge episode_len cannot overflow.
         max_len = RESET_BUDGET_BYTES / slot_bytes
         if not self.episode_len <= max_len:
@@ -143,6 +143,14 @@ class EnvConfig:
     @property
     def obs_dim(self) -> int:
         return self.constants.n_antennas + 2
+
+    def reset_slot_bytes(self) -> float:
+        """Estimated memory of one slot of a reset's draws: the channel
+        trace and its zero-forcing temporaries per user and (antenna + 1),
+        the arrivals per expected task. ``RESET_BUDGET_BYTES`` bounds an
+        episode at this estimate."""
+        return (RESET_SLOT_BYTES * self.n_users * (self.constants.n_antennas + 1)
+                + RESET_TASK_BYTES * sum(self.arrival_rate))
 
     def gains(self) -> np.ndarray:
         return np.array([self.path_loss.gain(d) for d in self.distances_m])
@@ -173,12 +181,40 @@ class Action:
     p_local_w: float
 
 
-@dataclass
+def _observations(queues: list[TaskQueue], sinrs: list[float],
+                  power: np.ndarray) -> list[Observation]:
+    return [Observation(q.backlog_bits, s, power[m])
+            for m, (q, s) in enumerate(zip(queues, sinrs))]
+
+
 class StepResult:
-    observations: list[Observation]
-    true_rewards: list[float]
-    perceived_rewards: list[float]
-    info: list[dict]
+    """One slot's per-user true and perceived rewards and info, and the
+    observations after it.
+
+    ``observations`` is built on first read from the step's snapshot: its
+    queue list and SINR list, which no later step changes, and the
+    episode's per-antenna powers with the next slot's index. The training
+    and evaluation loops read the observation vectors instead and never
+    build it. Once built, the snapshot is dropped.
+    """
+
+    __slots__ = ("true_rewards", "perceived_rewards", "info", "_snapshot", "_observations")
+
+    def __init__(self, snapshot: tuple, true_rewards: list[float],
+                 perceived_rewards: list[float], info: list[dict]):
+        self._snapshot = snapshot
+        self._observations = None
+        self.true_rewards = true_rewards
+        self.perceived_rewards = perceived_rewards
+        self.info = info
+
+    @property
+    def observations(self) -> list[Observation]:
+        if self._observations is None:
+            queues, sinrs, power, slot = self._snapshot
+            self._observations = _observations(queues, sinrs, power[slot])
+            self._snapshot = None
+        return self._observations
 
 
 def draw_arrivals(cfg: EnvConfig, rng: np.random.Generator, n_slots: int) -> np.ndarray:
@@ -294,7 +330,7 @@ class MecEnv:
         self.queues = [TaskQueue() for _ in range(cfg.n_users)]
         self.prev_sinr = [0.0] * cfg.n_users
         self.slot = 0
-        return self._observations()
+        return _observations(self.queues, self.prev_sinr, self._power[0])
 
     def _channel_trace(self, n_slots: int):
         """Channel (n_slots + 1, N, M) and zero-forcing norms (n_slots + 1, M).
@@ -329,11 +365,6 @@ class MecEnv:
             rng.bit_generator.state = start
             innov = phy.innovations(init, rng, n_slots + len(skipped))
             h = phy.ar_trace(init, np.delete(innov, skipped, axis=0))
-
-    def _observations(self) -> list[Observation]:
-        power = self._power[self.slot]
-        return [Observation(q.backlog_bits, s, power[m])
-                for m, (q, s) in enumerate(zip(self.queues, self.prev_sinr))]
 
     def obs_vectors(self) -> np.ndarray:
         """Normalized observation vectors for the current state, one row per
@@ -374,7 +405,8 @@ class MecEnv:
         # 1 MiB more peak RSS in the 8x8 benchmark workloads).
         zf, arrivals = self._zf[t].tolist(), self._arrivals[t].tolist()
         noise = None if self._noise is None else self._noise[t].tolist()
-        sinrs, true_rewards, perceived, info = [], [], [], []
+        # A fresh queue list every step: a StepResult's snapshot keeps it.
+        queues, sinrs, true_rewards, perceived, info = [], [], [], [], []
         for m, a in enumerate(actions):
             gamma = phy.sinr(a.p_offload_w, zf[m], c.noise_power_w)
             before = self.queues[m]
@@ -390,7 +422,7 @@ class MecEnv:
             arrived = arrivals[m]
             after = enqueue_arrivals(served, arrived, cfg.buffer_cap_bits)
             r_true = reward(cfg, m, a, after.backlog_bits)
-            self.queues[m] = after
+            queues.append(after)
             sinrs.append(gamma)
             true_rewards.append(r_true)
             perceived.append(r_true if noise is None else r_true + noise[m])
@@ -402,6 +434,7 @@ class MecEnv:
                 "bits_dropped": after.dropped_bits - before.dropped_bits,
             })
 
+        self.queues = queues
         self.prev_sinr = sinrs
-        self.slot += 1
-        return StepResult(self._observations(), true_rewards, perceived, info)
+        self.slot = t + 1
+        return StepResult((queues, sinrs, self._power, t + 1), true_rewards, perceived, info)

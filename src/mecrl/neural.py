@@ -15,6 +15,7 @@ all agents of one role at once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +152,11 @@ def forward(p: MlpParams, x, ones_column: bool = False):
 def eval_vec(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Cache-free evaluation of one input vector per network (hot path for
     acting): ``x`` is (in_dim,) for a single network, (agents, in_dim) for a
-    stacked one. The small input is cast to the parameters' dtype, so the
-    weights are never converted."""
+    stacked one, either with any leading axes before them (say, one per
+    episode). Every vector is its own (1 x in_dim) @ (in_dim x hidden)
+    product, so a row's result does not depend on the rows beside it. The
+    small input is cast to the parameters' dtype, so the weights are never
+    converted."""
     x = x.astype(p.flat.dtype, copy=False)
     h1 = np.matmul(x[..., None, :], p.w1t)[..., 0, :]
     h1 += p.b1
@@ -284,22 +288,40 @@ def params_to_doc(p: MlpParams) -> dict:
 
 
 def params_from_doc(doc: dict) -> MlpParams:
-    """Rebuild parameters from :func:`params_to_doc` output."""
+    """Rebuild parameters from :func:`params_to_doc` output.
+
+    Every shape must be a list of positive integers and every layer's data
+    as long as its shape's product; both are checked before anything is
+    allocated, so a document's claims cannot allocate more than it holds.
+    """
     try:
-        shapes = {name: tuple(doc[name]["shape"]) for name in _LAYER_NAMES}
-        data = {name: doc[name]["data"] for name in _LAYER_NAMES}
+        layers = {name: (doc[name]["shape"], doc[name]["data"]) for name in _LAYER_NAMES}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter document: {exc}") from exc
-    hidden, in_dim = shapes["w1"]
-    out_dim = shapes["b2"][0]
+    shapes = {}
+    for name, (shape, data) in layers.items():
+        if not (isinstance(shape, list) and shape
+                and all(type(d) is int and d > 0 for d in shape)):
+            raise ValueError(f"layer {name}: shape {shape!r} is not a list of positive integers")
+        size = math.prod(shape)
+        if not isinstance(data, list) or len(data) != size:
+            got = f"{len(data)} values" if isinstance(data, list) else type(data).__name__
+            raise ValueError(f"layer {name}: shape {shape} takes {size} values, got {got}")
+        shapes[name] = tuple(shape)
+    if len(shapes["w1"]) != 2 or len(shapes["b2"]) != 1:
+        raise ValueError(f"inconsistent layer shapes: {shapes}")
+    (hidden, in_dim), (out_dim,) = shapes["w1"], shapes["b2"]
     expect = {"w1": (hidden, in_dim), "b1": (hidden,), "w2": (out_dim, hidden), "b2": (out_dim,)}
     if shapes != expect:
         raise ValueError(f"inconsistent layer shapes: {shapes}")
     p = MlpParams(in_dim, out_dim, hidden)
-    for name in _LAYER_NAMES:
-        arr = np.asarray(data[name], dtype=np.float64)
-        if arr.size != getattr(p, name).size:
-            raise ValueError(f"layer {name}: expected {getattr(p, name).size} values, got {arr.size}")
+    for name, (_, data) in layers.items():
+        try:
+            arr = np.asarray(data, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"layer {name}: {exc}") from None
+        if arr.shape != (len(data),):
+            raise ValueError(f"layer {name}: data is not a flat list of numbers")
         if not np.isfinite(arr).all():
             raise ValueError(f"layer {name}: value {arr[~np.isfinite(arr)][0]} is not finite")
         getattr(p, name)[:] = arr.reshape(shapes[name])

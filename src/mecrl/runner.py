@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 from . import neural, seeds
 from .agents import EpisodeStats, Trainer, act, train_episode
 from .config import ExperimentConfig
-from .env import Action, MecEnv
+from .env import RESET_BUDGET_BYTES, Action, MecEnv
 from .errors import ConfigError
 
 
@@ -35,6 +36,13 @@ def _share(fn, items, conn) -> None:
             return
 
 
+def _processes(n: int, workers: int | None) -> int:
+    """How many processes :func:`fan_out` spreads ``n`` items over."""
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    return min(workers, n)
+
+
 def fan_out(fn, n: int, workers: int | None, doing: str) -> list:
     """``[fn(k) for k in range(n)]`` over ``W = min(n, workers)`` processes.
 
@@ -45,9 +53,7 @@ def fan_out(fn, n: int, workers: int | None, doing: str) -> list:
     failing item, as in the serial loop. No worker outlives the call; one
     that dies raises ``ChildProcessError``, naming the item as ``doing k``.
     """
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    workers = min(workers, n)
+    workers = _processes(n, workers)
     if workers <= 1:
         return [fn(k) for k in range(n)]
     import multiprocessing
@@ -166,10 +172,15 @@ def read_aggregate_csv(path) -> AggregateSeries:
     if header[:3] != ["episode", "mean_return", "std_return"]:
         raise ValueError(f"{path}: not an aggregate CSV (header {lines[0]!r})")
     means, stds = [], []
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        means.append(float(parts[1]))
-        stds.append(float(parts[2]))
+        if len(parts) < 3:
+            raise ValueError(f"{path}: line {n}: expected at least 3 cells, got {len(parts)}")
+        try:
+            means.append(float(parts[1]))
+            stds.append(float(parts[2]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
     return AggregateSeries(means, stds)
 
 
@@ -202,8 +213,12 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
     Reported returns are the true (unperturbed) rewards even when the
     configured reward noise is nonzero. Streams derive from
     ``(base_seed, run_index = n_runs)``, the first index unused by training.
-    The episodes spread over processes as :func:`fan_out` spreads items;
-    the summary is the same for any ``workers``.
+    The episodes form ``W`` shares, share ``j`` episodes j, j + W, ...,
+    spread over processes by :func:`fan_out`. A process steps its share's
+    episodes in lockstep, one policy evaluation per slot for all of them,
+    as many at once as fit in one reset's memory budget. The summary is
+    the same for any ``workers``; a failure raises the error of the
+    earliest failing episode, as the serial loop would.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -229,28 +244,72 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
     p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
 
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
-    drawn = 0  # episodes whose draws this process has taken
+    n_shares = _processes(n_episodes, workers)
+    # Episodes a process holds at once, each with its own trace.
+    group = max(1, int(RESET_BUDGET_BYTES
+                       // (cfg.env.reset_slot_bytes() * cfg.env.episode_len)))
 
-    def episode_sums(e: int) -> np.ndarray:
-        # A reset draws the episode's whole trace and nothing depends on the
-        # actions, so replaying the resets of the episodes this process
-        # skips leaves its env where the serial loop has it at episode e.
-        nonlocal drawn
-        for _ in range(drawn, e + 1):
-            env.reset()
-        drawn = e + 1
-        obs = env.obs_vectors()
-        sums = np.zeros(n)
+    def roll(episodes: list) -> tuple[np.ndarray, tuple | None]:
+        """Step ``[(e, env), ...]`` to the end of their episodes in lockstep.
+
+        Returns their per-user sums and ``(e, error)`` of the earliest
+        failing one, or None. A failure ends that episode and every later
+        one: only the earliest failing episode's error is raised.
+        """
+        envs = [ep_env for _, ep_env in episodes]
+        obs = np.stack([ep_env.obs_vectors() for ep_env in envs])
+        sums = np.zeros((len(envs), n))
+        failed = None
         for _ in range(cfg.env.episode_len):
-            acts = act(actor, p_max, obs, 0.0, None)
-            result = env.step([Action(p_off, p_loc) for p_off, p_loc in acts.tolist()])
-            sums += result.true_rewards
-            obs = env.obs_vectors()
-        return sums
+            acts = act(actor, p_max, obs, 0.0, None).tolist()
+            for i, ep_env in enumerate(envs):
+                try:
+                    result = ep_env.step([Action(p_off, p_loc) for p_off, p_loc in acts[i]])
+                    sums[i] += result.true_rewards
+                    obs[i] = ep_env.obs_vectors()
+                except Exception as exc:
+                    failed = (episodes[i][0], exc)
+                    envs, obs, sums = envs[:i], obs[:i], sums[:i]
+                    break
+        return sums, failed
 
+    def share(j: int) -> tuple[np.ndarray | None, tuple | None]:
+        """Per-user sums of share ``j``'s episodes in order, or None and
+        ``(e, error)`` of its earliest failing episode."""
+        own = range(j, n_episodes, n_shares)
+        done = []
+        drawn = 0  # episodes whose draws this process has taken
+        for first in range(0, len(own), group):
+            episodes, failed = [], None
+            for e in own[first:first + group]:
+                # A reset draws the episode's whole trace and nothing depends
+                # on the actions, so replaying the resets of the episodes this
+                # process skips leaves its env where the serial loop has it.
+                # A reset assigns a fresh trace, queue list and SINR list, so
+                # a shallow copy holds that episode alone.
+                try:
+                    while drawn <= e:
+                        env.reset()
+                        drawn += 1
+                except Exception as exc:
+                    failed = (drawn, exc)
+                    break
+                episodes.append((e, copy.copy(env)))
+            sums, roll_failed = roll(episodes) if episodes else (None, None)
+            # The episodes rolled all come before one whose reset failed.
+            if roll_failed or failed:
+                return None, roll_failed or failed
+            done.append(sums)
+        return np.concatenate(done), None
+
+    shares = fan_out(share, n_shares, n_shares, "evaluating episode")
+    failures = [failed for _, failed in shares if failed]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     episode_returns = []
     per_user = np.zeros(n)
-    for sums in fan_out(episode_sums, n_episodes, workers, "evaluating episode"):
+    for e in range(n_episodes):
+        sums = shares[e % n_shares][0][e // n_shares]
         episode_returns.append(math.fsum(sums) / n)
         per_user += sums
     mu = math.fsum(episode_returns) / n_episodes

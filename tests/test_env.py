@@ -346,6 +346,26 @@ class TestStep:
         res = env.step([Action(1.0, 0.0), Action(0.5, 0.0)])
         assert [o.prev_sinr for o in res.observations] == [i["sinr"] for i in res.info]
 
+    def test_observations_read_after_later_steps_are_their_slots(self):
+        # Each result is read only after the episode's last step, and a
+        # reset into the next episode, have changed the env's state.
+        env, cfg = make_env(seed=6, episode_len=5, noise_level=1.0)
+        env.reset()
+        results, expected = [], []
+        for t in range(cfg.episode_len):
+            results.append(env.step([Action(0.3 * t, 0.1 * t)] * cfg.n_users))
+            h = env.channel.h
+            expected.append(([q.backlog_bits for q in env.queues], list(env.prev_sinr),
+                             (h.real * h.real + h.imag * h.imag).T.copy()))
+        env.reset()
+        for res, (backlogs, sinrs, power) in zip(results, expected):
+            for _ in range(2):  # built on the first read, the same list after it
+                assert [o.backlog_bits for o in res.observations] == backlogs
+                assert [o.prev_sinr for o in res.observations] == sinrs
+                for m, o in enumerate(res.observations):
+                    assert np.array_equal(o.chan_power, power[m])
+        assert any(b != expected[0][0] for b, _, _ in expected)
+
 
 class TestEpisodeTrace:
     def test_trace_does_not_depend_on_actions(self):

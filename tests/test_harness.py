@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -14,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import cli, seeds
-from mecrl.agents import EpisodeStats, TrainingDiverged
+from mecrl import cli, neural, runner, seeds
+from mecrl.agents import EpisodeStats, TrainingDiverged, act
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
-from mecrl.env import ConfigError, MecEnv
+from mecrl.env import Action, ConfigError, MecEnv
 from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
                           read_aggregate_csv, run_training, save_checkpoints,
                           write_csv, write_run_csv)
@@ -328,6 +329,63 @@ class TestEvaluate:
             expected.append(float(np.mean(total)))
         assert summary.episode_returns == pytest.approx(expected, abs=1e-6)
 
+    @staticmethod
+    def _reference(cfg, ckpt, n_episodes):
+        """The serial rollout, one episode and one act call on (M, d) at a
+        time, folded as evaluate folds it."""
+        n = cfg.env.n_users
+        actor = neural.stack_params([neural.load_params(ckpt / f"{cfg.algo}_{m}_actor.json")
+                                     for m in range(n)])
+        p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
+        env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
+        returns, per_user = [], np.zeros(n)
+        for _ in range(n_episodes):
+            env.reset()
+            sums = np.zeros(n)
+            for _ in range(cfg.env.episode_len):
+                acts = act(actor, p_max, env.obs_vectors(), 0.0, None)
+                sums += env.step([Action(*a) for a in acts.tolist()]).true_rewards
+            returns.append(math.fsum(sums) / n)
+            per_user += sums
+        mu = math.fsum(returns) / n_episodes
+        std = math.sqrt(math.fsum((v - mu) ** 2 for v in returns) / n_episodes)
+        return runner.EvalSummary(n_episodes, mu, std, tuple(per_user / n_episodes),
+                                  tuple(returns))
+
+    @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
+    @pytest.mark.parametrize("users,antennas", [(2, 4), (8, 8)])
+    def test_lockstep_equals_per_episode_rollout(self, tmp_path, algo, users, antennas):
+        cfg, ckpt = self._train_and_save(tmp_path, algo=algo, episodes=2, env={
+            "n_users": users, "n_antennas": antennas, "episode_len": 8, "noise_level": 0.5})
+        for episodes in (1, 5):
+            ref = self._reference(cfg, ckpt, episodes)
+            for workers in (1, 2, 3):
+                assert evaluate(cfg, ckpt, episodes, workers=workers) == ref
+
+    def test_groups_within_the_budget_give_the_same_summary(self, tmp_path, monkeypatch):
+        cfg, ckpt = self._train_and_save(tmp_path, env={"n_users": 2, "episode_len": 8,
+                                                        "noise_level": 0.5})
+        whole = evaluate(cfg, ckpt, 5, workers=1)
+        episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
+        rolled, real_act = [], runner.act
+
+        def counting_act(actor, p_max, obs, sigma, rng):
+            rolled.append(obs.shape[0])
+            return real_act(actor, p_max, obs, sigma, rng)
+
+        monkeypatch.setattr(runner, "act", counting_act)
+        # Episodes per act call in this process; at 2 workers its share is
+        # episodes 0, 2 and 4 (the worker's calls are not seen here).
+        for group, workers, sizes in [(None, 1, [5]), (1, 1, [1] * 5), (2, 1, [2, 2, 1]),
+                                      (2, 2, [2, 1])]:
+            if group is not None:
+                # The largest budget that still holds only `group` episodes.
+                monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
+                                    int(episode_bytes * (group + 1)) - 1)
+            rolled.clear()
+            assert evaluate(cfg, ckpt, 5, workers=workers) == whole
+            assert rolled == [k for k in sizes for _ in range(cfg.env.episode_len)]
+
     def test_missing_checkpoint(self, tmp_path):
         cfg = tiny_config()
         with pytest.raises(FileNotFoundError):
@@ -602,7 +660,9 @@ class TestCli:
         # The forked workers inherit the patches.
         monkeypatch.setattr(MecEnv, "reset", reset)
         monkeypatch.setattr(MecEnv, "step", step)
-        for cpus in (1, 3):
+        # At 2 CPUs this process's share (episodes 0, 2, 4) fails at episode
+        # 2 before the worker's episode 1 does.
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
                          "--episodes", "5"]) == 1
@@ -636,6 +696,32 @@ class TestCli:
         assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err == f"mecrl: error: {path}: layer b1: value {float(value)} is not finite\n", err
+
+    @pytest.mark.parametrize("shape,why", [
+        ([64, "x"], "shape [64, 'x'] is not a list of positive integers"),
+        ([64.0, 6], "shape [64.0, 6] is not a list of positive integers"),
+        ([10**6, 10**6], "shape [1000000, 1000000] takes 1000000000000 values, got 384 values"),
+    ])
+    def test_malformed_checkpoint_shape_exits_one_naming_the_layer(self, tmp_path, capsys,
+                                                                   shape, why):
+        cfg_path, ckpt = self._trained(tmp_path)
+        path = ckpt / "ddpg_0_actor.json"
+        doc = json.loads(path.read_text())
+        doc["w1"]["shape"] = shape
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt)]) == 1
+        assert capsys.readouterr() == ("", f"mecrl: error: {path}: layer w1: {why}\n")
+
+    @pytest.mark.parametrize("row,why", [
+        ("1,-2.5", "expected at least 3 cells, got 2"),
+        ("1,-2.5,x", "could not convert string to float: 'x'"),
+    ])
+    def test_bad_aggregate_row_exits_one_naming_the_line(self, tmp_path, capsys, row, why):
+        path = tmp_path / "aggregate.csv"
+        path.write_text(f"episode,mean_return,std_return,run0\n0,-3.0,0.0,-3.0\n{row}\n")
+        assert main(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")]) == 1
+        assert capsys.readouterr() == ("", f"mecrl: error: {path}: line 3: {why}\n")
+        assert not (tmp_path / "p.svg").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
