@@ -436,7 +436,7 @@ def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generato
     updated = False
     for _ in range(env.cfg.episode_len):
         acts = act(trainer.actor, trainer.p_max, obs, sigma, rng_explore)
-        result: StepResult = env.step([Action(p_off, p_loc) for p_off, p_loc in acts.tolist()])
+        result: StepResult = env.step(list(map(Action._make, acts.tolist())))
         next_obs = env.obs_vectors()
         trainer.buffer.push(obs, acts, result.perceived_rewards, next_obs)
         true_sums += result.true_rewards

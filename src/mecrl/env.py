@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,47 +174,56 @@ class Observation:
     chan_power: np.ndarray  # (n_antennas,) per-antenna |h|^2
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """Power split of one user: transmit power and local CPU power."""
 
     p_offload_w: float
     p_local_w: float
 
 
-def _observations(queues: list[TaskQueue], sinrs: list[float],
-                  power: np.ndarray) -> list[Observation]:
-    return [Observation(q.backlog_bits, s, power[m])
-            for m, (q, s) in enumerate(zip(queues, sinrs))]
+def _observations(backlog: list[int], sinrs: list[float], h: np.ndarray) -> list[Observation]:
+    """Observations from the backlogs, the SINRs and the (N, M) channel."""
+    power = np.ascontiguousarray((h.real * h.real + h.imag * h.imag).T)
+    return [Observation(b, s, power[m]) for m, (b, s) in enumerate(zip(backlog, sinrs))]
 
 
 class StepResult:
     """One slot's per-user true and perceived rewards and info, and the
     observations after it.
 
-    ``observations`` is built on first read from the step's snapshot: its
-    queue list and SINR list, which no later step changes, and the
-    episode's per-antenna powers with the next slot's index. The training
-    and evaluation loops read the observation vectors instead and never
-    build it. Once built, the snapshot is dropped.
+    ``info`` and ``observations`` are built together on the first read of
+    either, from the step's snapshot: its per-user backlogs, SINRs and bits
+    served locally, offloaded, arrived and dropped, which no later step
+    changes, and the episode's channel with the next slot's index. The
+    training and evaluation loops read neither. Once built, the snapshot
+    is dropped.
     """
 
-    __slots__ = ("true_rewards", "perceived_rewards", "info", "_snapshot", "_observations")
+    __slots__ = ("true_rewards", "perceived_rewards", "_snapshot", "_info", "_observations")
 
-    def __init__(self, snapshot: tuple, true_rewards: list[float],
-                 perceived_rewards: list[float], info: list[dict]):
+    def __init__(self, snapshot: tuple, true_rewards: list[float], perceived_rewards: list[float]):
         self._snapshot = snapshot
-        self._observations = None
         self.true_rewards = true_rewards
         self.perceived_rewards = perceived_rewards
-        self.info = info
+
+    def _build(self):
+        backlog, sinrs, local, offloaded, arrived, dropped, h, slot = self._snapshot
+        self._info = [{"sinr": g, "bits_local": bl, "bits_offloaded": bo,
+                       "bits_arrived": ba, "bits_dropped": bd}
+                      for g, bl, bo, ba, bd in zip(sinrs, local, offloaded, arrived, dropped)]
+        self._observations = _observations(backlog, sinrs, h[slot])
+        self._snapshot = None
+
+    @property
+    def info(self) -> list[dict]:
+        if self._snapshot is not None:
+            self._build()
+        return self._info
 
     @property
     def observations(self) -> list[Observation]:
-        if self._observations is None:
-            queues, sinrs, power, slot = self._snapshot
-            self._observations = _observations(queues, sinrs, power[slot])
-            self._snapshot = None
+        if self._snapshot is not None:
+            self._build()
         return self._observations
 
 
@@ -227,33 +237,6 @@ def draw_arrivals(cfg: EnvConfig, rng: np.random.Generator, n_slots: int) -> np.
     # Bits of the first k tasks, read at the end of each slot's tasks.
     upto = np.concatenate(([0], np.cumsum(sizes)))[np.cumsum(counts)]
     return np.diff(upto, prepend=0).reshape(counts.shape)
-
-
-def serve_queue(queue: TaskQueue, cap_local_bits: int, cap_offload_bits: int):
-    """Drain up to the two capacities, local path first.
-
-    Returns ``(bits_local, bits_offloaded, queue_after_service)``. The
-    backlog never goes negative; when both paths contend for fewer bits
-    than their combined capacity the local path takes precedence (total
-    served is the same either way).
-    """
-    bits_local = min(cap_local_bits, queue.backlog_bits)
-    bits_offloaded = min(cap_offload_bits, queue.backlog_bits - bits_local)
-    remaining = queue.backlog_bits - bits_local - bits_offloaded
-    return bits_local, bits_offloaded, TaskQueue(remaining, queue.dropped_bits)
-
-
-def enqueue_arrivals(queue: TaskQueue, arrived_bits: int, cap_bits: int) -> TaskQueue:
-    """Add arrivals, dropping whatever exceeds the finite buffer."""
-    total = queue.backlog_bits + arrived_bits
-    backlog = min(total, cap_bits)
-    return TaskQueue(backlog, queue.dropped_bits + (total - backlog))
-
-
-def reward(cfg: EnvConfig, user: int, action: Action, backlog_after_bits: int) -> float:
-    """Negative weighted sum of spent power and post-arrival backlog."""
-    energy = cfg.w_energy[user] * (action.p_offload_w + action.p_local_w)
-    return -energy - cfg.w_queue[user] * backlog_after_bits
 
 
 def accepted_normals(rng: np.random.Generator, n: int, carry: np.ndarray):
@@ -291,13 +274,14 @@ class MecEnv:
         self._gains = cfg.gains()
         self._rho = np.asarray(cfg.rho)
         self._noise_carry = np.empty(0)
-        self.queues: list[TaskQueue] | None = None
+        # Per-user backlog and cumulative overflow in bits, SINR of the last slot.
+        self.backlog: list[int] | None = None
+        self.dropped: list[int] | None = None
         self.prev_sinr: list[float] | None = None
         self.slot: int | None = None
         # The episode's trace, slot-major; see reset().
         self._h: np.ndarray | None = None
         self._zf: np.ndarray | None = None
-        self._power: np.ndarray | None = None
         self._chan_obs: np.ndarray | None = None
         self._arrivals: np.ndarray | None = None
         self._noise: np.ndarray | None = None
@@ -309,28 +293,40 @@ class MecEnv:
             return None
         return phy.ChannelState(h=self._h[self.slot], rho=self._rho, gains=self._gains)
 
+    @property
+    def queues(self) -> list[TaskQueue] | None:
+        """A read-only view of the queues, built on each read."""
+        if self.backlog is None:
+            return None
+        return [TaskQueue(b, d) for b, d in zip(self.backlog, self.dropped)]
+
     def reset(self) -> list[Observation]:
         """Empty queues and zero SINR memory, and the episode's exogenous
         trace: the channel of every slot (a fresh stationary draw, then
-        the fading recursion), its zero-forcing norms, its per-antenna
-        powers, the arrivals and the reward noise."""
+        the fading recursion), its zero-forcing norms, the clipped
+        per-antenna powers the observations read, the arrivals and the
+        reward noise."""
+        # The previous trace goes first, so a reset's peak is one trace's,
+        # and a reset that raises leaves an env that will not step.
+        self.slot = self._h = self._zf = self._chan_obs = self._arrivals = self._noise = None
         cfg = self.cfg
         n_slots = cfg.episode_len
         h, self._zf = self._channel_trace(n_slots)
         self._h = h
-        power = (h.real * h.real + h.imag * h.imag).transpose(0, 2, 1)
-        self._power = np.ascontiguousarray(power)
-        self._chan_obs = np.minimum(self._power / (cfg.obs_chan_clip * self._gains)[:, None], 1.0)
+        power = h.real * h.real
+        power += h.imag * h.imag
+        power /= cfg.obs_chan_clip * self._gains
+        self._chan_obs = np.minimum(power, 1.0, out=power).transpose(0, 2, 1)
         self._arrivals = draw_arrivals(cfg, self._rng_arrivals, n_slots)
-        self._noise = None
         if cfg.noise_level != 0:
             z, self._noise_carry = accepted_normals(self._rng_noise, n_slots * cfg.n_users,
                                                     self._noise_carry)
             self._noise = (cfg.noise_level * z).reshape(n_slots, cfg.n_users)
-        self.queues = [TaskQueue() for _ in range(cfg.n_users)]
+        self.backlog = [0] * cfg.n_users
+        self.dropped = [0] * cfg.n_users
         self.prev_sinr = [0.0] * cfg.n_users
         self.slot = 0
-        return _observations(self.queues, self.prev_sinr, self._power[0])
+        return _observations(self.backlog, self.prev_sinr, h[0])
 
     def _channel_trace(self, n_slots: int):
         """Channel (n_slots + 1, N, M) and zero-forcing norms (n_slots + 1, M).
@@ -373,7 +369,7 @@ class MecEnv:
             raise StateError("reset() must be called before obs_vectors()")
         cfg = self.cfg
         out = np.empty((cfg.n_users, cfg.obs_dim))
-        out[:, 0] = [q.backlog_bits for q in self.queues]
+        out[:, 0] = self.backlog
         out[:, 0] /= cfg.buffer_cap_bits
         np.minimum(self.prev_sinr, cfg.obs_sinr_clip, out=out[:, 1])
         out[:, 1] /= cfg.obs_sinr_clip
@@ -389,52 +385,51 @@ class MecEnv:
             raise StateError(f"episode exhausted after {cfg.episode_len} slots; reset() to continue")
         if len(actions) != cfg.n_users:
             raise ActionError(f"expected {cfg.n_users} actions, got {len(actions)}")
-        for m, a in enumerate(actions):
-            if not 0.0 <= a.p_offload_w <= cfg.p_max_offload_w[m]:
+        for m, (p_off, p_loc) in enumerate(actions):
+            if not 0.0 <= p_off <= cfg.p_max_offload_w[m]:
                 raise ActionError(
-                    f"user {m}: p_offload_w={a.p_offload_w} outside [0, {cfg.p_max_offload_w[m]}]"
-                )
-            if not 0.0 <= a.p_local_w <= cfg.p_max_local_w[m]:
+                    f"user {m}: p_offload_w={p_off} outside [0, {cfg.p_max_offload_w[m]}]")
+            if not 0.0 <= p_loc <= cfg.p_max_local_w[m]:
                 raise ActionError(
-                    f"user {m}: p_local_w={a.p_local_w} outside [0, {cfg.p_max_local_w[m]}]"
-                )
+                    f"user {m}: p_local_w={p_loc} outside [0, {cfg.p_max_local_w[m]}]")
 
         c = cfg.constants
+        noise_w, cap_bits = c.noise_power_w, cfg.buffer_cap_bits
+        sinr, local_capacity, offload_capacity = phy.sinr, phy.local_capacity, phy.offload_capacity
         # One slot's row at a time as Python numbers: lists for the whole
         # episode would keep thousands of small objects alive per env (about
         # 1 MiB more peak RSS in the 8x8 benchmark workloads).
-        zf, arrivals = self._zf[t].tolist(), self._arrivals[t].tolist()
-        noise = None if self._noise is None else self._noise[t].tolist()
-        # A fresh queue list every step: a StepResult's snapshot keeps it.
-        queues, sinrs, true_rewards, perceived, info = [], [], [], [], []
-        for m, a in enumerate(actions):
-            gamma = phy.sinr(a.p_offload_w, zf[m], c.noise_power_w)
-            before = self.queues[m]
-            backlog = before.backlog_bits
+        zf, arrived = self._zf[t].tolist(), self._arrivals[t].tolist()
+        # Fresh lists every step: a StepResult builds its info and
+        # observations from them when they are first read.
+        backlog, dropped, sinrs, local, offloaded, drops, true_rewards = [], [], [], [], [], [], []
+        for (p_off, p_loc), z, before, arr, cum, w_e, w_q in zip(
+                actions, zf, self.backlog, arrived, self.dropped, cfg.w_energy, cfg.w_queue):
+            gamma = sinr(p_off, z, noise_w)
             # Neither path serves more than the backlog, so capping the
             # capacities there first changes nothing served and keeps an
             # infinite capacity (huge power, tiny kappa) out of math.floor.
-            cap_local = phy.local_capacity(c, a.p_local_w)
-            cap_local = backlog if cap_local >= backlog else math.floor(cap_local)
-            cap_off = phy.offload_capacity(c, gamma)
-            cap_off = backlog if cap_off >= backlog else math.floor(cap_off)
-            bits_local, bits_off, served = serve_queue(before, cap_local, cap_off)
-            arrived = arrivals[m]
-            after = enqueue_arrivals(served, arrived, cfg.buffer_cap_bits)
-            r_true = reward(cfg, m, a, after.backlog_bits)
-            queues.append(after)
+            # Local first; what overflows the buffer after arrivals drops.
+            cap = local_capacity(c, p_loc)
+            bits_local = before if cap >= before else math.floor(cap)
+            cap = offload_capacity(c, gamma)
+            rest = before - bits_local
+            bits_off = rest if cap >= rest else math.floor(cap)
+            total = rest - bits_off + arr
+            after = total if total <= cap_bits else cap_bits
+            backlog.append(after)
+            dropped.append(cum + total - after)
             sinrs.append(gamma)
-            true_rewards.append(r_true)
-            perceived.append(r_true if noise is None else r_true + noise[m])
-            info.append({
-                "sinr": gamma,
-                "bits_local": bits_local,
-                "bits_offloaded": bits_off,
-                "bits_arrived": arrived,
-                "bits_dropped": after.dropped_bits - before.dropped_bits,
-            })
+            local.append(bits_local)
+            offloaded.append(bits_off)
+            drops.append(total - after)
+            true_rewards.append(-w_e * (p_off + p_loc) - w_q * after)
+        if self._noise is None:
+            perceived = true_rewards.copy()
+        else:
+            perceived = [r + z for r, z in zip(true_rewards, self._noise[t].tolist())]
 
-        self.queues = queues
-        self.prev_sinr = sinrs
+        self.backlog, self.dropped, self.prev_sinr = backlog, dropped, sinrs
         self.slot = t + 1
-        return StepResult((queues, sinrs, self._power, t + 1), true_rewards, perceived, info)
+        return StepResult((backlog, sinrs, local, offloaded, arrived, drops, self._h, t + 1),
+                          true_rewards, perceived)

@@ -264,7 +264,7 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
             acts = act(actor, p_max, obs, 0.0, None).tolist()
             for i, ep_env in enumerate(envs):
                 try:
-                    result = ep_env.step([Action(p_off, p_loc) for p_off, p_loc in acts[i]])
+                    result = ep_env.step(list(map(Action._make, acts[i])))
                     sums[i] += result.true_rewards
                     obs[i] = ep_env.obs_vectors()
                 except Exception as exc:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from mecrl import cmatrix, phy, seeds
 from mecrl.env import (RESET_BUDGET_BYTES, RESET_SLOT_BYTES, RESET_TASK_BYTES, Action,
                        ActionError, ConfigError, EnvConfig, MecEnv, StateError, TaskQueue,
-                       accepted_normals, draw_arrivals, enqueue_arrivals, reward, serve_queue)
+                       accepted_normals, draw_arrivals)
 
 
 def make_env(seed=0, **overrides):
@@ -105,58 +106,6 @@ class TestArrivals:
         assert np.all(bits[:, 0] == 0)
 
 
-class TestQueueOps:
-    def test_serve_both_paths(self):
-        served_l, served_o, q = serve_queue(TaskQueue(1000, 0), 300, 500)
-        assert (served_l, served_o, q.backlog_bits) == (300, 500, 200)
-
-    def test_serve_clamps_at_zero(self):
-        served_l, served_o, q = serve_queue(TaskQueue(100, 0), 200, 200)
-        assert (served_l, served_o, q.backlog_bits) == (100, 0, 0)
-
-    def test_serve_empty(self):
-        served_l, served_o, q = serve_queue(TaskQueue(0, 0), 200, 200)
-        assert (served_l, served_o, q.backlog_bits) == (0, 0, 0)
-
-    def test_enqueue_plain(self):
-        q = enqueue_arrivals(TaskQueue(200, 0), 200, 10**6)
-        assert (q.backlog_bits, q.dropped_bits) == (400, 0)
-
-    def test_enqueue_overflow(self):
-        q = enqueue_arrivals(TaskQueue(1000, 5), 100, 1000)
-        assert (q.backlog_bits, q.dropped_bits) == (1000, 105)
-
-    def test_enqueue_zero(self):
-        q = enqueue_arrivals(TaskQueue(77, 3), 0, 1000)
-        assert (q.backlog_bits, q.dropped_bits) == (77, 3)
-
-    @given(st.integers(0, 10**5), st.integers(0, 5000), st.integers(0, 5000),
-           st.integers(0, 5000), st.integers(1, 10**5))
-    @settings(max_examples=200, deadline=None)
-    def test_conservation(self, backlog, cap_l, cap_o, arrived, cap):
-        backlog = min(backlog, cap)
-        q0 = TaskQueue(backlog, 0)
-        sl, so, q1 = serve_queue(q0, cap_l, cap_o)
-        q2 = enqueue_arrivals(q1, arrived, cap)
-        dropped = q2.dropped_bits - q0.dropped_bits
-        assert sl + so + q2.backlog_bits + dropped - arrived == backlog
-        assert 0 <= q2.backlog_bits <= cap
-
-
-class TestReward:
-    def test_zero(self):
-        cfg = EnvConfig()
-        assert reward(cfg, 0, Action(0.0, 0.0), 0) == 0.0
-
-    def test_hand_value(self):
-        cfg = EnvConfig(w_energy=1.0, w_queue=1.0)
-        assert reward(cfg, 0, Action(1.0, 0.5), 10) == pytest.approx(-11.5)
-
-    def test_no_queue_weight(self):
-        cfg = EnvConfig(w_queue=0.0)
-        assert reward(cfg, 0, Action(0.25, 0.5), 10**6) == pytest.approx(-0.75)
-
-
 class TestPerturbReward:
     def test_zero_noise_identity(self):
         env, cfg = make_env(seed=6, noise_level=0.0)
@@ -235,6 +184,41 @@ class TestReset:
         with pytest.raises(StateError):
             env.step([Action(0, 0), Action(0, 0)])
 
+    def test_second_reset_peak_within_the_first(self):
+        # A reset releases the previous episode's trace before drawing the
+        # next, so the steady state costs what a first reset costs.
+        env, _ = make_env(n_users=8, constants=phy.PhyConstants(n_antennas=8),
+                          noise_level=1.0, episode_len=2000)
+        tracemalloc.start()
+        try:
+            env.reset()
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            env.reset()
+            second = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second <= 1.1 * first
+
+    def test_failed_reset_leaves_no_episode_to_step(self, monkeypatch):
+        env, cfg = make_env(seed=3)
+        env.reset()
+        env.step([Action(0.5, 0.5)] * cfg.n_users)
+
+        def broken(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(env, "_channel_trace", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            env.reset()
+        assert env.slot is None and env.channel is None
+        for name in ("_h", "_zf", "_chan_obs", "_arrivals", "_noise"):
+            assert getattr(env, name) is None, name
+        with pytest.raises(StateError):
+            env.step([Action(0.5, 0.5)] * cfg.n_users)
+        with pytest.raises(StateError):
+            env.obs_vectors()
+
 
 class TestStep:
     def test_zero_actions(self):
@@ -297,6 +281,51 @@ class TestStep:
         with pytest.raises(ActionError):
             env.step([Action(0.0, -0.1), Action(0.0, 0.0)])
 
+    def test_invalid_action_names_the_user_and_changes_nothing(self):
+        env, cfg = make_env(seed=8, n_users=3, noise_level=1.0)
+        env.reset()
+        env.step([Action(1.0, 1.0)] * cfg.n_users)
+        state = (env.backlog, env.dropped, env.prev_sinr, env.slot)
+        copies = tuple(list(v) for v in state[:3])
+        bad = [Action(1.0, 1.0), Action(1.0, 1.0), Action(1.0, 2.5)]
+        with pytest.raises(ActionError, match="^user 2: p_local_w=2.5 outside"):
+            env.step(bad)
+        bad[1] = Action(float("nan"), 0.0)
+        with pytest.raises(ActionError, match="^user 1: p_offload_w=nan outside"):
+            env.step(bad)
+        assert (env.backlog, env.dropped, env.prev_sinr, env.slot) == state
+        assert tuple(list(v) for v in state[:3]) == copies
+
+    @pytest.mark.parametrize("users,antennas", [(2, 4), (8, 8)])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_step_serves_local_first_and_conserves_bits(self, users, antennas, data):
+        cap = data.draw(st.integers(1, 20_000), label="buffer_cap_bits")
+        env, cfg = make_env(seed=data.draw(st.integers(0, 10**6), label="seed"), n_users=users,
+                            constants=phy.PhyConstants(n_antennas=antennas),
+                            buffer_cap_bits=cap, noise_level=1.0, episode_len=3)
+        env.reset()
+        env.backlog = before = data.draw(st.lists(st.integers(0, cap), min_size=users,
+                                                  max_size=users), label="backlog")
+        unit = st.floats(0.0, 1.0)
+        actions = [Action(data.draw(unit) * cfg.p_max_offload_w[m],
+                          data.draw(unit) * cfg.p_max_local_w[m]) for m in range(users)]
+        res = env.step(actions)
+        c = cfg.constants
+        for m, (info, a) in enumerate(zip(res.info, actions)):
+            after = env.backlog[m]
+            assert res.observations[m].backlog_bits == after
+            assert (before[m] + info["bits_arrived"] == info["bits_local"]
+                    + info["bits_offloaded"] + after + info["bits_dropped"])
+            local = min(math.floor(phy.local_capacity(c, a.p_local_w)), before[m])
+            assert info["bits_local"] == local
+            off = min(math.floor(phy.offload_capacity(c, info["sinr"])), before[m] - local)
+            assert info["bits_offloaded"] == off
+            assert 0 <= after <= cap
+            assert info["bits_dropped"] == env.dropped[m] >= 0
+            true = -cfg.w_energy[m] * (a.p_offload_w + a.p_local_w) - cfg.w_queue[m] * after
+            assert math.isclose(res.true_rewards[m], true, rel_tol=1e-12, abs_tol=1e-300)
+
     def test_more_offload_power_never_hurts(self):
         # From the same state (identical seed and action prefix), one step
         # with higher transmit power never offloads less or queues more.
@@ -355,7 +384,7 @@ class TestStep:
         for t in range(cfg.episode_len):
             results.append(env.step([Action(0.3 * t, 0.1 * t)] * cfg.n_users))
             h = env.channel.h
-            expected.append(([q.backlog_bits for q in env.queues], list(env.prev_sinr),
+            expected.append((list(env.backlog), list(env.prev_sinr),
                              (h.real * h.real + h.imag * h.imag).T.copy()))
         env.reset()
         for res, (backlogs, sinrs, power) in zip(results, expected):
@@ -365,6 +394,33 @@ class TestStep:
                 for m, o in enumerate(res.observations):
                     assert np.array_equal(o.chan_power, power[m])
         assert any(b != expected[0][0] for b, _, _ in expected)
+
+    def test_info_read_after_later_steps_is_its_slot(self):
+        # A twin env, read at once, gives each slot's info.
+        env, cfg = make_env(seed=10, noise_level=1.0, buffer_cap_bits=1500)
+        twin, _ = make_env(seed=10, noise_level=1.0, buffer_cap_bits=1500)
+        env.reset()
+        twin.reset()
+        acts = np.random.default_rng(2).uniform(0.0, 1.0, size=(cfg.episode_len, cfg.n_users, 2))
+        results, expected = [], []
+        for t, row in enumerate(acts.tolist()):
+            actions = [Action(*a) for a in row]
+            results.append(env.step(actions))
+            expected.append(twin.step(actions).info)
+            if t >= 2:
+                assert results[t - 2].info == expected[t - 2], f"slot {t - 2}"
+        assert any(i["bits_dropped"] for res in results for i in res.info)
+
+    def test_queues_view(self):
+        env, cfg = make_env(seed=4, buffer_cap_bits=1000)
+        assert env.queues is None
+        env.reset()
+        for _ in range(5):
+            env.step([Action(0.0, 0.0)] * cfg.n_users)
+        assert env.queues == [TaskQueue(b, d) for b, d in zip(env.backlog, env.dropped)]
+        assert any(q.dropped_bits for q in env.queues)
+        with pytest.raises(AttributeError):
+            env.queues = []
 
 
 class TestEpisodeTrace:
@@ -472,7 +528,7 @@ class TestObsVector:
         # scale each read 1.
         env, cfg = make_env(obs_chan_clip=1e-12)
         env.reset()
-        env.queues = [TaskQueue(cfg.buffer_cap_bits, 0) for _ in range(cfg.n_users)]
+        env.backlog = [cfg.buffer_cap_bits] * cfg.n_users
         env.prev_sinr = [1e9] * cfg.n_users
         v = env.obs_vectors()
         assert np.all(v <= 1.0) and np.all(v >= 0.0)
