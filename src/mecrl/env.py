@@ -27,10 +27,11 @@ from .phy import PathLossModel, PhyConstants
 MAX_ANTENNAS = 256
 
 # Memory budget of one reset, which draws the whole episode (see
-# MecEnv.reset) while the previous episode's draws are still held. Measured
-# under tracemalloc, the channel trace and its zero-forcing temporaries
-# take at most 120 bytes per slot, user and (antenna + 1), the arrivals
-# 24 bytes per task; each training process holds its own.
+# MecEnv.reset). Measured under tracemalloc while the previous episode's
+# draws were still held, the channel trace and its zero-forcing temporaries
+# took at most 120 bytes per slot, user and (antenna + 1), the arrivals 24
+# bytes per task; a reset now releases those draws first, so the estimate
+# is conservative. Each training process holds its own.
 RESET_BUDGET_BYTES = 64 << 20
 RESET_SLOT_BYTES = 128
 RESET_TASK_BYTES = 24
@@ -184,7 +185,7 @@ class Action(NamedTuple):
 def _observations(backlog: list[int], sinrs: list[float], h: np.ndarray) -> list[Observation]:
     """Observations from the backlogs, the SINRs and the (N, M) channel."""
     power = np.ascontiguousarray((h.real * h.real + h.imag * h.imag).T)
-    return [Observation(b, s, power[m]) for m, (b, s) in enumerate(zip(backlog, sinrs))]
+    return [Observation(b, s, p) for b, s, p in zip(backlog, sinrs, power)]
 
 
 class StepResult:

@@ -47,7 +47,7 @@ class TestConfig:
         tracemalloc.start()
         try:
             env.reset()
-            env.reset()  # the steady state: the previous trace is held meanwhile
+            env.reset()  # the steady state
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
