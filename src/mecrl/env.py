@@ -36,6 +36,11 @@ RESET_BUDGET_BYTES = 64 << 20
 RESET_SLOT_BYTES = 128
 RESET_TASK_BYTES = 24
 
+# Largest task size in bits. The budget above admits about 2.8 M expected
+# tasks per episode, so an episode's int64 sums of arrived bits stay below
+# about 1.2e16 and cannot wrap.
+MAX_TASK_BITS = 1 << 32
+
 
 class ActionError(ValueError):
     """An action lies outside its power box."""
@@ -118,8 +123,9 @@ class EnvConfig:
             raise ConfigError("rho entries must lie in [0, 1]")
         if any(not lam >= 0 for lam in self.arrival_rate):
             raise ConfigError("arrival_rate entries must be nonnegative")
-        if not 0 < lo <= hi:
-            raise ConfigError(f"task_size_bits must satisfy 0 < min <= max, got {self.task_size_bits}")
+        if not 0 < lo <= hi <= MAX_TASK_BITS:
+            raise ConfigError(f"task_size_bits must satisfy 0 < min <= max <= {MAX_TASK_BITS}, "
+                              f"got {self.task_size_bits}")
         if self.buffer_cap_bits <= 0:
             raise ConfigError(f"buffer_cap_bits must be positive, got {self.buffer_cap_bits}")
         for name in ("p_max_offload_w", "p_max_local_w", "w_energy", "w_queue"):
@@ -182,12 +188,6 @@ class Action(NamedTuple):
     p_local_w: float
 
 
-def _observations(backlog: list[int], sinrs: list[float], h: np.ndarray) -> list[Observation]:
-    """Observations from the backlogs, the SINRs and the (N, M) channel."""
-    power = np.ascontiguousarray((h.real * h.real + h.imag * h.imag).T)
-    return [Observation(b, s, p) for b, s, p in zip(backlog, sinrs, power)]
-
-
 class StepResult:
     """One slot's per-user true and perceived rewards and info, and the
     observations after it.
@@ -212,7 +212,9 @@ class StepResult:
         self._info = [{"sinr": g, "bits_local": bl, "bits_offloaded": bo,
                        "bits_arrived": ba, "bits_dropped": bd}
                       for g, bl, bo, ba, bd in zip(sinrs, local, offloaded, arrived, dropped)]
-        self._observations = _observations(backlog, sinrs, h[slot])
+        h = h[slot]
+        power = np.ascontiguousarray((h.real * h.real + h.imag * h.imag).T)
+        self._observations = [Observation(b, s, p) for b, s, p in zip(backlog, sinrs, power)]
         self._snapshot = None
 
     @property
@@ -301,12 +303,12 @@ class MecEnv:
             return None
         return [TaskQueue(b, d) for b, d in zip(self.backlog, self.dropped)]
 
-    def reset(self) -> list[Observation]:
+    def reset(self) -> None:
         """Empty queues and zero SINR memory, and the episode's exogenous
         trace: the channel of every slot (a fresh stationary draw, then
         the fading recursion), its zero-forcing norms, the clipped
         per-antenna powers the observations read, the arrivals and the
-        reward noise."""
+        reward noise. ``obs_vectors()`` reads the first observations."""
         # The previous trace goes first, so a reset's peak is one trace's,
         # and a reset that raises leaves an env that will not step.
         self.slot = self._h = self._zf = self._chan_obs = self._arrivals = self._noise = None
@@ -327,7 +329,6 @@ class MecEnv:
         self.dropped = [0] * cfg.n_users
         self.prev_sinr = [0.0] * cfg.n_users
         self.slot = 0
-        return _observations(self.backlog, self.prev_sinr, h[0])
 
     def _channel_trace(self, n_slots: int):
         """Channel (n_slots + 1, N, M) and zero-forcing norms (n_slots + 1, M).

@@ -117,21 +117,17 @@ def evolve_channel(state: ChannelState, rng: np.random.Generator, steps: int) ->
     return ar_trace(state, innovations(state, rng, steps))
 
 
-def zf_norms(h) -> np.ndarray:
-    """Per-user squared norms of the zero-forcing combining rows, for one
-    (N, M) channel or each of a (..., N, M) stack: (..., M).
+def zf_norms(h: np.ndarray) -> np.ndarray:
+    """Per-user squared norms of the zero-forcing combining rows of a
+    (T, N, M) channel trace: (T, M).
 
     The m-th row of the channel pseudo-inverse has squared norm equal to
     the m-th diagonal entry of the inverse Gram matrix, so the
     pseudo-inverse never needs to be formed. Raises SingularMatrixError,
-    naming the first failing channel of a stack, for rank-deficient
-    channels; a non-finite channel makes a non-finite Gram matrix, which
-    ``invert_hpd`` rejects.
+    naming the first failing slot, for a rank-deficient channel (more
+    users than antennas included); a non-finite channel makes a
+    non-finite Gram matrix, which ``invert_hpd`` rejects.
     """
-    if h.shape[-2] < h.shape[-1]:
-        raise cmatrix.DimensionError(
-            f"more users than antennas: channel shape {h.shape}"
-        )
     gram_inv = cmatrix.invert_hpd(h.conj().swapaxes(-1, -2) @ h)
     return np.ascontiguousarray(np.diagonal(gram_inv, axis1=-2, axis2=-1).real)
 

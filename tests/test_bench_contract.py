@@ -104,13 +104,17 @@ def test_one_zf_inverse_per_step(tracing, users, antennas):
     assert calls["phy.evolve_channel"] == calls["phy.zf_norms"] == calls["cmatrix.invert_hpd"] == 1
 
 
-@pytest.mark.parametrize("users,antennas", [(2, 4), (8, 8)])
-def test_env_steps_pass_independent_checks(checks, users, antennas):
+@pytest.mark.parametrize("users,antennas,distance", [
+    (2, 4, 100.0),
+    (8, 8, 100.0),
+    (2, 4, 0.001),  # path gain 1e6: a Gram stack not Hermitian to the bit
+], ids=["2-4", "8-8", "2-4-near"])
+def test_env_steps_pass_independent_checks(checks, users, antennas, distance):
     # SINR against numpy's SVD pseudo-inverse, bit conservation, served
     # bits, rewards and the noise band, recomputed by the benchmark.
     cfg = ExperimentConfig(env=EnvConfig(
         n_users=users, constants=PhyConstants(n_antennas=antennas), episode_len=40,
-        noise_level=0.5))
+        noise_level=0.5, distances_m=distance))
     env = MecEnv(cfg.env, **seeds.env_streams(0, 0))
     rows = checks.record_steps(env)
     rng = np.random.default_rng(0)

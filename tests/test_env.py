@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from mecrl import cmatrix, phy, seeds
 from mecrl.env import (RESET_BUDGET_BYTES, RESET_SLOT_BYTES, RESET_TASK_BYTES, Action,
-                       ActionError, ConfigError, EnvConfig, MecEnv, StateError, TaskQueue,
-                       accepted_normals, draw_arrivals)
+                       ActionError, ConfigError, EnvConfig, MecEnv, Observation, StateError,
+                       TaskQueue, accepted_normals, draw_arrivals)
 
 
 def make_env(seed=0, **overrides):
@@ -162,9 +162,11 @@ class TestPerturbReward:
 class TestReset:
     def test_initial_state(self):
         env, cfg = make_env()
-        obs = env.reset()
-        assert len(obs) == cfg.n_users
-        assert all(o.backlog_bits == 0 and o.prev_sinr == 0.0 for o in obs)
+        assert env.reset() is None
+        assert env.backlog == [0] * cfg.n_users and env.prev_sinr == [0.0] * cfg.n_users
+        v = env.obs_vectors()
+        assert v.shape[0] == cfg.n_users
+        assert np.all(v[:, 0] == 0.0) and np.all(v[:, 1] == 0.0)
 
     def test_observation_dimension(self):
         env, cfg = make_env()
@@ -176,8 +178,10 @@ class TestReset:
     def test_same_seed_same_observations(self):
         env_a, _ = make_env(seed=9)
         env_b, _ = make_env(seed=9)
-        for oa, ob in zip(env_a.reset(), env_b.reset()):
-            assert np.array_equal(oa.chan_power, ob.chan_power)
+        env_a.reset()
+        env_b.reset()
+        assert np.array_equal(env_a.channel.h, env_b.channel.h)
+        assert np.array_equal(env_a.obs_vectors(), env_b.obs_vectors())
 
     def test_step_before_reset(self):
         env, _ = make_env()
@@ -501,7 +505,7 @@ class TestSingularResample:
             assert np.array_equal(env.channel.h, ref[t]), f"slot {t}"
             res = env.step([Action(1.0, 0.5)] * cfg.n_users)
             sinr = [i["sinr"] for i in res.info]
-            zf = phy.zf_norms(ref[t])
+            zf = phy.zf_norms(ref[t][None])[0]
             assert sinr == [1.0 / (cfg.constants.noise_power_w * z) for z in zf]
         assert np.array_equal(env.channel.h, ref[-1])
         assert env.slot == cfg.episode_len
@@ -536,9 +540,13 @@ class TestObsVector:
         assert np.all(v[:, 2:] == 1.0)
 
     def test_rows_match_observations(self):
-        # Each row is the user's Observation, scaled field by field.
+        # Each row is the user's Observation, scaled field by field; after
+        # a reset, backlog and SINR are zero and the powers the channel's.
         env, cfg = make_env(seed=5, noise_level=1.0)
-        obs = env.reset()
+        env.reset()
+        h = env.channel.h
+        power = h.real * h.real + h.imag * h.imag
+        obs = [Observation(0, 0.0, power[:, m]) for m in range(cfg.n_users)]
         gains = cfg.gains()
         for _ in range(4):
             v = env.obs_vectors()

@@ -479,6 +479,7 @@ class TestCli:
         ("trainer", "batch_size", "12.5"),
         (None, "episodes", "1.5"),
         ("env", "task_size_bits", "5"),
+        ("env", "task_size_bits", "[2305843009213693952, 2305843009213693952]"),  # sums wrap int64
         ("env", "w_energy", "Infinity"),
         ("trainer", "lr_critic", "NaN"),
         ("env", "noise_level", "NaN"),

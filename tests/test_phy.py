@@ -95,31 +95,33 @@ class TestChannel:
 
 class TestZfNorms:
     def test_single_user(self):
-        h = np.array([[1.0], [1j]])
-        assert phy.zf_norms(h) == pytest.approx([0.5])
+        h = np.array([[[1.0], [1j]]])
+        assert phy.zf_norms(h) == pytest.approx(np.array([[0.5]]))
 
     def test_identity(self):
-        assert phy.zf_norms(np.eye(2, dtype=complex)) == pytest.approx([1.0, 1.0])
+        assert phy.zf_norms(np.eye(2, dtype=complex)[None]) == pytest.approx(np.ones((1, 2)))
 
     def test_orthogonal_columns(self):
-        h = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-        assert phy.zf_norms(h) == pytest.approx([1.0, 0.25])
+        h = np.array([[[1.0, 0.0], [0.0, 2.0]]], dtype=complex)
+        assert phy.zf_norms(h) == pytest.approx(np.array([[1.0, 0.25]]))
 
     def test_too_many_users(self):
-        with pytest.raises(cmatrix.DimensionError):
-            phy.zf_norms(np.ones((2, 3), dtype=complex))
+        # A wide channel's Gram matrix is singular.
+        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 0") as info:
+            phy.zf_norms(np.ones((1, 2, 3), dtype=complex))
+        assert info.value.index == 0
 
     def test_duplicate_columns_singular(self, rng):
         col = random_channel(rng, 4, 1)
         with pytest.raises(cmatrix.SingularMatrixError):
-            phy.zf_norms(np.hstack([col, col]))
+            phy.zf_norms(np.hstack([col, col])[None])
 
     def test_stack_matches_one_channel_at_a_time(self, rng):
-        stack = np.stack([random_channel(rng, 8, 8) for _ in range(30)]).reshape(5, 6, 8, 8)
+        stack = np.stack([random_channel(rng, 8, 8) for _ in range(30)])
         norms = phy.zf_norms(stack)
-        assert norms.shape == (5, 6, 8)
-        for k in np.ndindex(5, 6):
-            assert np.array_equal(norms[k], phy.zf_norms(stack[k]))
+        assert norms.shape == (30, 8)
+        for t in range(30):
+            assert np.array_equal(norms[t], phy.zf_norms(stack[t:t + 1])[0])
 
     def test_stack_names_the_singular_channel(self, rng):
         stack = np.stack([random_channel(rng, 4, 2) for _ in range(6)])
@@ -132,11 +134,12 @@ class TestZfNorms:
     @settings(max_examples=40, deadline=None)
     def test_matches_pseudo_inverse_rows(self, m, seed):
         # Dual route: the Gram-diagonal shortcut equals the row norms of
-        # the pseudo-inverse formed by numpy's SVD.
-        h = random_channel(np.random.default_rng(seed), 4, m)
+        # the pseudo-inverse formed by numpy's SVD, slot by slot.
+        h = np.stack([random_channel(np.random.default_rng(seed), 4, m, gain)
+                      for gain in (1.0, 1e-9)])
         z = np.linalg.pinv(h)
         norms = phy.zf_norms(h)
-        assert norms == pytest.approx(np.sum(np.abs(z) ** 2, axis=1), rel=1e-9)
+        assert norms == pytest.approx(np.sum(np.abs(z) ** 2, axis=-1), rel=1e-9)
         assert np.all(norms > 0)
 
 
