@@ -430,8 +430,8 @@ def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generato
     n = env.cfg.n_users
     env.reset()
     obs = env.obs_vectors()
-    true_sums = np.zeros(n)
-    perceived_sums = np.zeros(n)
+    true_sums = [0.0] * n
+    perceived_sums = [0.0] * n
     sigma = trainer.sigma
     updated = False
     for _ in range(env.cfg.episode_len):
@@ -439,8 +439,8 @@ def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generato
         result: StepResult = env.step(list(map(Action._make, acts.tolist())))
         next_obs = env.obs_vectors()
         trainer.buffer.push(obs, acts, result.perceived_rewards, next_obs)
-        true_sums += result.true_rewards
-        perceived_sums += result.perceived_rewards
+        true_sums = [s + r for s, r in zip(true_sums, result.true_rewards)]
+        perceived_sums = [s + r for s, r in zip(perceived_sums, result.perceived_rewards)]
         trainer.total_steps += 1
         if trainer.total_steps > tc.warmup_steps and len(trainer.buffer) >= tc.batch_size:
             for _ in range(tc.updates_per_step):
@@ -451,5 +451,4 @@ def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generato
         trainer.check_params()
     trainer.episode += 1
     trainer.sigma = max(trainer.sigma * tc.explore_decay, tc.explore_sigma_floor)
-    return EpisodeStats(tuple(float(v) for v in true_sums),
-                        tuple(float(v) for v in perceived_sums), sigma)
+    return EpisodeStats(tuple(true_sums), tuple(perceived_sums), sigma)

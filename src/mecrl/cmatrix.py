@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# A Cholesky pivot below this fraction of the largest diagonal entry is
-# treated as a rank deficiency.
+# A Cholesky pivot below this fraction of its row's diagonal entry is
+# treated as a rank deficiency. A pivot over its own diagonal entry does not
+# change when a user's channel is scaled, so users whose path gains differ
+# by many orders of magnitude do not make a full-rank channel fail.
 PIVOT_RTOL = 1e-12
 
 
@@ -37,8 +39,8 @@ def invert_hpd(a: np.ndarray) -> np.ndarray:
     one matrix at a time, so a matrix inverts bit-identically in any stack.
     Raises ValueError for NaN or Inf entries (a huge path gain can overflow
     the Gram matrix) and :class:`SingularMatrixError` when a factorization
-    fails or a pivot falls below PIVOT_RTOL times the largest diagonal
-    entry of its matrix, naming the first failing matrix.
+    fails or a pivot falls below PIVOT_RTOL times the diagonal entry of its
+    row, naming the first failing matrix and its first failing row.
     """
     if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
@@ -54,12 +56,12 @@ def invert_hpd(a: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(f"matrix {k}: matrix is not positive definite", k) from exc
     # The pivots are the squared diagonal entries of the factor.
     root = low.diagonal(axis1=-2, axis2=-1).real
-    pivot = root.min(axis=-1) ** 2
-    pivot_floor = PIVOT_RTOL * np.abs(a.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+    pivot = root * root
+    pivot_floor = PIVOT_RTOL * a.diagonal(axis1=-2, axis2=-1).real
     bad = pivot <= pivot_floor
     if bad.any():
-        k = int(bad.argmax())
+        k, row = divmod(int(bad.argmax()), bad.shape[-1])
         raise SingularMatrixError(
-            f"matrix {k}: pivot {float(pivot[k]):.3e} at row {int(root[k].argmin())} "
-            f"below threshold {float(pivot_floor[k]):.3e}", k)
+            f"matrix {k}: pivot {float(pivot[k, row]):.3e} at row {row} "
+            f"below threshold {float(pivot_floor[k, row]):.3e}", k)
     return np.linalg.inv(a)

@@ -9,8 +9,10 @@ All quantities in bits are integers so conservation checks are exact.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,7 +33,8 @@ MAX_ANTENNAS = 256
 # draws were still held, the channel trace and its zero-forcing temporaries
 # took at most 120 bytes per slot, user and (antenna + 1), the arrivals 24
 # bytes per task; a reset now releases those draws first, so the estimate
-# is conservative. Each training process holds its own.
+# is conservative. Each training process holds its own, and an eval process
+# holds as many episodes of a reset_group pass as fit in it.
 RESET_BUDGET_BYTES = 64 << 20
 RESET_SLOT_BYTES = 128
 RESET_TASK_BYTES = 24
@@ -238,8 +241,12 @@ def draw_arrivals(cfg: EnvConfig, rng: np.random.Generator, n_slots: int) -> np.
     lo, hi = cfg.task_size_bits
     sizes = rng.integers(lo, hi + 1, size=int(counts.sum()))
     # Bits of the first k tasks, read at the end of each slot's tasks.
-    upto = np.concatenate(([0], np.cumsum(sizes)))[np.cumsum(counts)]
-    return np.diff(upto, prepend=0).reshape(counts.shape)
+    upto = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=upto[1:])
+    bits = upto[np.cumsum(counts)]
+    # A ufunc buffers overlapping operands, so this is np.diff in place.
+    bits[1:] -= bits[:-1]
+    return bits.reshape(counts.shape)
 
 
 def accepted_normals(rng: np.random.Generator, n: int, carry: np.ndarray):
@@ -262,7 +269,8 @@ class MecEnv:
     initialization, channel evolution, task arrivals, and reward noise.
     None of them depends on the actions, so ``reset`` draws the whole
     episode's channel, zero-forcing norms, arrivals and reward noise at
-    once, and ``step`` reads its slot from them. A reset before the end of
+    once, ``reset_group`` does so for several consecutive episodes in one
+    pass, and ``step`` reads its slot from them. A reset before the end of
     an episode discards the rest of that episode's draws.
     """
 
@@ -276,6 +284,7 @@ class MecEnv:
         self._rng_noise = rng_noise
         self._gains = cfg.gains()
         self._rho = np.asarray(cfg.rho)
+        self._obs_scale = cfg.obs_chan_clip * self._gains
         self._noise_carry = np.empty(0)
         # Per-user backlog and cumulative overflow in bits, SINR of the last slot.
         self.backlog: list[int] | None = None
@@ -308,30 +317,128 @@ class MecEnv:
         trace: the channel of every slot (a fresh stationary draw, then
         the fading recursion), its zero-forcing norms, the clipped
         per-antenna powers the observations read, the arrivals and the
-        reward noise. ``obs_vectors()`` reads the first observations."""
+        reward noise. ``obs_vectors()`` reads the first observations.
+        This is :meth:`reset_group`'s draw pass for one episode."""
         # The previous trace goes first, so a reset's peak is one trace's,
         # and a reset that raises leaves an env that will not step.
+        self._release()
+        for episode in self._draws(1, range(1)):
+            self._start(*episode)
+
+    def reset_group(self, k: int, keep: range | None = None) -> Iterator[MecEnv | None]:
+        """The next ``k`` episodes in one draw pass: the draws of ``k``
+        :meth:`reset` calls, in their order, with one fading recursion and
+        one observation-power pass for all of them.
+
+        Yields one item per episode, in order: a shallow copy of this env
+        reset to the episode if its position is in ``keep`` (default all),
+        else None, for an episode drawn only to advance the streams. Only
+        the kept episodes' traces stay held. An episode whose draw fails
+        raises after the earlier ones are yielded. Iterate to the end or
+        to the error: the later episodes' draws finish on demand. This env
+        holds no episode afterwards.
+        """
+        self._release()
+        for episode in self._draws(k, range(k) if keep is None else keep):
+            if episode is None:
+                yield None
+            else:
+                env = copy.copy(self)
+                env._start(*episode)
+                yield env
+
+    def _release(self) -> None:
         self.slot = self._h = self._zf = self._chan_obs = self._arrivals = self._noise = None
-        cfg = self.cfg
-        n_slots = cfg.episode_len
-        h, self._zf = self._channel_trace(n_slots)
-        self._h = h
-        power = h.real * h.real
-        power += h.imag * h.imag
-        power /= cfg.obs_chan_clip * self._gains
-        self._chan_obs = np.minimum(power, 1.0, out=power).transpose(0, 2, 1)
-        self._arrivals = draw_arrivals(cfg, self._rng_arrivals, n_slots)
-        if cfg.noise_level != 0:
-            z, self._noise_carry = accepted_normals(self._rng_noise, n_slots * cfg.n_users,
-                                                    self._noise_carry)
-            self._noise = (cfg.noise_level * z).reshape(n_slots, cfg.n_users)
-        self.backlog = [0] * cfg.n_users
-        self.dropped = [0] * cfg.n_users
-        self.prev_sinr = [0.0] * cfg.n_users
+
+    def _start(self, h, zf, chan_obs, arrivals, noise) -> None:
+        """Hold one episode's trace, at its first slot with empty queues."""
+        self._h, self._zf, self._chan_obs, self._arrivals, self._noise = (
+            h, zf, chan_obs, arrivals, noise)
+        n = self.cfg.n_users
+        self.backlog = [0] * n
+        self.dropped = [0] * n
+        self.prev_sinr = [0.0] * n
         self.slot = 0
 
-    def _channel_trace(self, n_slots: int):
-        """Channel (n_slots + 1, N, M) and zero-forcing norms (n_slots + 1, M).
+    def _draws(self, k: int, keep: range) -> Iterator[tuple | None]:
+        """The draws of ``k`` consecutive episodes: per episode in order,
+        its channel (T + 1, N, M), zero-forcing norms (T + 1, M), clipped
+        observation powers (T + 1, M, N), arrivals and noise (T, M) if its
+        position is in ``keep``, else None.
+
+        The channels come first, one block of all k episodes: every
+        episode's initial channel from the init stream, then every
+        episode's innovations from the evolution stream, and one recursion.
+        The zero-forcing norms, arrivals and noise follow episode by
+        episode. An episode with a singular slot keeps the episodes before
+        it and takes :meth:`_redraw` alone, with the channel streams where
+        that episode's reset would have them; the episodes after it form a
+        new block.
+        """
+        cfg = self.cfg
+        n_slots = cfg.episode_len
+        init_rng, rng = self._rng_channel_init, self._rng_channel
+        first = 0
+        while first < k:
+            starts = init_rng.bit_generator.state, rng.bit_generator.state
+            init = phy.init_channel(cfg.constants, self._gains, self._rho, init_rng, (k - first,))
+            h = phy.evolve_channel(init, rng, n_slots)
+            rows = [p - first for p in keep if p >= first]
+            # The kept rows copied out, so the skipped episodes' channels
+            # go with the block once the pass ends.
+            held = h if len(rows) == len(h) else h[rows]
+            kept = zip(held, self._obs_powers(held))
+            for i, trace in enumerate(h, first):
+                try:
+                    zf = phy.zf_norms(trace)
+                except cmatrix.SingularMatrixError as exc:
+                    # The channel streams go where this episode's reset has
+                    # them at its first failure: the init stream past its
+                    # initial channel, the evolution stream at its start.
+                    init_rng.bit_generator.state, rng.bit_generator.state = starts
+                    phy.init_channel(cfg.constants, self._gains, self._rho, init_rng,
+                                     (i - first + 1,))
+                    for _ in range(i - first):
+                        phy.innovations(init, rng, n_slots)
+                    trace, zf = self._redraw(trace[0], exc)
+                    yield self._finish(trace, zf, self._obs_powers(trace) if i in keep else None)
+                    first = i + 1
+                    break
+                if i in keep:
+                    trace, chan_obs = next(kept)
+                    yield self._finish(trace, zf, chan_obs)
+                else:
+                    yield self._finish(trace, zf, None)
+            else:
+                first = k
+
+    def _finish(self, h, zf, chan_obs):
+        """An episode's trace with its arrivals and noise drawn, or None
+        (its draws only taken) if ``chan_obs`` is None."""
+        cfg = self.cfg
+        arrivals = draw_arrivals(cfg, self._rng_arrivals, cfg.episode_len)
+        noise = None
+        if cfg.noise_level != 0:
+            z, self._noise_carry = accepted_normals(self._rng_noise, cfg.episode_len * cfg.n_users,
+                                                    self._noise_carry)
+            noise = (cfg.noise_level * z).reshape(cfg.episode_len, cfg.n_users)
+        if chan_obs is None:
+            return None
+        return h, zf, chan_obs, arrivals, noise
+
+    def _obs_powers(self, h: np.ndarray) -> np.ndarray:
+        """Per-antenna channel powers over the clip scale, clipped at 1:
+        ``(..., N, M)`` channels give ``(..., M, N)``."""
+        power = h.real * h.real
+        power += h.imag * h.imag
+        power /= self._obs_scale
+        return np.minimum(power, 1.0, out=power).swapaxes(-1, -2)
+
+    def _redraw(self, h0: np.ndarray, exc: cmatrix.SingularMatrixError):
+        """Channel (T + 1, N, M) and zero-forcing norms (T + 1, M) of an
+        episode from initial channel ``h0`` whose trace has the singular
+        slot ``exc`` names, with the init stream past ``h0`` and the
+        evolution stream at the episode's first innovation.
 
         A singular slot 0 is replaced by one more draw of the init stream.
         A singular later slot takes the next innovation of the evolution
@@ -339,20 +446,17 @@ class MecEnv:
         These are the draws a step-by-step evolution with one retry per
         slot would make; a second failure at one slot raises.
         """
+        n_slots = self.cfg.episode_len
         rng = self._rng_channel
         start = rng.bit_generator.state
-        init = phy.init_channel(self.cfg.constants, self._gains, self._rho, self._rng_channel_init)
-        h = phy.evolve_channel(init, rng, n_slots)
+        init = phy.ChannelState(h0, self._rho, self._gains)
         slot, skipped = None, []
         while True:
-            try:
-                return h, phy.zf_norms(h)
-            except cmatrix.SingularMatrixError as exc:
-                # zf_norms names the first failing slot, so a rebuilt trace
-                # fails again at the same slot or at a later one.
-                if exc.index == slot:
-                    raise
-                slot = exc.index
+            # zf_norms names the first failing slot, so a rebuilt trace
+            # fails again at the same slot or at a later one.
+            if exc.index == slot:
+                raise exc
+            slot = exc.index
             if slot == 0:
                 init = phy.init_channel(self.cfg.constants, self._gains, self._rho,
                                         self._rng_channel_init)
@@ -363,6 +467,10 @@ class MecEnv:
             rng.bit_generator.state = start
             innov = phy.innovations(init, rng, n_slots + len(skipped))
             h = phy.ar_trace(init, np.delete(innov, skipped, axis=0))
+            try:
+                return h, phy.zf_norms(h)
+            except cmatrix.SingularMatrixError as again:
+                exc = again
 
     def obs_vectors(self) -> np.ndarray:
         """Normalized observation vectors for the current state, one row per
@@ -370,11 +478,11 @@ class MecEnv:
         if self.slot is None:
             raise StateError("reset() must be called before obs_vectors()")
         cfg = self.cfg
+        cap, clip = float(cfg.buffer_cap_bits), cfg.obs_sinr_clip
         out = np.empty((cfg.n_users, cfg.obs_dim))
-        out[:, 0] = self.backlog
-        out[:, 0] /= cfg.buffer_cap_bits
-        np.minimum(self.prev_sinr, cfg.obs_sinr_clip, out=out[:, 1])
-        out[:, 1] /= cfg.obs_sinr_clip
+        out[:, 0] = [b / cap for b in self.backlog]
+        # min() keeps a NaN SINR, as np.minimum does.
+        out[:, 1] = [min(s, clip) / clip for s in self.prev_sinr]
         out[:, 2:] = self._chan_obs[self.slot]
         return out
 

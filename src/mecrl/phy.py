@@ -53,7 +53,7 @@ class PhyConstants:
 
 @dataclass
 class ChannelState:
-    """Complex uplink channel, one column per user.
+    """Complex uplink channel, one column per user (or a stack of them).
 
     Column ``m`` follows a first-order autoregression with coefficient
     ``rho[m]`` whose stationary per-entry variance is ``gains[m]``; the
@@ -61,7 +61,7 @@ class ChannelState:
     into the innovation, never re-applied per step.
     """
 
-    h: np.ndarray       # (N, M) complex128
+    h: np.ndarray       # (..., N, M) complex128
     rho: np.ndarray     # (M,) in [0, 1]
     gains: np.ndarray   # (M,) positive linear power gains
 
@@ -79,42 +79,62 @@ def _draw_columns(n_antennas: int, gains: np.ndarray, rng: np.random.Generator,
     return scale * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
 
 
-def init_channel(constants: PhyConstants, gains, rho, rng: np.random.Generator) -> ChannelState:
-    """Draw a channel from the stationary distribution of the recursion."""
+def init_channel(constants: PhyConstants, gains, rho, rng: np.random.Generator,
+                 lead: tuple = ()) -> ChannelState:
+    """Draw a channel from the stationary distribution of the recursion,
+    or a ``lead``-shaped stack of them: one draw per channel, in order."""
     gains = np.asarray(gains, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)
-    h = _draw_columns(constants.n_antennas, gains, rng)
+    h = _draw_columns(constants.n_antennas, gains, rng, lead)
     return ChannelState(h=h, rho=rho, gains=gains)
 
 
 def innovations(state: ChannelState, rng: np.random.Generator, steps: int) -> np.ndarray:
     """The next ``steps`` innovations of the recursion: (steps, N, M)."""
-    return _draw_columns(state.h.shape[0], state.gains, rng, (steps,))
+    return _draw_columns(state.h.shape[-2], state.gains, rng, (steps,))
+
+
+def _recur(trace: np.ndarray, rho: np.ndarray) -> None:
+    """The recursion in place over a (k, T+1, N, M) block whose slot 0
+    holds k initial channels and whose later slots hold their scaled
+    innovations. Each step adds rho * h to the scaled innovation already in
+    its slot, for all k channels at once: the same products and sums as one
+    step of one channel at a time. rho is cast to complex once, as the
+    multiply would cast it in every step."""
+    rho = rho.astype(np.complex128)
+    slots = list(trace.swapaxes(0, 1))
+    scratch = np.empty_like(slots[0])
+    for prev, nxt in zip(slots, slots[1:]):
+        np.add(nxt, np.multiply(rho, prev, scratch), nxt)
 
 
 def ar_trace(state: ChannelState, innov: np.ndarray) -> np.ndarray:
     """``state.h`` followed by one autoregressive step per innovation:
     (len(innov) + 1, N, M). Each step preserves the per-entry variance."""
-    trace = np.empty((len(innov) + 1,) + state.h.shape, dtype=np.complex128)
-    trace[0] = state.h
-    trace[1:] = np.sqrt(1.0 - state.rho * state.rho) * innov
-    # Each step adds rho * h to the scaled innovation already in its slot:
-    # the same products and sums as one step at a time. rho is cast to
-    # complex once, as the multiply would cast it in every step.
-    rho = state.rho.astype(np.complex128)
-    scratch = np.empty_like(trace[0])
-    rows = list(trace)
-    for prev, nxt in zip(rows, rows[1:]):
-        np.add(nxt, np.multiply(rho, prev, scratch), nxt)
-    return trace
+    trace = np.empty((1, len(innov) + 1) + state.h.shape, dtype=np.complex128)
+    trace[0, 0] = state.h
+    np.multiply(np.sqrt(1.0 - state.rho * state.rho), innov, out=trace[0, 1:])
+    _recur(trace, state.rho)
+    return trace[0]
 
 
 def evolve_channel(state: ChannelState, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """The channel trace of ``steps`` autoregressive steps from ``state``:
-    (steps + 1, N, M), slot 0 being ``state.h``. The innovations are one
-    (steps, 2, N, M) draw, the same values in the same stream order as
-    ``steps`` draws of one step each."""
-    return ar_trace(state, innovations(state, rng, steps))
+    """The channel trace of ``steps`` autoregressive steps from each channel
+    of ``state``: an ``(N, M)`` channel gives ``(steps + 1, N, M)``, slot 0
+    being ``state.h``, and a ``lead + (N, M)`` stack gives ``lead +
+    (steps + 1, N, M)``. Each channel's innovations are one (steps, 2, N, M)
+    draw, taken channel by channel and scaled straight into the trace: the
+    same values in the same stream order as ``steps`` one-step draws per
+    channel, one channel after the other. One recursion then runs over all
+    the channels at once."""
+    h0 = state.h.reshape((-1,) + state.h.shape[-2:])
+    trace = np.empty((len(h0), steps + 1) + h0.shape[1:], dtype=np.complex128)
+    scale = np.sqrt(1.0 - state.rho * state.rho)
+    for row, h in zip(trace, h0):
+        row[0] = h
+        np.multiply(scale, innovations(state, rng, steps), out=row[1:])
+    _recur(trace, state.rho)
+    return trace.reshape(state.h.shape[:-2] + trace.shape[1:])
 
 
 def zf_norms(h: np.ndarray) -> np.ndarray:

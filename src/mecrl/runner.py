@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import dataclass
@@ -13,7 +12,7 @@ import numpy as np
 from . import neural, seeds
 from .agents import EpisodeStats, Trainer, act, train_episode
 from .config import ExperimentConfig
-from .env import RESET_BUDGET_BYTES, Action, MecEnv
+from .env import RESET_BUDGET_BYTES, MecEnv
 from .errors import ConfigError
 
 
@@ -216,9 +215,11 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
     The episodes form ``W`` shares, share ``j`` episodes j, j + W, ...,
     spread over processes by :func:`fan_out`. A process steps its share's
     episodes in lockstep, one policy evaluation per slot for all of them,
-    as many at once as fit in one reset's memory budget. The summary is
-    the same for any ``workers``; a failure raises the error of the
-    earliest failing episode, as the serial loop would.
+    as many at once as fit in one reset's memory budget. It draws them,
+    and the other shares' episodes in between, with
+    :meth:`MecEnv.reset_group`. The summary is the same for any
+    ``workers``; a failure raises the error of the earliest failing
+    episode, as the serial loop would.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -249,7 +250,7 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
     group = max(1, int(RESET_BUDGET_BYTES
                        // (cfg.env.reset_slot_bytes() * cfg.env.episode_len)))
 
-    def roll(episodes: list) -> tuple[np.ndarray, tuple | None]:
+    def roll(episodes: list) -> tuple[list, tuple | None]:
         """Step ``[(e, env), ...]`` to the end of their episodes in lockstep.
 
         Returns their per-user sums and ``(e, error)`` of the earliest
@@ -258,14 +259,14 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
         """
         envs = [ep_env for _, ep_env in episodes]
         obs = np.stack([ep_env.obs_vectors() for ep_env in envs])
-        sums = np.zeros((len(envs), n))
+        sums = [[0.0] * n for _ in envs]
         failed = None
         for _ in range(cfg.env.episode_len):
             acts = act(actor, p_max, obs, 0.0, None).tolist()
             for i, ep_env in enumerate(envs):
                 try:
-                    result = ep_env.step(list(map(Action._make, acts[i])))
-                    sums[i] += result.true_rewards
+                    result = ep_env.step(acts[i])
+                    sums[i] = [s + r for s, r in zip(sums[i], result.true_rewards)]
                     obs[i] = ep_env.obs_vectors()
                 except Exception as exc:
                     failed = (episodes[i][0], exc)
@@ -273,34 +274,35 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
                     break
         return sums, failed
 
-    def share(j: int) -> tuple[np.ndarray | None, tuple | None]:
+    def share(j: int) -> tuple[list | None, tuple | None]:
         """Per-user sums of share ``j``'s episodes in order, or None and
         ``(e, error)`` of its earliest failing episode."""
         own = range(j, n_episodes, n_shares)
         done = []
         drawn = 0  # episodes whose draws this process has taken
         for first in range(0, len(own), group):
+            last = own[first:first + group][-1]
             episodes, failed = [], None
-            for e in own[first:first + group]:
-                # A reset draws the episode's whole trace and nothing depends
-                # on the actions, so replaying the resets of the episodes this
-                # process skips leaves its env where the serial loop has it.
-                # A reset assigns a fresh trace, queue list and SINR list, so
-                # a shallow copy holds that episode alone.
-                try:
-                    while drawn <= e:
-                        env.reset()
+            # Nothing depends on the actions, so drawing the episodes this
+            # process skips, in passes of at most `group` episodes, leaves
+            # its env where the serial loop has it. A pass holds only this
+            # share's episodes.
+            try:
+                while drawn <= last:
+                    k = min(group, last + 1 - drawn)
+                    keep = range((j - drawn) % n_shares, k, n_shares)
+                    for ep_env in env.reset_group(k, keep):
+                        if ep_env is not None:
+                            episodes.append((drawn, ep_env))
                         drawn += 1
-                except Exception as exc:
-                    failed = (drawn, exc)
-                    break
-                episodes.append((e, copy.copy(env)))
+            except Exception as exc:
+                failed = (drawn, exc)
             sums, roll_failed = roll(episodes) if episodes else (None, None)
-            # The episodes rolled all come before one whose reset failed.
+            # The episodes rolled all come before one whose draw failed.
             if roll_failed or failed:
                 return None, roll_failed or failed
-            done.append(sums)
-        return np.concatenate(done), None
+            done += sums
+        return done, None
 
     shares = fan_out(share, n_shares, n_shares, "evaluating episode")
     failures = [failed for _, failed in shares if failed]

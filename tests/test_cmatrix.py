@@ -66,9 +66,24 @@ class TestInvertHpd:
 
     def test_pivot_below_threshold(self):
         # Positive definite, so the factorization succeeds, but the second
-        # pivot is under PIVOT_RTOL times the largest diagonal entry.
+        # pivot (about 1e-13) is under PIVOT_RTOL times its diagonal entry.
         with pytest.raises(cmatrix.SingularMatrixError, match="row 1"):
-            cmatrix.invert_hpd(stack([[1, 0], [0, 1e-13]]))
+            cmatrix.invert_hpd(stack([[1, 1], [1, 1 + 1e-13]]))
+
+    def test_pivot_floor_is_relative_to_its_row(self):
+        # Two orthogonal users whose channel gains differ by 1e26: the
+        # second pivot is 1e-26 of the first but all of its own diagonal
+        # entry, so the matrix is well conditioned after scaling.
+        a = stack(np.diag([1.0, 1e-26]))
+        assert np.allclose(cmatrix.invert_hpd(a), stack(np.diag([1.0, 1e26])), rtol=1e-15, atol=0)
+
+    def test_widely_scaled_channel_inverts(self, rng):
+        # Users 1 m and 10 km from the antennas (path gains 1e-3 and 1e-15)
+        # on a random full-rank channel.
+        h = random_channel(rng, 4, 2) * np.sqrt([1e-3, 1e-15])
+        gram = stack(h.conj().T @ h)
+        ref = np.linalg.inv(gram)
+        assert np.allclose(cmatrix.invert_hpd(gram), ref, rtol=1e-9, atol=0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
@@ -85,10 +100,21 @@ class TestStack:
 
     def test_pivot_names_matrix_and_row(self, rng):
         gram = grams(rng, 5, 2)
-        gram[3] = [[1, 0], [0, 1e-13]]
+        gram[3] = [[1, 1], [1, 1 + 1e-13]]
         with pytest.raises(cmatrix.SingularMatrixError, match="matrix 3: .* row 1") as info:
             cmatrix.invert_hpd(gram)
         assert info.value.index == 3 and type(info.value.index) is int
+
+    def test_rank_deficient_gram_names_matrix_and_row(self, rng):
+        # A channel whose third user's column is the first user's plus a
+        # 1e-7 perturbation: full rank in exact arithmetic, rank deficient
+        # to working precision, however its columns are scaled.
+        h = np.stack([random_channel(rng, 6, 3) for _ in range(4)])
+        h[2, :, 2] = 5.0 * (h[2, :, 0] + 1e-7 * random_channel(rng, 6, 1)[:, 0])
+        gram = h.conj().swapaxes(-1, -2) @ h
+        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 2: pivot .* at row 2 ") as info:
+            cmatrix.invert_hpd(gram)
+        assert info.value.index == 2
 
     def test_first_bad_matrix_is_named(self, rng):
         gram = grams(rng, 6, 2)

@@ -43,12 +43,22 @@ class TestConfig:
                         arrival_rate=rate, noise_level=1.0, episode_len=2000)
         estimate = cfg.episode_len * (RESET_SLOT_BYTES * users * (antennas + 1)
                                       + RESET_TASK_BYTES * users * rate)
+        assert estimate == cfg.reset_slot_bytes() * cfg.episode_len  # sizes eval groups
         env = MecEnv(cfg, **seeds.env_streams(0, 0))
         tracemalloc.start()
         try:
             env.reset()
             env.reset()  # the steady state
             peak = tracemalloc.get_traced_memory()[1]
+            env.reset()
+            # A group of k episodes, all held, within k episodes' estimate.
+            for k in (2, 3):
+                tracemalloc.reset_peak()
+                group = list(env.reset_group(k))
+                assert len(group) == k
+                group_peak = tracemalloc.get_traced_memory()[1]
+                assert group_peak <= k * estimate, k
+                del group
         finally:
             tracemalloc.stop()
         assert peak <= estimate
@@ -212,7 +222,7 @@ class TestReset:
         def broken(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(env, "_channel_trace", broken)
+        monkeypatch.setattr(phy, "zf_norms", broken)
         with pytest.raises(RuntimeError, match="injected"):
             env.reset()
         assert env.slot is None and env.channel is None
@@ -415,6 +425,28 @@ class TestStep:
                 assert results[t - 2].info == expected[t - 2], f"slot {t - 2}"
         assert any(i["bits_dropped"] for res in results for i in res.info)
 
+    def test_any_power_pairs_step_like_actions(self):
+        # Rows of acts.tolist() step exactly as Actions do: results and state.
+        a, cfg = make_env(seed=11, noise_level=0.5)
+        b, _ = make_env(seed=11, noise_level=0.5)
+        a.reset()
+        b.reset()
+        rng = np.random.default_rng(5)
+        p_max = np.column_stack((cfg.p_max_offload_w, cfg.p_max_local_w))
+        for _ in range(cfg.episode_len):
+            acts = rng.uniform(0.0, p_max)
+            ra = a.step(acts.tolist())
+            rb = b.step([Action(p_off, p_loc) for p_off, p_loc in acts.tolist()])
+            assert ra.true_rewards == rb.true_rewards
+            assert ra.perceived_rewards == rb.perceived_rewards
+            assert ra.info == rb.info
+            for x, y in zip(ra.observations, rb.observations):
+                assert (x.backlog_bits, x.prev_sinr) == (y.backlog_bits, y.prev_sinr)
+                assert same_bytes(x.chan_power, y.chan_power)
+            assert (a.backlog, a.dropped, a.prev_sinr, a.slot) == (
+                b.backlog, b.dropped, b.prev_sinr, b.slot)
+            assert same_bytes(a.obs_vectors(), b.obs_vectors())
+
     def test_queues_view(self):
         env, cfg = make_env(seed=4, buffer_cap_bits=1000)
         assert env.queues is None
@@ -447,6 +479,122 @@ class TestEpisodeTrace:
                 rb = b.step([Action(*p) for p in rng.uniform(0.0, p_max).tolist()])
                 assert [i["bits_arrived"] for i in ra.info] == [i["bits_arrived"] for i in rb.info]
                 assert np.array_equal(a.channel.h, b.channel.h)
+
+
+def same_bytes(a, b) -> bool:
+    """Equal shapes, dtypes and bytes (NaN and signed zeros included)."""
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+TRACE = ("_h", "_zf", "_chan_obs", "_arrivals", "_noise")
+
+
+def stream_states(env):
+    return [env._rng_channel_init.bit_generator.state, env._rng_channel.bit_generator.state,
+            env._rng_arrivals.bit_generator.state, env._rng_noise.bit_generator.state,
+            env._noise_carry.tobytes()]
+
+
+class TestResetGroup:
+    """reset_group(k) draws what k resets draw, byte for byte, in one pass."""
+
+    @staticmethod
+    def sequential_and_group(k, keep=None, seed=6, **overrides):
+        """The traces of k resets after one warm-up reset, and the items of
+        reset_group(k, keep) on a twin env after the same warm-up."""
+        seq, cfg = make_env(seed=seed, noise_level=0.5, episode_len=20, **overrides)
+        grp, _ = make_env(seed=seed, noise_level=0.5, episode_len=20, **overrides)
+        seq.reset()
+        grp.reset()  # so the group starts mid-stream, with a noise carry
+        expected = []
+        for _ in range(k):
+            seq.reset()
+            expected.append([getattr(seq, name) for name in TRACE])
+        items = list(grp.reset_group(k, keep))
+        return seq, grp, expected, items, cfg
+
+    def check(self, k, keep=None, **overrides):
+        seq, grp, expected, items, cfg = self.sequential_and_group(k, keep, **overrides)
+        kept = range(k) if keep is None else keep
+        assert len(items) == k
+        for p, (item, want) in enumerate(zip(items, expected)):
+            if p not in kept:
+                assert item is None, p
+                continue
+            for name, value in zip(TRACE, want):
+                assert same_bytes(getattr(item, name), value), (p, name)
+            assert item.slot == 0 and item.backlog == [0] * cfg.n_users
+            assert item.prev_sinr == [0.0] * cfg.n_users
+        assert stream_states(grp) == stream_states(seq)
+        assert grp.slot is None and grp._h is None
+        return items
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("users,antennas", [(2, 4), (8, 8)])
+    def test_equals_sequential_resets(self, k, users, antennas):
+        self.check(k, n_users=users, constants=phy.PhyConstants(n_antennas=antennas))
+
+    @pytest.mark.parametrize("keep", [range(1, 5, 2), range(0, 5, 3), range(0)])
+    def test_kept_episodes_equal_sequential_resets(self, keep):
+        self.check(5, keep)
+
+    def test_holds_only_the_kept_episodes(self):
+        cfg = EnvConfig(n_users=8, constants=phy.PhyConstants(n_antennas=8), episode_len=200)
+        held = []
+        for keep in (None, range(1, 6, 3)):
+            env = MecEnv(cfg, **seeds.env_streams(0, 0))
+            tracemalloc.start()
+            try:
+                items = list(env.reset_group(6, keep))
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            del items
+        assert held[1] < 0.4 * held[0]
+
+    @pytest.mark.parametrize("slot", [0, 5])
+    @pytest.mark.parametrize("keep", [None, range(0, 3, 2)])
+    def test_singular_middle_episode_takes_one_retry(self, monkeypatch, slot, keep):
+        # The middle episode's first inverse fails in the sequential resets
+        # (call 4 of invert_hpd, after both warm-ups) and in the group (call 8).
+        real, calls = cmatrix.invert_hpd, []
+
+        def flaky(a):
+            calls.append(a)
+            if len(calls) in (4, 8):
+                raise cmatrix.SingularMatrixError("injected", slot)
+            return real(a)
+
+        monkeypatch.setattr(cmatrix, "invert_hpd", flaky)
+        self.check(3, keep)
+        # Two warm-ups, then three resets and three draws, each with one retry.
+        assert len(calls) == 10
+
+    def test_failed_draw_yields_the_episodes_before_it(self, monkeypatch):
+        env, _ = make_env(seed=3)
+        real, calls = phy.zf_norms, []
+
+        def zf_norms(h):
+            calls.append(h)
+            if len(calls) == 3:
+                raise ValueError("injected")
+            return real(h)
+
+        monkeypatch.setattr(phy, "zf_norms", zf_norms)
+        got = []
+        with pytest.raises(ValueError, match="injected"):
+            for item in env.reset_group(5):
+                got.append(item)
+        assert len(got) == 2 and all(item.slot == 0 for item in got)
+        assert env.slot is None
+
+    def test_copies_step_on_their_own(self):
+        env, cfg = make_env(seed=2, noise_level=0.5)
+        a, b = env.reset_group(2)
+        a.step([Action(1.0, 1.0)] * cfg.n_users)
+        assert a.slot == 1 and b.slot == 0 and b.backlog == [0] * cfg.n_users
 
 
 class TestSingularResample:
@@ -538,6 +686,20 @@ class TestObsVector:
         assert np.all(v <= 1.0) and np.all(v >= 0.0)
         assert np.all(v[:, 0] == 1.0) and np.all(v[:, 1] == 1.0)
         assert np.all(v[:, 2:] == 1.0)
+
+    @pytest.mark.parametrize("sinr", [3.5, 100.0, 1e9, math.inf, math.nan])
+    def test_scaled_columns_match_the_array_formula(self, sinr):
+        # Below, at and above the clip, infinite and NaN SINRs scale as
+        # np.minimum and a float64 division would scale them.
+        env, cfg = make_env(seed=8, n_users=3, constants=phy.PhyConstants(n_antennas=4))
+        env.reset()
+        env.backlog = [0, 12_345, cfg.buffer_cap_bits]
+        env.prev_sinr = [0.0, sinr, 42.0]
+        v = env.obs_vectors()
+        backlog = np.array(env.backlog, dtype=np.float64) / cfg.buffer_cap_bits
+        clipped = np.minimum(np.array(env.prev_sinr), cfg.obs_sinr_clip) / cfg.obs_sinr_clip
+        assert v[:, 0].tobytes() == backlog.tobytes()
+        assert v[:, 1].tobytes() == clipped.tobytes()
 
     def test_rows_match_observations(self):
         # Each row is the user's Observation, scaled field by field; after

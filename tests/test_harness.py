@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import cli, neural, runner, seeds
+from mecrl import cli, neural, phy, runner, seeds
 from mecrl.agents import EpisodeStats, TrainingDiverged, act
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
@@ -386,6 +386,40 @@ class TestEvaluate:
             assert evaluate(cfg, ckpt, 5, workers=workers) == whole
             assert rolled == [k for k in sizes for _ in range(cfg.env.episode_len)]
 
+    @pytest.mark.parametrize("step_fails", [False, True])
+    def test_failed_draw_rolls_the_episodes_before_it(self, tmp_path, monkeypatch, step_fails):
+        # Episode 2's draw fails inside a group of 5: episodes 0 and 1 are
+        # still rolled, and the error reported is the earliest episode's.
+        cfg, ckpt = self._train_and_save(tmp_path)
+        real_group, real_step, real_zf = MecEnv.reset_group, MecEnv.step, phy.zf_norms
+        draws, stepped = [], set()
+
+        def reset_group(env, k, keep=None):
+            for ep_env in real_group(env, k, keep):
+                if ep_env is not None:
+                    ep_env.episode = len(draws) - 1
+                yield ep_env
+
+        def zf_norms(h):
+            draws.append(h)
+            if len(draws) == 3:
+                raise ValueError("episode 2: draw failed")
+            return real_zf(h)
+
+        def step(env, actions):
+            stepped.add(env.episode)
+            if step_fails and env.episode == 1:
+                raise ValueError("episode 1: step failed")
+            return real_step(env, actions)
+
+        monkeypatch.setattr(MecEnv, "reset_group", reset_group)
+        monkeypatch.setattr(MecEnv, "step", step)
+        monkeypatch.setattr(phy, "zf_norms", zf_norms)
+        failed = "episode 1: step failed" if step_fails else "episode 2: draw failed"
+        with pytest.raises(ValueError, match=failed):
+            evaluate(cfg, ckpt, 5, workers=1)
+        assert stepped == {0, 1}
+
     def test_missing_checkpoint(self, tmp_path):
         cfg = tiny_config()
         with pytest.raises(FileNotFoundError):
@@ -412,6 +446,14 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         return path
+
+    def test_users_ten_orders_of_magnitude_apart_train(self, tmp_path, capsys):
+        # Path gains 1e-3 and 1e-15: every Gram pivot is far below 1e-12 of
+        # the largest diagonal entry, but not of its own row's.
+        cfg_path = self._write_cfg(tmp_path, env={"n_users": 2, "episode_len": 6,
+                                                  "distances_m": [1, 10000]})
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_train_writes_documented_tree(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
@@ -626,11 +668,20 @@ class TestCli:
         # replay the resets of episodes 1 and 2 in between.
         cfg_path, ckpt = self._trained(tmp_path, algo)
         cfg = load_config(cfg_path)
+        episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
+        budget = runner.RESET_BUDGET_BYTES
         for episodes in (5, 7):
             serial = evaluate(cfg, ckpt, episodes, workers=1)
             printed = []
             for cpus in (1, 2, 3):
                 assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
+                # Budgets that hold 1 or 2 episodes: each share rolls in
+                # several groups, drawn in passes of at most that many.
+                for group in (1, 2):
+                    monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
+                                        int(episode_bytes * (group + 1)) - 1)
+                    assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
+                monkeypatch.setattr(runner, "RESET_BUDGET_BYTES", budget)
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
                 assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
                              "--episodes", str(episodes)]) == 0
@@ -644,14 +695,17 @@ class TestCli:
     def test_parallel_eval_reports_the_earliest_failing_episode(self, tmp_path, capsys,
                                                                 monkeypatch, failing):
         cfg_path, ckpt = self._trained(tmp_path)
-        real_reset, real_step = MecEnv.reset, MecEnv.step
+        real_group, real_step = MecEnv.reset_group, MecEnv.step
 
-        def reset(env):
-            env.resets = getattr(env, "resets", 0) + 1
-            return real_reset(env)
+        def reset_group(env, k, keep=None):
+            for ep_env in real_group(env, k, keep):
+                env.drawn = getattr(env, "drawn", 0) + 1
+                if ep_env is not None:
+                    ep_env.episode = env.drawn - 1
+                yield ep_env
 
         def step(env, actions):
-            episode = env.resets - 1  # steps run only in the episodes rolled
+            episode = env.episode  # steps run only in the episodes rolled
             if episode in failing:
                 if episode == 1:
                     time.sleep(0.2)  # episode 2 fails first
@@ -659,7 +713,7 @@ class TestCli:
             return real_step(env, actions)
 
         # The forked workers inherit the patches.
-        monkeypatch.setattr(MecEnv, "reset", reset)
+        monkeypatch.setattr(MecEnv, "reset_group", reset_group)
         monkeypatch.setattr(MecEnv, "step", step)
         # At 2 CPUs this process's share (episodes 0, 2, 4) fails at episode
         # 2 before the worker's episode 1 does.
