@@ -151,37 +151,38 @@ def _neg(g: Gradients) -> Gradients:
     return g
 
 
-def act(actor: MlpParams, p_max: np.ndarray, obs: np.ndarray, sigma: float,
-        rng: np.random.Generator | None) -> np.ndarray:
-    """Deterministic policy outputs of all users plus clipped Gaussian
-    exploration noise.
+def act(actor: MlpParams, p_max: np.ndarray, obs: np.ndarray,
+        noise: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic policy outputs of all users, plus ``noise`` if given,
+    clipped to [0, p_max].
 
     ``actor`` is the stacked actor and ``p_max`` is (M, 2). ``obs`` is
     (M, obs_dim), or (E, M, obs_dim) for E episodes at once; the result is
     (M, 2) or (E, M, 2), each row the same as a call on its episode alone
-    gives. The actor runs in its own dtype; squashing, noise and clipping
-    run in ``p_max``'s, so float64 bounds give actions that lie within them
-    exactly. The noise draw takes the result's shape; for (M, 2) it
-    consumes the stream in user order and gives the same values as one
-    ``rng.normal(0, sigma * p_max[m])`` call per user would.
+    gives. ``noise`` is added exploration in watts, of the result's shape;
+    ``train_episode`` passes one slot of its per-episode draw. The actor
+    runs in its own dtype; squashing, noise and clipping run in
+    ``p_max``'s, so float64 bounds give actions that lie within them
+    exactly.
     """
     a = _squash(eval_vec(actor, obs), 0.5 * p_max)
-    if sigma > 0.0:
-        a += (sigma * p_max) * rng.standard_normal(a.shape)
+    if noise is not None:
+        a += noise
     # np.clip's per-call overhead is about twice that of these two ufuncs.
     np.maximum(a, 0.0, out=a)
     return np.minimum(a, p_max, out=a)
 
 
 def td_targets(critic_target: MlpParams, x_next, rewards: np.ndarray,
-               gamma: float) -> np.ndarray:
+               gamma: float, zeros: np.ndarray | None = None) -> np.ndarray:
     """Bootstrapped regression targets of all agents:
     r + gamma * Q_target(s', a'), shape (M, k, 1). ``x_next`` ends in a
-    ones column (see ``neural.input_buffer``)."""
-    return rewards + gamma * forward(critic_target, x_next, ones_column=True)[0]
+    ones column (see ``neural.input_buffer``); ``zeros`` is passed on to
+    ``forward``."""
+    return rewards + gamma * forward(critic_target, x_next, ones_column=True, zeros=zeros)[0]
 
 
-def _nature_step(trainer: "Trainer", local: np.ndarray, stored: np.ndarray):
+def _nature_step(trainer: "Trainer", work: "_UpdateBuffers", stored: np.ndarray):
     """Adversary estimates clamped to the uncertainty band around the
     stored rewards, then one descent step on the mean estimate.
 
@@ -189,26 +190,31 @@ def _nature_step(trainer: "Trainer", local: np.ndarray, stored: np.ndarray):
     The adversaries read nothing the agents' step changes, so they step
     first and their activations are released before the agents' step.
     """
-    k = stored.shape[1]
-    r_hat, cache = forward(trainer.nature, local, ones_column=True)
+    k = work.k
+    r_hat, cache = forward(trainer.nature, work.local, ones_column=True, zeros=work.zeros)
     band = 2.0 * trainer.noise_level
-    r_tilde = np.clip(r_hat, stored - band, stored + band)
-    mean = r_hat.mean(axis=(1, 2))
+    # np.clip's per-call overhead is about twice that of these two ufuncs,
+    # which give the same values, NaN included.
+    r_tilde = np.minimum(np.maximum(r_hat, stored - band), stored + band)
+    # The pairwise sum and the division of ndarray.mean, without its
+    # Python-level dispatch.
+    mean = np.add.reduce(r_hat, axis=(1, 2)) / k
     g, _ = backward(trainer.nature, cache, np.full(r_hat.shape, 1.0 / k, r_hat.dtype),
-                    out=trainer.nature_grad, need_dx=False)
+                    out=trainer.nature_grad, need_dx=False, pads=work.pads)
     adam_step(trainer.nature_opt, trainer.nature, g)
     return r_tilde, mean
 
 
-def _critic_step(trainer: "Trainer", x, y: np.ndarray) -> np.ndarray:
+def _critic_step(trainer: "Trainer", work: "_UpdateBuffers", y: np.ndarray) -> np.ndarray:
     """One descent step on every critic's mean squared Bellman error;
     returns the per-agent loss before the step."""
-    k = y.shape[1]
-    q, cache = forward(trainer.critic, x, ones_column=True)
+    k = work.k
+    q, cache = forward(trainer.critic, work.x, ones_column=True, zeros=work.zeros)
     err = np.subtract(q, y, out=q)
     loss = np.einsum("mki,mki->m", err, err) / k
     err *= 2.0 / k
-    g, _ = backward(trainer.critic, cache, err, out=trainer.critic_grad, need_dx=False)
+    g, _ = backward(trainer.critic, cache, err, out=trainer.critic_grad, need_dx=False,
+                    pads=work.pads)
     adam_step(trainer.critic_opt, trainer.critic, g)
     return loss
 
@@ -226,16 +232,16 @@ def _actor_step(trainer: "Trainer", work: "_UpdateBuffers", acts: np.ndarray) ->
     actions, (M, k, 2).
     """
     critic, k = trainer.critic, work.k
-    u, cache = forward(trainer.actor, work.obs, ones_column=True)
+    u, cache = forward(trainer.actor, work.obs, ones_column=True, zeros=work.zeros)
     t = np.tanh(u)
     half = trainer.half[:, None, :]
     w_own = critic.l1[trainer.own_rows]                  # (M, 2, hidden)
     z = np.matmul(work.x, critic.l1, out=work.hidden[0])
     z += np.matmul((t + 1.0) * half - acts, w_own, out=work.hidden[1])
-    np.maximum(z, 0.0, out=z)
+    np.maximum(z, work.zeros_z, out=z)
     q = z @ critic.w2t
     q += critic.b2[:, None, :]
-    objective = q.mean(axis=(1, 2))
+    objective = np.add.reduce(q, axis=(1, 2)) / k
     dz = np.multiply(z > 0.0, critic.w2 * (1.0 / k), out=z)
     du = dz @ w_own.swapaxes(1, 2)
     du *= (1.0 - t * t) * half
@@ -256,6 +262,13 @@ class _UpdateBuffers:
     (k, M * (obs_dim + 2) + 1). ``local`` holds each agent's own
     (obs, action) for the ``rmaddpg`` adversaries; in ``ddpg`` it is ``x``.
     ``hidden`` holds the actor step's two (M, k, hidden) activations.
+
+    The rest are constant operands that keep numpy on its vector loops
+    (see ``neural.forward`` and ``neural.backward``): ``zeros`` is every
+    forward's (M, k, hidden + 1) activation shape for the ReLU, and
+    ``zeros_z`` the actor step's (M, k, hidden) one, a contiguous view of
+    the same zeros; ``pads`` are the zero-padded outer-product operands of
+    the critics' and adversaries' backward passes.
     """
 
     def __init__(self, algo: str, n: int, obs_dim: int, k: int, hidden: int, dtype):
@@ -272,6 +285,10 @@ class _UpdateBuffers:
         if algo != "maddpg":
             self.local = self.x if algo == "ddpg" else buf((n, k), obs_dim + 2)
         self.hidden = np.empty((2, n, k, hidden), dtype)
+        zeros = np.zeros(n * k * (hidden + 1), dtype)
+        self.zeros = zeros.reshape(n, k, hidden + 1)
+        self.zeros_z = zeros[:n * k * hidden].reshape(n, k, hidden)
+        self.pads = (np.zeros((n, k, 2), dtype), np.zeros((n, 2, hidden + 1), dtype))
 
 
 def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
@@ -296,8 +313,8 @@ def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
     rewards = batch.rewards.T[:, :, None]                # (M, k, 1)
     work.obs[..., :-1] = obs
     work.next_obs[..., :-1] = next_obs
-    a_next = _squash(forward(trainer.actor_target, work.next_obs, ones_column=True)[0],
-                     trainer.half[:, None, :])           # (M, k, 2)
+    a_next = _squash(forward(trainer.actor_target, work.next_obs, ones_column=True,
+                             zeros=work.zeros)[0], trainer.half[:, None, :])  # (M, k, 2)
     if work.local is not None:
         work.local[..., :d] = obs
         work.local[..., d:-1] = acts
@@ -311,9 +328,9 @@ def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
         work.x_next[:, n * d:-1] = a_next.transpose(1, 0, 2).reshape(k, 2 * n)
     nature_mean = None
     if trainer.nature is not None:
-        rewards, nature_mean = _nature_step(trainer, work.local, rewards)
-    y = td_targets(trainer.critic_target, work.x_next, rewards, tc.gamma)
-    critic_loss = _critic_step(trainer, work.x, y)
+        rewards, nature_mean = _nature_step(trainer, work, rewards)
+    y = td_targets(trainer.critic_target, work.x_next, rewards, tc.gamma, work.zeros)
+    critic_loss = _critic_step(trainer, work, y)
     actor_objective = _actor_step(trainer, work, acts)
     soft_update(trainer.critic_target, trainer.critic, tc.tau_soft)
     soft_update(trainer.actor_target, trainer.actor, tc.tau_soft)
@@ -425,17 +442,28 @@ def train_episode(env: MecEnv, trainer: Trainer, rng_explore: np.random.Generato
     """One episode of interaction: act, step, store, and (after warmup)
     update; exploration noise decays at the episode boundary. Every
     update's diagnostics are checked, and, if the episode updated, the
-    parameters at its end."""
+    parameters at its end.
+
+    The episode's exploration noise is one (T, M, 2) draw at its start,
+    scaled by ``sigma * p_max``. ``Generator.standard_normal`` fills in C
+    order and carries nothing between calls, so slot t's row holds the
+    values T per-slot (M, 2) draws would give, in users' order.
+    """
     tc = trainer.tc
-    n = env.cfg.n_users
+    n, steps = env.cfg.n_users, env.cfg.episode_len
     env.reset()
     obs = env.obs_vectors()
     true_sums = [0.0] * n
     perceived_sums = [0.0] * n
     sigma = trainer.sigma
+    if sigma > 0.0:
+        noise = rng_explore.standard_normal((steps, n, 2))
+        noise *= sigma * trainer.p_max
+    else:
+        noise = [None] * steps
     updated = False
-    for _ in range(env.cfg.episode_len):
-        acts = act(trainer.actor, trainer.p_max, obs, sigma, rng_explore)
+    for step_noise in noise:
+        acts = act(trainer.actor, trainer.p_max, obs, step_noise)
         result: StepResult = env.step(list(map(Action._make, acts.tolist())))
         next_obs = env.obs_vectors()
         trainer.buffer.push(obs, acts, result.perceived_rewards, next_obs)

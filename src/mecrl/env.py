@@ -29,14 +29,21 @@ from .phy import PathLossModel, PhyConstants
 MAX_ANTENNAS = 256
 
 # Memory budget of one reset, which draws the whole episode (see
-# MecEnv.reset). Measured under tracemalloc while the previous episode's
-# draws were still held, the channel trace and its zero-forcing temporaries
-# took at most 120 bytes per slot, user and (antenna + 1), the arrivals 24
-# bytes per task; a reset now releases those draws first, so the estimate
-# is conservative. Each training process holds its own, and an eval process
-# holds as many episodes of a reset_group pass as fit in it.
+# MecEnv.reset). Each training process holds its own, and an eval process
+# holds as many episodes of a reset_group pass as fit in it. The estimate
+# per slot is RESET_SLOT_BYTES per user and (antenna + 1), plus
+# RESET_SLOT_BASE_BYTES, plus RESET_TASK_BYTES per expected task. Measured
+# under tracemalloc as the growth of one reset's peak with the episode's
+# length, at no arrivals, from 1 x 1 to 256 x 256 users x antennas: the
+# channel trace and its zero-forcing temporaries take 53-72 bytes per
+# user and (antenna + 1), at most 71.8, plus about 40 bytes per slot at
+# 1 x 1; at 8 x 8 a slot takes 4.8 KB. A training episode also holds its
+# (T, M, 2) float64 exploration draw, 16 bytes per user-slot and so at
+# most 8 per user and (antenna + 1). 88 is the 80 of both with 10% margin.
+# The arrivals took at most 24 bytes per task.
 RESET_BUDGET_BYTES = 64 << 20
-RESET_SLOT_BYTES = 128
+RESET_SLOT_BYTES = 88
+RESET_SLOT_BASE_BYTES = 64
 RESET_TASK_BYTES = 24
 
 # Largest task size in bits. The budget above admits about 2.8 M expected
@@ -157,11 +164,12 @@ class EnvConfig:
 
     def reset_slot_bytes(self) -> float:
         """Estimated memory of one slot of a reset's draws: the channel
-        trace and its zero-forcing temporaries per user and (antenna + 1),
-        the arrivals per expected task. ``RESET_BUDGET_BYTES`` bounds an
+        trace, its zero-forcing temporaries and a training episode's
+        exploration draw per user and (antenna + 1), a base per slot, the
+        arrivals per expected task. ``RESET_BUDGET_BYTES`` bounds an
         episode at this estimate."""
         return (RESET_SLOT_BYTES * self.n_users * (self.constants.n_antennas + 1)
-                + RESET_TASK_BYTES * sum(self.arrival_rate))
+                + RESET_SLOT_BASE_BYTES + RESET_TASK_BYTES * sum(self.arrival_rate))
 
     def gains(self) -> np.ndarray:
         return np.array([self.path_loss.gain(d) for d in self.distances_m])

@@ -113,7 +113,7 @@ def input_buffer(lead: tuple[int, ...], width: int, dtype) -> np.ndarray:
     return buf
 
 
-def forward(p: MlpParams, x, ones_column: bool = False):
+def forward(p: MlpParams, x, ones_column: bool = False, zeros: np.ndarray | None = None):
     """Evaluate the network; returns (y, cache) with cache for backward.
 
     For a single network ``x`` may be one input vector or a (batch, in_dim)
@@ -123,7 +123,9 @@ def forward(p: MlpParams, x, ones_column: bool = False):
     (agents, batch, out_dim). With ``ones_column`` the input already ends
     in the bias column of ones, (..., in_dim + 1), as from
     :func:`input_buffer`; otherwise it is copied into such a buffer. The
-    input is cast to the parameters' dtype.
+    input is cast to the parameters' dtype. ``zeros`` may supply a zero
+    array of the activation's shape, (*lead, batch, hidden + 1), for the
+    ReLU to compare against; otherwise one is made.
     """
     x = np.asarray(x)
     single = x.ndim == 1
@@ -143,8 +145,10 @@ def forward(p: MlpParams, x, ones_column: bool = False):
     lead = () if p.agents is None else (p.agents,)
     h = input_buffer(lead + xb.shape[-2:-1], p.hidden, dtype)
     np.matmul(xb, p.l1, out=h[..., :-1])
-    # The ReLU leaves the ones column as it is.
-    np.maximum(h, 0.0, out=h)
+    # The ReLU leaves the ones column as it is. Against a zero array of
+    # h's shape numpy runs its vector loop; a scalar 0.0 or a broadcast
+    # zero row takes slower loops, with the same results.
+    np.maximum(h, np.zeros_like(h) if zeros is None else zeros, out=h)
     y = h @ p.l2
     return (y[0] if single else y), (xb, h, single)
 
@@ -166,14 +170,17 @@ def eval_vec(p: MlpParams, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: bool = True):
+def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: bool = True,
+             pads: tuple[np.ndarray, np.ndarray] | None = None):
     """Gradients of ``<dy, y>`` w.r.t. parameters and input.
 
     Returns ``(g, dx)``; ``dx`` is None when ``need_dx`` is false. ``out``
     may supply a preallocated Gradients buffer. A cache serves one backward
     call: the hidden-layer gradient is formed in its activation buffer.
     Each layer's input carries a ones column, so the last row of each
-    weight-gradient product is the bias gradient.
+    weight-gradient product is the bias gradient. For a network of one
+    output, ``pads`` may supply two zero arrays for the outer product,
+    (*lead, batch, 2) and (*lead, 2, hidden + 1); otherwise they are made.
     """
     xb, h, single = cache
     dy = np.asarray(dy, dtype=p.flat.dtype)
@@ -192,9 +199,20 @@ def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: boo
     active = h > 0.0
     l2t = p.l2.swapaxes(-1, -2)
     if p.out_dim == 1:
-        # dy @ l2t is an outer product here; numpy's matmul takes a slow
-        # loop for a unit inner dimension, a broadcast multiply does not.
-        dz = np.multiply(dyb, l2t, out=h)
+        # dy @ l2t is an outer product here. numpy's matmul takes a slow
+        # loop for a unit inner dimension, and a broadcast multiply runs
+        # one row of hidden + 1 at a time; one gemm of the operands padded
+        # with zeros to an inner dimension of 2, [dy | 0] @ [l2t ; 0], does
+        # neither. Each entry is dy * l2 + 0 * 0, rounded once as the plain
+        # product is; only a -0 product comes out +0, which the mask and
+        # the sums below do not tell apart.
+        if pads is None:
+            pads = (np.zeros(dyb.shape[:-1] + (2,), dyb.dtype),
+                    np.zeros(l2t.shape[:-2] + (2, p.hidden + 1), dyb.dtype))
+        dy_pad, l2t_pad = pads
+        dy_pad[..., :1] = dyb
+        l2t_pad[..., :1, :] = l2t
+        dz = np.matmul(dy_pad, l2t_pad, out=h)
     else:
         dz = np.matmul(dyb, l2t, out=h)
     dz *= active

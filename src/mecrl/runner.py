@@ -262,7 +262,7 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
         sums = [[0.0] * n for _ in envs]
         failed = None
         for _ in range(cfg.env.episode_len):
-            acts = act(actor, p_max, obs, 0.0, None).tolist()
+            acts = act(actor, p_max, obs).tolist()
             for i, ep_env in enumerate(envs):
                 try:
                     result = ep_env.step(acts[i])

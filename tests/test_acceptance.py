@@ -1,0 +1,137 @@
+"""Acceptance criteria: the determinism contract, checked at byte level.
+
+Fast criteria, run with every tier-1 pass:
+
+1. ``maddpg`` equals ``ddpg`` at one user.
+2. ``rmaddpg`` equals ``maddpg`` at zero reward noise.
+3. Reruns of one config write byte-identical trees.
+4. Serial and parallel training trees are byte-identical.
+5. Serial and parallel eval summaries are identical at 1, 2 and 3
+   workers, also when the reset budget holds only 1 or 2 episodes.
+
+The paper-claim criteria (``ddpg``, ``maddpg`` and ``rmaddpg`` compared on
+paired seeds with and without reward noise, behind an opt-in marker) are
+not written yet.
+"""
+
+import json
+import multiprocessing
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mecrl import runner, seeds
+from mecrl.agents import Trainer, TrainerConfig, td_update, train_episode
+from mecrl.cli import _train_tree, main
+from mecrl.config import load_config
+from mecrl.env import EnvConfig, MecEnv
+from mecrl.runner import evaluate
+
+from conftest import filled_trainer, tiny_config, trained_tree, write_cfg
+
+
+def tree_files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+
+def same_tree_bytes(a, b, context):
+    """Every file of two trees is byte-identical, ``out_dir`` aside."""
+    files = tree_files(a)
+    assert files == tree_files(b), context
+    for rel in files:
+        x, y = (a / rel).read_bytes(), (b / rel).read_bytes()
+        if rel.name == "resolved_config.json":
+            x, y = ({**json.loads(v), "out_dir": None} for v in (x, y))
+        assert x == y, (context, rel)
+    return files
+
+
+def test_c1_single_agent_maddpg_equals_ddpg():
+    # Identical seeds and one user: the centralized concatenation is
+    # the agent's own slice, so whole runs coincide bit for bit.
+    results = {}
+    for algo in ("ddpg", "maddpg"):
+        env_cfg = EnvConfig(n_users=1)
+        tc = TrainerConfig(warmup_steps=50, batch_size=32)
+        env = MecEnv(env_cfg, **seeds.env_streams(5, 0))
+        trainer = Trainer(env_cfg, tc, algo, seeds.stream(5, 0, "net_init"))
+        rx = seeds.stream(5, 0, "exploration")
+        rs = seeds.stream(5, 0, "buffer_sampling")
+        stats = [train_episode(env, trainer, rx, rs) for _ in range(3)]
+        results[algo] = (stats, trainer.agents[0])
+    stats_d, agent_d = results["ddpg"]
+    stats_m, agent_m = results["maddpg"]
+    assert stats_d == stats_m
+    assert np.array_equal(agent_d.actor.flat, agent_m.actor.flat)
+    assert np.array_equal(agent_d.critic.flat, agent_m.critic.flat)
+
+
+def test_c2_rmaddpg_with_zero_noise_band_matches_maddpg():
+    # Band width zero clamps the adversary's estimate to the stored
+    # reward exactly, reducing the robust TD step to the centralized one.
+    trainers = {}
+    for algo in ("maddpg", "rmaddpg"):
+        trainer, rs = filled_trainer(algo, seed=7, noise_level=0.0, tau_soft=0.0, gamma=0.9)
+        batch = trainer.buffer.sample_arrays(32, rs)
+        td_update(trainer, batch)
+        trainers[algo] = trainer
+    for ag_m, ag_r in zip(trainers["maddpg"].agents, trainers["rmaddpg"].agents):
+        assert np.array_equal(ag_m.critic.flat, ag_r.critic.flat)
+        assert np.array_equal(ag_m.actor.flat, ag_r.actor.flat)
+
+
+def test_c3_byte_identical_reruns(tmp_path):
+    cfg_path = write_cfg(tmp_path)
+    main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
+    main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
+    assert "aggregate.csv" in map(str, same_tree_bytes(tmp_path / "a", tmp_path / "b", "rerun"))
+
+
+def test_c4_serial_and_parallel_trees_identical(tmp_path):
+    # Updates and the reward-noise draw both run in every run. This
+    # process trains runs 0 and 2 of 3 or runs 0, 2 and 4 of 5 with 2
+    # workers, and runs 0 or runs 0 and 3 with 3.
+    for n_runs in (3, 5):
+        cfg = tiny_config(algo="rmaddpg", n_runs=n_runs,
+                          env={"n_users": 2, "episode_len": 8, "noise_level": 0.5})
+        serial = tmp_path / f"r{n_runs}w1"
+        _train_tree(replace(cfg, out_dir=str(serial)), workers=1)
+        # config, the runs, aggregate, svg; 2 agents x 5 nets
+        assert len(tree_files(serial)) == 3 + n_runs + 2 * 5
+        for workers in (2, 3):
+            parallel = tmp_path / f"r{n_runs}w{workers}"
+            _train_tree(replace(cfg, out_dir=str(parallel)), workers=workers)
+            assert multiprocessing.active_children() == []
+            same_tree_bytes(serial, parallel, (n_runs, workers))
+
+
+@pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
+def test_c5_serial_and_parallel_eval_identical(tmp_path, capsys, monkeypatch, algo):
+    # At 3 workers this process rolls episodes 0 and 3 of 5 and must
+    # replay the resets of episodes 1 and 2 in between.
+    cfg_path, ckpt = trained_tree(tmp_path, algo)
+    cfg = load_config(cfg_path)
+    episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
+    budget = runner.RESET_BUDGET_BYTES
+    for episodes in (5, 7):
+        serial = evaluate(cfg, ckpt, episodes, workers=1)
+        printed = []
+        for cpus in (1, 2, 3):
+            assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
+            # Budgets that hold 1 or 2 episodes: each share rolls in
+            # several groups, drawn in passes of at most that many.
+            for group in (1, 2):
+                monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
+                                    int(episode_bytes * (group + 1)) - 1)
+                assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
+            monkeypatch.setattr(runner, "RESET_BUDGET_BYTES", budget)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
+                         "--episodes", str(episodes)]) == 0
+            printed.append(capsys.readouterr().out)
+            assert multiprocessing.active_children() == []
+        assert printed[0].startswith(f"evaluated {episodes} episodes: "
+                                     f"mean true return {serial.mean_true_return:.4f}")
+        assert printed == [printed[0]] * 3

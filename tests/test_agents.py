@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import neural, seeds
+from mecrl import agents, neural, seeds
 from mecrl.agents import (ALGOS, Batch, ReplayBuffer, Trainer, TrainerConfig,
                           TrainingDiverged, act, td_targets, td_update, train_episode)
 from mecrl.env import EnvConfig, MecEnv
+
+from conftest import filled_trainer
 
 
 @dataclass
@@ -52,19 +54,6 @@ def stored(buf):
             for i in order]
 
 
-def filled_trainer(algo, seed=0, n_users=2, dtype=np.float32, **tc_overrides):
-    """Trainer plus a buffer filled from real environment interaction."""
-    env_cfg = EnvConfig(n_users=n_users, noise_level=tc_overrides.pop("noise_level", 5.0))
-    tc = TrainerConfig(warmup_steps=10**9, **tc_overrides)
-    env = MecEnv(env_cfg, **seeds.env_streams(seed, 0))
-    trainer = Trainer(env_cfg, tc, algo, seeds.stream(seed, 0, "net_init"), dtype=dtype)
-    rx = seeds.stream(seed, 0, "exploration")
-    rs = seeds.stream(seed, 0, "buffer_sampling")
-    for _ in range(2):
-        train_episode(env, trainer, rx, rs)
-    return trainer, rs
-
-
 class TestAct:
     def setup_method(self):
         self.actor = neural.stack_params([neural.init_mlp(6, 2, np.random.default_rng(0))])
@@ -72,35 +61,88 @@ class TestAct:
 
     def test_midpoint_at_zero_preactivation(self):
         self.actor.flat[:] = 0.0
-        a = act(self.actor, self.p_max, np.zeros((1, 6)), 0.0, None)
+        a = act(self.actor, self.p_max, np.zeros((1, 6)))
         assert np.allclose(a, [1.0, 1.0])
 
     def test_saturation(self):
         self.actor.flat[:] = 0.0
         self.actor.b2[:] = 20.0
-        a = act(self.actor, self.p_max, np.zeros((1, 6)), 0.0, None)
+        a = act(self.actor, self.p_max, np.zeros((1, 6)))
         assert np.allclose(a, [2.0, 2.0], atol=1e-8)
 
     def test_noisy_actions_stay_in_box(self):
         rng = np.random.default_rng(1)
         for _ in range(10_000):
-            a = act(self.actor, self.p_max, rng.normal(size=(1, 6)), 0.5, rng)
+            noise = (0.5 * self.p_max) * rng.standard_normal((1, 2))
+            a = act(self.actor, self.p_max, rng.normal(size=(1, 6)), noise)
             assert np.all(a >= 0.0) and np.all(a <= 2.0)
 
-    def test_stacked_draw_matches_per_user_draws(self):
-        # One (M, 2) normal draw consumes the exploration stream exactly as
-        # M per-user 2-vector draws in user order, so acting for all users
-        # in one call keeps the stream, and with it the pairing across algos.
-        rng = np.random.default_rng(3)
-        actors = [neural.init_mlp(6, 2, rng) for _ in range(3)]
-        p_max = np.array([[2.0, 1.0], [0.5, 3.0], [1.5, 1.5]])
-        obs = rng.uniform(size=(3, 6))
-        stacked = act(neural.stack_params(actors), p_max, obs, 0.3, np.random.default_rng(9))
+    def test_stacked_draw_matches_per_user_draws(self, monkeypatch):
+        # train_episode draws its episode's (T, M, 2) noise at once. That
+        # consumes the exploration stream exactly as one 2-vector draw per
+        # slot and user, in that order, so the actions, and with them the
+        # pairing across algos, are those of per-slot, per-user draws.
+        env_cfg = EnvConfig(n_users=3, episode_len=7, p_max_offload_w=(2.0, 0.5, 1.5),
+                            p_max_local_w=(1.0, 3.0, 1.5))
+        tc = TrainerConfig(explore_sigma0=0.3, warmup_steps=10**9)
+        trainer = Trainer(env_cfg, tc, "ddpg", np.random.default_rng(3))
+        env = MecEnv(env_cfg, **seeds.env_streams(0, 0))
+        calls = []
+
+        def spy(actor, p_max, obs, noise=None):
+            a = act(actor, p_max, obs, noise)
+            calls.append((obs.copy(), a))
+            return a
+
+        monkeypatch.setattr(agents, "act", spy)
+        rx = np.random.default_rng(9)
+        train_episode(env, trainer, rx, np.random.default_rng(0))
         per_user_rng = np.random.default_rng(9)
-        for m in range(3):
-            mean = (np.tanh(neural.forward(actors[m], obs[m])[0]) + 1.0) * (0.5 * p_max[m])
-            noisy = mean + per_user_rng.normal(0.0, 0.3 * p_max[m])
-            assert np.array_equal(stacked[m], np.clip(noisy, 0.0, p_max[m]))
+        p_max = trainer.p_max
+        assert len(calls) == env_cfg.episode_len
+        for obs, a in calls:
+            mean = agents._squash(neural.eval_vec(trainer.actor, obs), 0.5 * p_max)
+            for m in range(3):
+                noisy = mean[m] + per_user_rng.normal(0.0, 0.3 * p_max[m])
+                assert np.array_equal(a[m], np.clip(noisy, 0.0, p_max[m]))
+        assert rx.bit_generator.state == per_user_rng.bit_generator.state
+
+    def test_zero_sigma_draws_nothing(self):
+        env_cfg = EnvConfig(episode_len=5)
+        tc = TrainerConfig(explore_sigma0=0.0, explore_sigma_floor=0.0, warmup_steps=10**9)
+        trainer = Trainer(env_cfg, tc, "ddpg", np.random.default_rng(3))
+        env = MecEnv(env_cfg, **seeds.env_streams(0, 0))
+        rx = np.random.default_rng(9)
+        train_episode(env, trainer, rx, np.random.default_rng(0))
+        assert rx.bit_generator.state == np.random.default_rng(9).bit_generator.state
+
+
+class TestOldExpressions:
+    """The update's reductions and clamp give the bytes of the numpy
+    calls they replaced, computed side by side."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_add_reduce_over_k_is_mean(self, rng, dtype):
+        for m, k in ((2, 128), (8, 128), (3, 37), (1, 1)):
+            q = rng.normal(size=(m, k, 1)) * 10.0 ** rng.integers(-8, 8, size=(m, k, 1))
+            q = q.astype(dtype)
+            q[0, ::5] = 0.0
+            assert (np.add.reduce(q, axis=(1, 2)) / k).tobytes() == q.mean(axis=(1, 2)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maximum_minimum_is_clip(self, rng, dtype):
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype)
+        r_hat = rng.normal(scale=3.0, size=(3, 64, 1)).astype(dtype)
+        stored = rng.normal(size=(3, 64, 1)).astype(dtype)
+        r_hat[0, :5, 0] = specials
+        stored[1, :5, 0] = specials
+        r_hat[2, :25, 0] = np.repeat(specials, 5)
+        stored[2, :25, 0] = np.tile(specials, 5)
+        for band in (0.0, 1.0, np.inf):
+            with np.errstate(invalid="ignore"):
+                lo, hi = stored - band, stored + band
+                old = np.clip(r_hat, lo, hi)
+            assert np.minimum(np.maximum(r_hat, lo), hi).tobytes() == old.tobytes()
 
 
 class TestReplayBuffer:
@@ -227,40 +269,6 @@ class TestDescentAscent:
             stats = td_update(trainer, batch)
             means.append(stats.nature_mean[0])
         assert all(b < a for a, b in zip(means, means[1:])), means
-
-
-class TestEquivalences:
-    def test_single_agent_maddpg_equals_ddpg(self):
-        # Identical seeds and one user: the centralized concatenation is
-        # the agent's own slice, so whole runs coincide bit for bit.
-        results = {}
-        for algo in ("ddpg", "maddpg"):
-            env_cfg = EnvConfig(n_users=1)
-            tc = TrainerConfig(warmup_steps=50, batch_size=32)
-            env = MecEnv(env_cfg, **seeds.env_streams(5, 0))
-            trainer = Trainer(env_cfg, tc, algo, seeds.stream(5, 0, "net_init"))
-            rx = seeds.stream(5, 0, "exploration")
-            rs = seeds.stream(5, 0, "buffer_sampling")
-            stats = [train_episode(env, trainer, rx, rs) for _ in range(3)]
-            results[algo] = (stats, trainer.agents[0])
-        stats_d, agent_d = results["ddpg"]
-        stats_m, agent_m = results["maddpg"]
-        assert stats_d == stats_m
-        assert np.array_equal(agent_d.actor.flat, agent_m.actor.flat)
-        assert np.array_equal(agent_d.critic.flat, agent_m.critic.flat)
-
-    def test_rmaddpg_with_zero_noise_band_matches_maddpg(self):
-        # Band width zero clamps the adversary's estimate to the stored
-        # reward exactly, reducing the robust TD step to the centralized one.
-        trainers = {}
-        for algo in ("maddpg", "rmaddpg"):
-            trainer, rs = filled_trainer(algo, seed=7, noise_level=0.0, tau_soft=0.0, gamma=0.9)
-            batch = trainer.buffer.sample_arrays(32, rs)
-            td_update(trainer, batch)
-            trainers[algo] = trainer
-        for ag_m, ag_r in zip(trainers["maddpg"].agents, trainers["rmaddpg"].agents):
-            assert np.array_equal(ag_m.critic.flat, ag_r.critic.flat)
-            assert np.array_equal(ag_m.actor.flat, ag_r.actor.flat)
 
 
 def reference_update(ref, batch, algo, tc, noise_level):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecrl import cmatrix, phy, seeds
-from mecrl.env import (RESET_BUDGET_BYTES, RESET_SLOT_BYTES, RESET_TASK_BYTES, Action,
-                       ActionError, ConfigError, EnvConfig, MecEnv, Observation, StateError,
-                       TaskQueue, accepted_normals, draw_arrivals)
+from mecrl.env import (RESET_BUDGET_BYTES, RESET_SLOT_BASE_BYTES, RESET_SLOT_BYTES,
+                       RESET_TASK_BYTES, Action, ActionError, ConfigError, EnvConfig, MecEnv,
+                       Observation, StateError, TaskQueue, accepted_normals, draw_arrivals)
 
 
 def make_env(seed=0, **overrides):
@@ -42,7 +42,7 @@ class TestConfig:
         cfg = EnvConfig(n_users=users, constants=phy.PhyConstants(n_antennas=antennas),
                         arrival_rate=rate, noise_level=1.0, episode_len=2000)
         estimate = cfg.episode_len * (RESET_SLOT_BYTES * users * (antennas + 1)
-                                      + RESET_TASK_BYTES * users * rate)
+                                      + RESET_SLOT_BASE_BYTES + RESET_TASK_BYTES * users * rate)
         assert estimate == cfg.reset_slot_bytes() * cfg.episode_len  # sizes eval groups
         env = MecEnv(cfg, **seeds.env_streams(0, 0))
         tracemalloc.start()
@@ -61,10 +61,11 @@ class TestConfig:
                 del group
         finally:
             tracemalloc.stop()
-        assert peak <= estimate
+        # A training episode holds its (T, M, 2) float64 exploration draw too.
+        assert peak + 16 * users * cfg.episode_len <= estimate
 
     def test_episode_bounded_by_the_reset_budget(self):
-        slot_bytes = RESET_SLOT_BYTES * 2 * 5 + RESET_TASK_BYTES * 2 * 2.0
+        slot_bytes = RESET_SLOT_BYTES * 2 * 5 + RESET_SLOT_BASE_BYTES + RESET_TASK_BYTES * 2 * 2.0
         longest = int(RESET_BUDGET_BYTES // slot_bytes)
         EnvConfig(episode_len=longest)
         with pytest.raises(ConfigError, match=f"at most {longest} slots fit"):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mecrl import cli, neural, phy, runner, seeds
 from mecrl.agents import EpisodeStats, TrainingDiverged, act
-from mecrl.cli import _train_tree, main
+from mecrl.cli import main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
 from mecrl.env import Action, ConfigError, MecEnv
@@ -26,17 +26,7 @@ from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
                           write_csv, write_run_csv)
 from mecrl.svgplot import render_svg
 
-
-def tiny_config(**over):
-    doc = {
-        "env": {"n_users": 2, "episode_len": 8},
-        "trainer": {"warmup_steps": 6, "batch_size": 4, "buffer_capacity": 50},
-        "episodes": 3,
-        "n_runs": 2,
-        "base_seed": 13,
-    }
-    doc.update(over)
-    return config_from_dict(doc)
+from conftest import tiny_config, trained_tree, write_cfg
 
 
 def record(vals):
@@ -343,7 +333,7 @@ class TestEvaluate:
             env.reset()
             sums = np.zeros(n)
             for _ in range(cfg.env.episode_len):
-                acts = act(actor, p_max, env.obs_vectors(), 0.0, None)
+                acts = act(actor, p_max, env.obs_vectors())
                 sums += env.step([Action(*a) for a in acts.tolist()]).true_rewards
             returns.append(math.fsum(sums) / n)
             per_user += sums
@@ -369,9 +359,9 @@ class TestEvaluate:
         episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
         rolled, real_act = [], runner.act
 
-        def counting_act(actor, p_max, obs, sigma, rng):
+        def counting_act(actor, p_max, obs, noise=None):
             rolled.append(obs.shape[0])
-            return real_act(actor, p_max, obs, sigma, rng)
+            return real_act(actor, p_max, obs, noise)
 
         monkeypatch.setattr(runner, "act", counting_act)
         # Episodes per act call in this process; at 2 workers its share is
@@ -433,30 +423,16 @@ class TestEvaluate:
 
 
 class TestCli:
-    def _write_cfg(self, tmp_path, **over):
-        doc = {
-            "env": {"n_users": 2, "episode_len": 6},
-            "trainer": {"warmup_steps": 5, "batch_size": 4, "buffer_capacity": 50},
-            "episodes": 2,
-            "n_runs": 2,
-            "base_seed": 3,
-            "out_dir": str(tmp_path / "out"),
-        }
-        doc.update(over)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        return path
-
     def test_users_ten_orders_of_magnitude_apart_train(self, tmp_path, capsys):
         # Path gains 1e-3 and 1e-15: every Gram pivot is far below 1e-12 of
         # the largest diagonal entry, but not of its own row's.
-        cfg_path = self._write_cfg(tmp_path, env={"n_users": 2, "episode_len": 6,
-                                                  "distances_m": [1, 10000]})
+        cfg_path = write_cfg(tmp_path, env={"n_users": 2, "episode_len": 6,
+                                            "distances_m": [1, 10000]})
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert capsys.readouterr().err == ""
 
     def test_train_writes_documented_tree(self, tmp_path):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         assert main(["train", "--config", str(cfg_path)]) == 0
         out = tmp_path / "out"
         expected = {"resolved_config.json", "run_0.csv", "run_1.csv",
@@ -467,14 +443,14 @@ class TestCli:
                         for role in ("actor", "actor_target", "critic", "critic_target")}
 
     def test_train_run_override(self, tmp_path):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         out = tmp_path / "alt"
         assert main(["train", "--config", str(cfg_path), "--runs", "1",
                      "--out", str(out)]) == 0
         assert (out / "run_0.csv").exists() and not (out / "run_1.csv").exists()
 
     def test_plot_overlays_two_curves(self, tmp_path):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         main(["train", "--config", str(cfg_path)])
         agg = tmp_path / "out" / "aggregate.csv"
         other = tmp_path / "other.csv"
@@ -484,7 +460,7 @@ class TestCli:
         assert len(svg_elements(svg, "polyline")) == 2
 
     def test_eval_round_trip(self, tmp_path, capsys):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         main(["train", "--config", str(cfg_path)])
         code = main(["eval", "--config", str(cfg_path),
                      "--checkpoints", str(tmp_path / "out" / "checkpoints"),
@@ -493,8 +469,7 @@ class TestCli:
         assert "mean true return" in capsys.readouterr().out
 
     def test_grid_creates_cells(self, tmp_path):
-        cfg_path = self._write_cfg(tmp_path, n_runs=1, episodes=1,
-                                   out_dir=str(tmp_path / "grid"))
+        cfg_path = write_cfg(tmp_path, n_runs=1, episodes=1, out_dir=str(tmp_path / "grid"))
         assert main(["grid", "--config", str(cfg_path),
                      "--gamma", "0.95,0.99", "--noise", "200,300"]) == 0
         names = {p.name for p in (tmp_path / "grid").iterdir()}
@@ -545,7 +520,7 @@ class TestCli:
         ("env", "episode_len", "1" + "0" * 400),
     ])
     def test_bad_value_exits_one_with_one_line(self, tmp_path, capsys, section, key, value):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         doc = json.loads(cfg_path.read_text())
         (doc[section] if section else doc)[key] = "@value@"
         cfg_path.write_text(json.dumps(doc).replace('"@value@"', value))
@@ -560,7 +535,7 @@ class TestCli:
         ("p_max_local_w", "1e300"),   # infinite local capacity, then the energy term overflows
     ])
     def test_diverging_training_exits_one_naming_the_network(self, tmp_path, capsys, key, value):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         doc = json.loads(cfg_path.read_text())
         doc["env"][key] = "@value@"
         cfg_path.write_text(json.dumps(doc).replace('"@value@"', value))
@@ -571,50 +546,26 @@ class TestCli:
         assert not (tmp_path / "out" / "resolved_config.json").exists()
 
     def test_zero_runs_override_exits_one_with_one_line(self, tmp_path, capsys):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         assert main(["train", "--config", str(cfg_path), "--runs", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mecrl: error:") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
     def test_grid_rejects_nonfinite_level(self, tmp_path, capsys):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         assert main(["grid", "--config", str(cfg_path), "--gamma", "0.95",
                      "--noise", "nan"]) == 1
         assert capsys.readouterr().err.startswith("mecrl: error:")
         assert not (tmp_path / "out").exists()
 
     def test_grid_rejects_out_of_range_gamma(self, tmp_path, capsys):
-        cfg_path = self._write_cfg(tmp_path)
+        cfg_path = write_cfg(tmp_path)
         assert main(["grid", "--config", str(cfg_path), "--gamma", "1.5",
                      "--noise", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mecrl: error: gamma") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
-
-    def test_serial_and_parallel_trees_identical(self, tmp_path):
-        # Updates and the reward-noise draw both run in every run. This
-        # process trains runs 0 and 2 of 3 or runs 0, 2 and 4 of 5 with 2
-        # workers, and runs 0 or runs 0 and 3 with 3.
-        for n_runs in (3, 5):
-            cfg = tiny_config(algo="rmaddpg", n_runs=n_runs,
-                              env={"n_users": 2, "episode_len": 8, "noise_level": 0.5})
-            serial = tmp_path / f"r{n_runs}w1"
-            _train_tree(replace(cfg, out_dir=str(serial)), workers=1)
-            files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
-            # config, the runs, aggregate, svg; 2 agents x 5 nets
-            assert len(files) == 3 + n_runs + 2 * 5
-            for workers in (2, 3):
-                parallel = tmp_path / f"r{n_runs}w{workers}"
-                _train_tree(replace(cfg, out_dir=str(parallel)), workers=workers)
-                assert multiprocessing.active_children() == []
-                assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*")
-                                       if p.is_file())
-                for rel in files:
-                    a, b = (serial / rel).read_bytes(), (parallel / rel).read_bytes()
-                    if rel.name == "resolved_config.json":
-                        a, b = ({**json.loads(x), "out_dir": None} for x in (a, b))
-                    assert a == b, (n_runs, workers, rel)
 
     @pytest.mark.parametrize("failing", [(1,), (1, 2)])
     def test_parallel_tree_reports_the_earliest_failing_run(self, tmp_path, capsys,
@@ -630,7 +581,7 @@ class TestCli:
 
         # The forked workers inherit the patch.
         monkeypatch.setattr(cli, "run_training", run_training)
-        cfg_path = self._write_cfg(tmp_path, n_runs=3)
+        cfg_path = write_cfg(tmp_path, n_runs=3)
         for cpus in (1, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             out = tmp_path / f"cpus{cpus}"
@@ -650,51 +601,16 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_training", run_training)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert main(["train", "--config", str(self._write_cfg(tmp_path))]) == 2
+        assert main(["train", "--config", str(write_cfg(tmp_path))]) == 2
         err = capsys.readouterr().err
         assert err == "mecrl: i/o error: the process training run 1 exited with code -9\n", err
         assert not (tmp_path / "out" / "resolved_config.json").exists()
         assert multiprocessing.active_children() == []
 
-    def _trained(self, tmp_path, algo="ddpg"):
-        cfg_path = self._write_cfg(tmp_path, algo=algo, env={
-            "n_users": 2, "episode_len": 6, "noise_level": 0.5})
-        _train_tree(load_config(cfg_path), workers=1)
-        return cfg_path, tmp_path / "out" / "checkpoints"
-
-    @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
-    def test_serial_and_parallel_eval_identical(self, tmp_path, capsys, monkeypatch, algo):
-        # At 3 workers this process rolls episodes 0 and 3 of 5 and must
-        # replay the resets of episodes 1 and 2 in between.
-        cfg_path, ckpt = self._trained(tmp_path, algo)
-        cfg = load_config(cfg_path)
-        episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
-        budget = runner.RESET_BUDGET_BYTES
-        for episodes in (5, 7):
-            serial = evaluate(cfg, ckpt, episodes, workers=1)
-            printed = []
-            for cpus in (1, 2, 3):
-                assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
-                # Budgets that hold 1 or 2 episodes: each share rolls in
-                # several groups, drawn in passes of at most that many.
-                for group in (1, 2):
-                    monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
-                                        int(episode_bytes * (group + 1)) - 1)
-                    assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
-                monkeypatch.setattr(runner, "RESET_BUDGET_BYTES", budget)
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-                assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
-                             "--episodes", str(episodes)]) == 0
-                printed.append(capsys.readouterr().out)
-                assert multiprocessing.active_children() == []
-            assert printed[0].startswith(f"evaluated {episodes} episodes: "
-                                         f"mean true return {serial.mean_true_return:.4f}")
-            assert printed == [printed[0]] * 3
-
     @pytest.mark.parametrize("failing", [(1,), (1, 2)])
     def test_parallel_eval_reports_the_earliest_failing_episode(self, tmp_path, capsys,
                                                                 monkeypatch, failing):
-        cfg_path, ckpt = self._trained(tmp_path)
+        cfg_path, ckpt = trained_tree(tmp_path)
         real_group, real_step = MecEnv.reset_group, MecEnv.step
 
         def reset_group(env, k, keep=None):
@@ -725,7 +641,7 @@ class TestCli:
             assert multiprocessing.active_children() == []
 
     def test_killed_eval_worker_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
-        cfg_path, ckpt = self._trained(tmp_path)
+        cfg_path, ckpt = trained_tree(tmp_path)
         real, caller = MecEnv.step, os.getpid()
 
         def step(env, actions):
@@ -743,7 +659,7 @@ class TestCli:
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_nonfinite_checkpoint_exits_one_naming_the_file(self, tmp_path, capsys, value):
-        cfg_path, ckpt = self._trained(tmp_path)
+        cfg_path, ckpt = trained_tree(tmp_path)
         path = ckpt / "ddpg_1_actor.json"
         doc = json.loads(path.read_text())
         doc["b1"]["data"][0] = "@value@"
@@ -759,7 +675,7 @@ class TestCli:
     ])
     def test_malformed_checkpoint_shape_exits_one_naming_the_layer(self, tmp_path, capsys,
                                                                    shape, why):
-        cfg_path, ckpt = self._trained(tmp_path)
+        cfg_path, ckpt = trained_tree(tmp_path)
         path = ckpt / "ddpg_0_actor.json"
         doc = json.loads(path.read_text())
         doc["w1"]["shape"] = shape
@@ -777,14 +693,6 @@ class TestCli:
         assert main(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")]) == 1
         assert capsys.readouterr() == ("", f"mecrl: error: {path}: line 3: {why}\n")
         assert not (tmp_path / "p.svg").exists()
-
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg_path = self._write_cfg(tmp_path)
-        main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
-        main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
-        assert ((tmp_path / "a" / "aggregate.csv").read_bytes()
-                == (tmp_path / "b" / "aggregate.csv").read_bytes())
-
 
 class TestNoisePair:
     def test_writes_two_grid_cells(self, tmp_path):

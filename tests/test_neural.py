@@ -416,3 +416,91 @@ class TestStacked:
             gm = Gradients(5, 2, 8, flat=g.flat[m].copy())
             adam_step(AdamState(), p, gm)
             assert np.array_equal(stack.flat[m], p.flat)
+
+
+class TestOldExpressions:
+    """``forward``'s ReLU against a zero array and ``backward``'s padded
+    outer product give the bytes of the expressions they replaced, which
+    are computed here side by side on the same numpy and BLAS."""
+
+    @staticmethod
+    def make(rng, agents, out_dim, dtype, in_dim=5, hidden=64):
+        nets = [init_mlp(in_dim, out_dim, rng, hidden) for _ in range(agents or 1)]
+        for p in nets:
+            # Zero and negative biases give exact zeros and dead units.
+            p.b1[:] = rng.normal(size=hidden) * 0.5
+            p.b1[::5] = 0.0
+            p.b2[:] = -np.abs(rng.normal(size=out_dim))
+        if agents is None:
+            return MlpParams(in_dim, out_dim, hidden, nets[0].flat.astype(dtype))
+        return neural.stack_params(nets, dtype)
+
+    @staticmethod
+    def inputs(rng, p, batch, shared):
+        lead = () if p.agents is None or shared else (p.agents,)
+        xb = neural.input_buffer(lead + (batch,), p.in_dim, p.flat.dtype)
+        xb[..., :-1] = rng.normal(size=lead + (batch, p.in_dim))
+        xb[..., 0, :-1] = 0.0        # the hidden biases alone
+        xb[..., 1, :-1] = -0.0
+        return xb
+
+    @staticmethod
+    def scalar_relu_forward(p, xb):
+        lead = () if p.agents is None else (p.agents,)
+        h = neural.input_buffer(lead + xb.shape[-2:-1], p.hidden, p.flat.dtype)
+        np.matmul(xb, p.l1, out=h[..., :-1])
+        np.maximum(h, 0.0, out=h)
+        return h @ p.l2, h
+
+    @staticmethod
+    def broadcast_outer_backward(p, cache, dy):
+        xb, h, _ = cache
+        g = Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents, dtype=p.flat.dtype)
+        np.matmul(h.swapaxes(-1, -2), dy, out=g.l2)
+        active = h > 0.0
+        dz = np.multiply(dy, p.l2.swapaxes(-1, -2), out=h)
+        dz *= active
+        np.matmul(xb.swapaxes(-1, -2), dz[..., :-1], out=g.l1)
+        return g, dz[..., :-1] @ p.w1
+
+    CASES = [(None, False), (3, True), (3, False), (8, True)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("agents,shared", CASES)
+    def test_relu_against_a_zero_array(self, rng, dtype, agents, shared):
+        p = self.make(rng, agents, 2, dtype)
+        for batch in (5, 37, 128):
+            xb = self.inputs(rng, p, batch, shared)
+            xb[..., 2, 0] = np.inf
+            xb[..., 3, 1] = -np.inf
+            xb[..., 4, 2] = np.nan
+            with np.errstate(invalid="ignore"):
+                y_old, h_old = self.scalar_relu_forward(p, xb)
+            zeros = np.zeros(h_old.shape, dtype)
+            for z in (zeros, None):
+                with np.errstate(invalid="ignore"):
+                    y, (_, h, _) = forward(p, xb, ones_column=True, zeros=z)
+                assert y.tobytes() == y_old.tobytes() and h.tobytes() == h_old.tobytes()
+            assert not zeros.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("agents,shared", CASES)
+    def test_padded_outer_product_backward(self, rng, dtype, agents, shared):
+        p = self.make(rng, agents, 1, dtype)
+        assert (p.w2 < 0).any() and (p.w2 > 0).any() and (p.b2 < 0).all()
+        for batch in (5, 37, 128):
+            xb = self.inputs(rng, p, batch, shared)
+            dy = rng.normal(size=(() if agents is None else (agents,)) + (batch, 1)).astype(dtype)
+            dy[..., ::3, :] = 0.0        # 0 * negative l2 is -0 in the old form
+            dy[..., 1::7, :] = -0.0
+            _, cache = forward(p, xb, ones_column=True)
+            assert (cache[1] == 0.0).any() and (cache[1] > 0.0).any()
+            g_old, dx_old = self.broadcast_outer_backward(p, (xb, cache[1].copy(), None), dy)
+            lead = dy.shape[:-1]
+            pads = (np.zeros(lead + (2,), dtype), np.zeros(lead[:-1] + (2, p.hidden + 1), dtype))
+            for pad in (pads, None):
+                _, cache = forward(p, xb, ones_column=True)
+                g, dx = backward(p, cache, dy, pads=pad)
+                assert g.flat.tobytes() == g_old.flat.tobytes()
+                assert dx.tobytes() == dx_old.tobytes()
+            assert not pads[0][..., 1].any() and not pads[1][..., 1, :].any()
