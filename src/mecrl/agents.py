@@ -19,8 +19,10 @@ import numpy as np
 from . import neural
 from .env import Action, EnvConfig, MecEnv, StepResult
 from .errors import ConfigError
-from .neural import (AdamState, Gradients, MlpParams, adam_step, backward,
-                     eval_vec, forward, soft_update)
+# The update runs the unchecked kernels on its own buffers, under the names
+# the benchmark's tracer patches.
+from .neural import AdamState, MlpParams, adam_step, eval_vec, soft_update
+from .neural import backward_unchecked as backward, forward_unchecked as forward
 
 ALGOS = ("ddpg", "maddpg", "rmaddpg")
 
@@ -64,27 +66,33 @@ class TrainerConfig:
 
 @dataclass
 class Batch:
-    """Stacked sample: axes are (batch, user, feature)."""
+    """Stacked sample: axes are (batch, user, feature). The four arrays view
+    ``rows``, one packed row [obs | acts | rewards | next_obs] per
+    transition, each part all users' entries in user order."""
 
     obs: np.ndarray        # (k, M, obs_dim)
     acts: np.ndarray       # (k, M, 2)
     rewards: np.ndarray    # (k, M)
     next_obs: np.ndarray   # (k, M, obs_dim)
+    rows: np.ndarray       # (k, M * (2 * obs_dim + 3))
 
 
 class ReplayBuffer:
     """Fixed-capacity FIFO ring sampled uniformly with replacement; pushed
-    values are stored in ``dtype``."""
+    values are stored in ``dtype``, one :class:`Batch` row per transition,
+    so a sample is one gather."""
 
     def __init__(self, capacity: int, n_users: int, obs_dim: int, act_dim: int = 2,
                  dtype=np.float32):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._obs = np.empty((capacity, n_users, obs_dim), dtype)
-        self._acts = np.empty((capacity, n_users, act_dim), dtype)
-        self._rewards = np.empty((capacity, n_users), dtype)
-        self._next_obs = np.empty((capacity, n_users, obs_dim), dtype)
+        # Columns and per-transition shape of obs, acts, rewards and next_obs.
+        shapes = ((n_users, obs_dim), (n_users, act_dim), (n_users,), (n_users, obs_dim))
+        ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        self._fields = list(zip(map(slice, ends, ends[1:]), shapes))
+        self._ring = np.empty((capacity, ends[-1]), dtype)
+        self._obs, self._acts, self._rewards, self._next_obs = self._unpack(self._ring)
         self._size = 0
         self._cursor = 0
 
@@ -105,8 +113,11 @@ class ReplayBuffer:
     def sample_arrays(self, k: int, rng: np.random.Generator) -> Batch:
         if k > self._size:
             raise ValueError(f"cannot sample {k} transitions from {self._size} stored")
-        idx = rng.integers(0, self._size, size=k)
-        return Batch(self._obs[idx], self._acts[idx], self._rewards[idx], self._next_obs[idx])
+        rows = self._ring[rng.integers(0, self._size, size=k)]
+        return Batch(*self._unpack(rows), rows)
+
+    def _unpack(self, rows: np.ndarray) -> list[np.ndarray]:
+        return [rows[:, cols].reshape((len(rows),) + shape) for cols, shape in self._fields]
 
 
 @dataclass
@@ -146,11 +157,6 @@ def _squash(u: np.ndarray, half: np.ndarray) -> np.ndarray:
     return (np.tanh(u) + 1.0) * half
 
 
-def _neg(g: Gradients) -> Gradients:
-    np.negative(g.flat, out=g.flat)
-    return g
-
-
 def act(actor: MlpParams, p_max: np.ndarray, obs: np.ndarray,
         noise: np.ndarray | None = None) -> np.ndarray:
     """Deterministic policy outputs of all users, plus ``noise`` if given,
@@ -176,10 +182,13 @@ def act(actor: MlpParams, p_max: np.ndarray, obs: np.ndarray,
 def td_targets(critic_target: MlpParams, x_next, rewards: np.ndarray,
                gamma: float, zeros: np.ndarray | None = None) -> np.ndarray:
     """Bootstrapped regression targets of all agents:
-    r + gamma * Q_target(s', a'), shape (M, k, 1). ``x_next`` ends in a
-    ones column (see ``neural.input_buffer``); ``zeros`` is passed on to
-    ``forward``."""
-    return rewards + gamma * forward(critic_target, x_next, ones_column=True, zeros=zeros)[0]
+    r + gamma * Q_target(s', a'), shape (M, k, 1). ``x_next`` is in the
+    critic's dtype and ends in a ones column (see ``neural.input_buffer``);
+    ``zeros`` is passed on to ``neural.forward_unchecked``."""
+    y = forward(critic_target, x_next, zeros)[0]
+    y *= gamma
+    y += rewards
+    return y
 
 
 def _nature_step(trainer: "Trainer", work: "_UpdateBuffers", stored: np.ndarray):
@@ -190,17 +199,15 @@ def _nature_step(trainer: "Trainer", work: "_UpdateBuffers", stored: np.ndarray)
     The adversaries read nothing the agents' step changes, so they step
     first and their activations are released before the agents' step.
     """
-    k = work.k
-    r_hat, cache = forward(trainer.nature, work.local, ones_column=True, zeros=work.zeros)
+    r_hat, cache = forward(trainer.nature, work.local, work.zeros)
     band = 2.0 * trainer.noise_level
     # np.clip's per-call overhead is about twice that of these two ufuncs,
     # which give the same values, NaN included.
     r_tilde = np.minimum(np.maximum(r_hat, stored - band), stored + band)
     # The pairwise sum and the division of ndarray.mean, without its
     # Python-level dispatch.
-    mean = np.add.reduce(r_hat, axis=(1, 2)) / k
-    g, _ = backward(trainer.nature, cache, np.full(r_hat.shape, 1.0 / k, r_hat.dtype),
-                    out=trainer.nature_grad, need_dx=False, pads=work.pads)
+    mean = np.add.reduce(r_hat, axis=(1, 2)) / work.k
+    g, _ = backward(trainer.nature, cache, work.inv_k, trainer.nature_grad, False, work.pads)
     adam_step(trainer.nature_opt, trainer.nature, g)
     return r_tilde, mean
 
@@ -209,17 +216,16 @@ def _critic_step(trainer: "Trainer", work: "_UpdateBuffers", y: np.ndarray) -> n
     """One descent step on every critic's mean squared Bellman error;
     returns the per-agent loss before the step."""
     k = work.k
-    q, cache = forward(trainer.critic, work.x, ones_column=True, zeros=work.zeros)
+    q, cache = forward(trainer.critic, work.x, work.zeros)
     err = np.subtract(q, y, out=q)
     loss = np.einsum("mki,mki->m", err, err) / k
     err *= 2.0 / k
-    g, _ = backward(trainer.critic, cache, err, out=trainer.critic_grad, need_dx=False,
-                    pads=work.pads)
+    g, _ = backward(trainer.critic, cache, err, trainer.critic_grad, False, work.pads)
     adam_step(trainer.critic_opt, trainer.critic, g)
     return loss
 
 
-def _actor_step(trainer: "Trainer", work: "_UpdateBuffers", acts: np.ndarray) -> np.ndarray:
+def _actor_step(trainer: "Trainer", work: "_UpdateBuffers") -> np.ndarray:
     """One ascent step of every actor on mean Q(s, a) with its own action
     columns set to its policy's output and the other users' columns taken
     from the batch; returns the per-agent objective before the step.
@@ -228,25 +234,25 @@ def _actor_step(trainer: "Trainer", work: "_UpdateBuffers", acts: np.ndarray) ->
     needed, so the critic pass is written out here: the pre-activation is
     the batch input (with its ones column) times the critic's first layer,
     plus a rank-2 correction through the agent's own action rows, and no
-    parameter gradient of the critic is formed. ``acts`` are the batch
-    actions, (M, k, 2).
+    parameter gradient of the critic is formed. The gradient comes out
+    negated, through ``-half``, for the descent step to ascend: rounding is
+    symmetric in sign.
     """
     critic, k = trainer.critic, work.k
-    u, cache = forward(trainer.actor, work.obs, ones_column=True, zeros=work.zeros)
+    u, cache = forward(trainer.actor, work.obs, work.zeros)
     t = np.tanh(u)
-    half = trainer.half[:, None, :]
     w_own = critic.l1[trainer.own_rows]                  # (M, 2, hidden)
     z = np.matmul(work.x, critic.l1, out=work.hidden[0])
-    z += np.matmul((t + 1.0) * half - acts, w_own, out=work.hidden[1])
+    z += np.matmul((t + 1.0) * work.half - work.acts, w_own, out=work.hidden[1])
     np.maximum(z, work.zeros_z, out=z)
     q = z @ critic.w2t
     q += critic.b2[:, None, :]
     objective = np.add.reduce(q, axis=(1, 2)) / k
     dz = np.multiply(z > 0.0, critic.w2 * (1.0 / k), out=z)
     du = dz @ w_own.swapaxes(1, 2)
-    du *= (1.0 - t * t) * half
-    g, _ = backward(trainer.actor, cache, du, out=trainer.actor_grad, need_dx=False)
-    adam_step(trainer.actor_opt, trainer.actor, _neg(g))
+    du *= (1.0 - t * t) * work.neg_half
+    g, _ = backward(trainer.actor, cache, du, trainer.actor_grad, False, None)
+    adam_step(trainer.actor_opt, trainer.actor, g)
     return objective
 
 
@@ -261,17 +267,22 @@ class _UpdateBuffers:
     joint (obs, action) of all users in user order otherwise,
     (k, M * (obs_dim + 2) + 1). ``local`` holds each agent's own
     (obs, action) for the ``rmaddpg`` adversaries; in ``ddpg`` it is ``x``.
-    ``hidden`` holds the actor step's two (M, k, hidden) activations.
+    ``acts`` holds the batch actions, (M, k, 2), and ``hidden`` the actor
+    step's two (M, k, hidden) activations.
 
-    The rest are constant operands that keep numpy on its vector loops
-    (see ``neural.forward`` and ``neural.backward``): ``zeros`` is every
-    forward's (M, k, hidden + 1) activation shape for the ReLU, and
-    ``zeros_z`` the actor step's (M, k, hidden) one, a contiguous view of
-    the same zeros; ``pads`` are the zero-padded outer-product operands of
-    the critics' and adversaries' backward passes.
+    The rest are constant operands at the full shape they meet, which keeps
+    numpy on its vector loops (see ``neural.forward`` and
+    ``neural.backward``): ``zeros`` is every forward's (M, k, hidden + 1)
+    activation shape for the ReLU, and ``zeros_z`` the actor step's
+    (M, k, hidden) one, a contiguous view of the same zeros; ``pads`` are
+    the zero-padded outer-product operands of the critics' and adversaries'
+    backward passes; ``half`` and ``neg_half`` are ±half the action range,
+    (M, k, 2); ``inv_k`` is the adversaries' upstream gradient 1 / k.
     """
 
-    def __init__(self, algo: str, n: int, obs_dim: int, k: int, hidden: int, dtype):
+    def __init__(self, algo: str, half: np.ndarray, obs_dim: int, k: int, hidden: int):
+        n, dtype = len(half), half.dtype
+
         def buf(lead, width):
             return neural.input_buffer(lead, width, dtype)
 
@@ -284,11 +295,15 @@ class _UpdateBuffers:
         self.local = None
         if algo != "maddpg":
             self.local = self.x if algo == "ddpg" else buf((n, k), obs_dim + 2)
+        self.acts = np.empty((n, k, 2), dtype)
         self.hidden = np.empty((2, n, k, hidden), dtype)
         zeros = np.zeros(n * k * (hidden + 1), dtype)
         self.zeros = zeros.reshape(n, k, hidden + 1)
         self.zeros_z = zeros[:n * k * hidden].reshape(n, k, hidden)
         self.pads = (np.zeros((n, k, 2), dtype), np.zeros((n, 2, hidden + 1), dtype))
+        self.half = np.repeat(half[:, None, :], k, axis=1)
+        self.neg_half = -self.half
+        self.inv_k = np.full((n, k, 1), 1.0 / k, dtype) if algo == "rmaddpg" else None
 
 
 def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
@@ -305,25 +320,24 @@ def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
     tc = trainer.tc
     k, n, d = batch.obs.shape
     if trainer.work.k != k:
-        trainer.work = _UpdateBuffers(trainer.algo, n, d, k, tc.hidden, trainer.critic.flat.dtype)
+        trainer.work = _UpdateBuffers(trainer.algo, trainer.half, d, k, tc.hidden)
     work = trainer.work
     obs = batch.obs.transpose(1, 0, 2)                   # (M, k, obs_dim)
-    acts = batch.acts.transpose(1, 0, 2)                 # (M, k, 2)
     next_obs = batch.next_obs.transpose(1, 0, 2)
     rewards = batch.rewards.T[:, :, None]                # (M, k, 1)
     work.obs[..., :-1] = obs
     work.next_obs[..., :-1] = next_obs
-    a_next = _squash(forward(trainer.actor_target, work.next_obs, ones_column=True,
-                             zeros=work.zeros)[0], trainer.half[:, None, :])  # (M, k, 2)
+    np.copyto(work.acts, batch.acts.transpose(1, 0, 2))
+    a_next = _squash(forward(trainer.actor_target, work.next_obs, work.zeros)[0], work.half)
     if work.local is not None:
         work.local[..., :d] = obs
-        work.local[..., d:-1] = acts
+        work.local[..., d:-1] = work.acts
     if trainer.algo == "ddpg":
         work.x_next[..., :d] = next_obs
         work.x_next[..., d:-1] = a_next
     else:
-        work.x[:, :n * d] = batch.obs.reshape(k, n * d)
-        work.x[:, n * d:-1] = batch.acts.reshape(k, 2 * n)
+        # Packed rows start with every user's obs, then every user's action.
+        work.x[:, :-1] = batch.rows[:, :n * (d + 2)]
         work.x_next[:, :n * d] = batch.next_obs.reshape(k, n * d)
         work.x_next[:, n * d:-1] = a_next.transpose(1, 0, 2).reshape(k, 2 * n)
     nature_mean = None
@@ -331,7 +345,7 @@ def td_update(trainer: "Trainer", batch: Batch) -> UpdateStats:
         rewards, nature_mean = _nature_step(trainer, work, rewards)
     y = td_targets(trainer.critic_target, work.x_next, rewards, tc.gamma, work.zeros)
     critic_loss = _critic_step(trainer, work, y)
-    actor_objective = _actor_step(trainer, work, acts)
+    actor_objective = _actor_step(trainer, work)
     soft_update(trainer.critic_target, trainer.critic, tc.tau_soft)
     soft_update(trainer.actor_target, trainer.actor, tc.tau_soft)
     return UpdateStats(critic_loss, actor_objective, nature_mean)
@@ -384,14 +398,14 @@ class Trainer:
         self.critic_target = self.critic.copy()
         self.actor_opt = AdamState(lr=tc.lr_actor)
         self.critic_opt = AdamState(lr=tc.lr_critic)
-        self.actor_grad = Gradients(obs_dim, 2, tc.hidden, agents=n, dtype=dtype)
-        self.critic_grad = Gradients(critic_in, 1, tc.hidden, agents=n, dtype=dtype)
+        self.actor_grad = neural.adam_gradients(self.actor_opt, self.actor)
+        self.critic_grad = neural.adam_gradients(self.critic_opt, self.critic)
         self.nature = self.nature_opt = self.nature_grad = None
         if algo == "rmaddpg":
             self.nature = neural.stack_params(
                 [neural.init_mlp(obs_dim + 2, 1, rng_init, tc.hidden) for _ in range(n)], dtype)
             self.nature_opt = AdamState(lr=tc.lr_nature)
-            self.nature_grad = Gradients(obs_dim + 2, 1, tc.hidden, agents=n, dtype=dtype)
+            self.nature_grad = neural.adam_gradients(self.nature_opt, self.nature)
         # Actions are squashed and clipped against the float64 bounds the
         # environment checks them with; the update squashes in ``dtype``.
         self.p_max = np.column_stack((env_cfg.p_max_offload_w, env_cfg.p_max_local_w))
@@ -400,7 +414,7 @@ class Trainer:
         # observation in ddpg, after all observations in user order otherwise.
         first = np.full(n, obs_dim) if algo == "ddpg" else n * obs_dim + 2 * np.arange(n)
         self.own_rows = (np.arange(n)[:, None], first[:, None] + np.arange(2))
-        self.work = _UpdateBuffers(algo, n, obs_dim, tc.batch_size, tc.hidden, dtype)
+        self.work = _UpdateBuffers(algo, self.half, obs_dim, tc.batch_size, tc.hidden)
         self.agents = [DdpgAgent(self.actor.agent(m), self.actor_target.agent(m),
                                  self.critic.agent(m), self.critic_target.agent(m))
                        for m in range(n)]
@@ -415,11 +429,15 @@ class Trainer:
         """One update on a fresh sample; raises TrainingDiverged when a
         loss, objective or adversary mean comes out non-finite."""
         stats = td_update(self, self.buffer.sample_arrays(self.tc.batch_size, rng_sample))
-        for role, what, values in (("critic", "loss", stats.critic_loss),
-                                   ("actor", "objective", stats.actor_objective),
-                                   ("nature", "mean output", stats.nature_mean)):
-            if values is not None:
-                self._require_finite(role, what, np.isfinite(values))
+        diagnostics = (("critic", "loss", stats.critic_loss),
+                       ("actor", "objective", stats.actor_objective),
+                       ("nature", "mean output", stats.nature_mean))
+        # The sum is finite only if every term is; only a sum that is not
+        # (or overflows) scans the roles for the agent to name.
+        if not math.isfinite(sum(sum(v.tolist()) for _, _, v in diagnostics if v is not None)):
+            for role, what, values in diagnostics:
+                if values is not None:
+                    self._require_finite(role, what, np.isfinite(values))
         return stats
 
     def check_params(self) -> None:

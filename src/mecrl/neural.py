@@ -142,15 +142,22 @@ def forward(p: MlpParams, x, ones_column: bool = False, zeros: np.ndarray | None
         xa = input_buffer(xb.shape[:-1], p.in_dim, dtype)
         xa[..., :-1] = xb
         xb = xa
+    y, (xb, h) = forward_unchecked(p, xb, zeros)
+    return (y[0] if single else y), (xb, h, single)
+
+
+def forward_unchecked(p: MlpParams, xb: np.ndarray, zeros: np.ndarray | None = None):
+    """:func:`forward`'s kernel, for a batch ``xb`` in the parameters' dtype
+    that ends in its ones column. Returns (y, cache), y batched, the cache
+    for :func:`backward_unchecked`."""
     lead = () if p.agents is None else (p.agents,)
-    h = input_buffer(lead + xb.shape[-2:-1], p.hidden, dtype)
+    h = input_buffer(lead + xb.shape[-2:-1], p.hidden, p.flat.dtype)
     np.matmul(xb, p.l1, out=h[..., :-1])
     # The ReLU leaves the ones column as it is. Against a zero array of
     # h's shape numpy runs its vector loop; a scalar 0.0 or a broadcast
     # zero row takes slower loops, with the same results.
     np.maximum(h, np.zeros_like(h) if zeros is None else zeros, out=h)
-    y = h @ p.l2
-    return (y[0] if single else y), (xb, h, single)
+    return h @ p.l2, (xb, h)
 
 
 def eval_vec(p: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -192,7 +199,16 @@ def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: boo
         )
     g = out if out is not None else Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents,
                                               dtype=p.flat.dtype)
-    np.matmul(h.swapaxes(-1, -2), dyb, out=g.l2)
+    g, dx = backward_unchecked(p, (xb, h), dyb, g, need_dx, pads)
+    return g, (dx[0] if single and dx is not None else dx)
+
+
+def backward_unchecked(p: MlpParams, cache, dy: np.ndarray, g: Gradients, need_dx: bool,
+                       pads: tuple[np.ndarray, np.ndarray] | None):
+    """:func:`backward`'s kernel: ``dy`` is batched in the parameters'
+    dtype and ``g`` is required."""
+    xb, h = cache
+    np.matmul(h.swapaxes(-1, -2), dy, out=g.l2)
     # ReLU mask: post-activation h is positive exactly where the
     # pre-activation was. The ones column's entry of the product below
     # (dy times b2) is never read.
@@ -207,21 +223,18 @@ def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: boo
         # product is; only a -0 product comes out +0, which the mask and
         # the sums below do not tell apart.
         if pads is None:
-            pads = (np.zeros(dyb.shape[:-1] + (2,), dyb.dtype),
-                    np.zeros(l2t.shape[:-2] + (2, p.hidden + 1), dyb.dtype))
+            pads = (np.zeros(dy.shape[:-1] + (2,), dy.dtype),
+                    np.zeros(l2t.shape[:-2] + (2, p.hidden + 1), dy.dtype))
         dy_pad, l2t_pad = pads
-        dy_pad[..., :1] = dyb
+        dy_pad[..., :1] = dy
         l2t_pad[..., :1, :] = l2t
         dz = np.matmul(dy_pad, l2t_pad, out=h)
     else:
-        dz = np.matmul(dyb, l2t, out=h)
+        dz = np.matmul(dy, l2t, out=h)
     dz *= active
     dz1 = dz[..., :-1]
     np.matmul(xb.swapaxes(-1, -2), dz1, out=g.l1)
-    if not need_dx:
-        return g, None
-    dx = dz1 @ p.w1
-    return g, (dx[0] if single else dx)
+    return g, (dz1 @ p.w1 if need_dx else None)
 
 
 # Every FLUSH_EVERY-th step, adam_step zeroes the moment entries that
@@ -238,7 +251,10 @@ FLUSH_EVERY = 64
 @dataclass
 class AdamState:
     """First/second-moment accumulators and step constants for one network
-    or one stack of networks."""
+    or one stack of networks. ``m`` and ``v`` are rows 0 and 1 of one
+    (4, size) buffer whose rows 2 and 3 are scratch; row 2 is the gradient
+    buffer of :func:`adam_gradients`. The betas are read into per-row
+    factors when the buffer is made, at the first step at the latest."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -247,30 +263,44 @@ class AdamState:
     t: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
-    _scratch: np.ndarray | None = field(default=None, repr=False)
+    _buf: np.ndarray | None = field(default=None, repr=False)
+    _grad: np.ndarray | None = field(default=None, repr=False)
+    _grad_sq: np.ndarray | None = field(default=None, repr=False)
+    _rates: np.ndarray | None = field(default=None, repr=False)
+
+
+def adam_gradients(state: AdamState, p: MlpParams) -> Gradients:
+    """Gradient buffer for ``p`` that :func:`adam_step` reads in place (its
+    contents do not survive the step); allocates ``state``'s buffers."""
+    if state.m is None:
+        b1, b2, flat = state.beta1, state.beta2, p.flat
+        state._buf = np.zeros((4, flat.size), flat.dtype)
+        state.m, state.v, state._grad, state._grad_sq = (
+            row.reshape(flat.shape) for row in state._buf)
+        # Each row's factor, cast as numpy casts the Python floats.
+        state._rates = np.array([[b1], [b2], [1.0 - b1], [1.0 - b2]], flat.dtype)
+    return Gradients(p.in_dim, p.out_dim, p.hidden, state._grad, p.agents)
 
 
 def adam_step(state: AdamState, p: MlpParams, g: Gradients) -> None:
     """One bias-corrected adaptive-moment descent step along ``g``.
 
-    Callers negate the gradient for ascent. Mutates ``p`` and ``state``.
+    Callers negate the gradient for ascent. Mutates ``p`` and ``state``. A
+    gradient outside :func:`adam_gradients`' buffer is copied into it.
     """
     if not p.same_shape(g):
         raise ValueError("gradient shapes do not match parameters")
-    if state.m is None:
-        state.m = np.zeros_like(p.flat)
-        state.v = np.zeros_like(p.flat)
-        state._scratch = np.empty_like(p.flat)
+    s = adam_gradients(state, p).flat if state.m is None else state._grad
+    if g.flat is not s:
+        s[...] = g.flat
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    s = state._scratch
-    np.multiply(state.m, b1, out=state.m)
-    np.multiply(g.flat, 1.0 - b1, out=s)
-    state.m += s
-    np.multiply(state.v, b2, out=state.v)
-    np.multiply(g.flat, g.flat, out=s)
-    s *= 1.0 - b2
-    state.v += s
+    # Per element, m = m * b1 + g * (1 - b1) and v = v * b2 + (g * g) * (1 - b2):
+    # [m; v; g; g * g] times the row factors, then rows 2-3 added to rows 0-1.
+    buf = state._buf
+    np.multiply(s, s, out=state._grad_sq)
+    np.multiply(buf, state._rates, out=buf)
+    np.add(buf[:2], buf[2:], out=buf[:2])
     if state.t % FLUSH_EVERY == 0:
         _flush_small(state.m, b1)
         _flush_small(state.v, b2)

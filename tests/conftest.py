@@ -1,13 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from mecrl import seeds
-from mecrl.agents import Trainer, TrainerConfig, train_episode
+from mecrl import neural, runner, seeds
+from mecrl.agents import Trainer, TrainerConfig, act, train_episode
 from mecrl.cli import _train_tree
 from mecrl.config import config_from_dict, load_config
-from mecrl.env import EnvConfig, MecEnv
+from mecrl.env import Action, EnvConfig, MecEnv
 
 
 @pytest.fixture
@@ -68,3 +69,28 @@ def trained_tree(tmp_path, algo="ddpg"):
         "n_users": 2, "episode_len": 6, "noise_level": 0.5})
     _train_tree(load_config(cfg_path), workers=1)
     return cfg_path, tmp_path / "out" / "checkpoints"
+
+
+def reference_rollout(cfg, ckpt, n_episodes, run_index=None):
+    """The serial eval rollout, one episode and one act call on (M, d) at a
+    time, folded as evaluate folds it, on the env streams of
+    ``(base_seed, run_index)``; evaluate's own index, ``n_runs``, if None."""
+    n = cfg.env.n_users
+    actor = neural.stack_params([neural.load_params(ckpt / f"{cfg.algo}_{m}_actor.json")
+                                 for m in range(n)])
+    p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
+    run_index = cfg.n_runs if run_index is None else run_index
+    env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, run_index))
+    returns, per_user = [], np.zeros(n)
+    for _ in range(n_episodes):
+        env.reset()
+        sums = np.zeros(n)
+        for _ in range(cfg.env.episode_len):
+            acts = act(actor, p_max, env.obs_vectors())
+            sums += env.step([Action(*a) for a in acts.tolist()]).true_rewards
+        returns.append(math.fsum(sums) / n)
+        per_user += sums
+    mu = math.fsum(returns) / n_episodes
+    std = math.sqrt(math.fsum((v - mu) ** 2 for v in returns) / n_episodes)
+    return runner.EvalSummary(n_episodes, mu, std, tuple(per_user / n_episodes),
+                              tuple(returns))

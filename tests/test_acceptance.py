@@ -8,6 +8,12 @@ Fast criteria, run with every tier-1 pass:
 4. Serial and parallel training trees are byte-identical.
 5. Serial and parallel eval summaries are identical at 1, 2 and 3
    workers, also when the reset budget holds only 1 or 2 episodes.
+6. The env draws do not depend on the algo: for one ``(base_seed, run)``,
+   every episode's trace (ZF norms, channel observations, arrivals and
+   reward noise) is the same under ``ddpg``, ``maddpg`` and ``rmaddpg``.
+7. ``eval`` draws from stream index ``n_runs``: its summary equals a
+   rollout on ``env_streams(base_seed, n_runs)`` and differs from one on
+   index 0, the first training run's.
 
 The paper-claim criteria (``ddpg``, ``maddpg`` and ``rmaddpg`` compared on
 paired seeds with and without reward noise, behind an opt-in marker) are
@@ -29,7 +35,8 @@ from mecrl.config import load_config
 from mecrl.env import EnvConfig, MecEnv
 from mecrl.runner import evaluate
 
-from conftest import filled_trainer, tiny_config, trained_tree, write_cfg
+from conftest import (filled_trainer, reference_rollout, tiny_config, trained_tree,
+                      write_cfg)
 
 
 def tree_files(root):
@@ -135,3 +142,32 @@ def test_c5_serial_and_parallel_eval_identical(tmp_path, capsys, monkeypatch, al
         assert printed[0].startswith(f"evaluated {episodes} episodes: "
                                      f"mean true return {serial.mean_true_return:.4f}")
         assert printed == [printed[0]] * 3
+
+
+def test_c6_env_draws_are_identical_across_algos():
+    # Updates run from the second episode on, so the algos' actions, and
+    # with them the queues, differ; the exogenous trace must not.
+    env_cfg = EnvConfig(n_users=3, episode_len=20, noise_level=0.5)
+    tc = TrainerConfig(warmup_steps=25, batch_size=16)
+    traces = {}
+    for algo in ("ddpg", "maddpg", "rmaddpg"):
+        env = MecEnv(env_cfg, **seeds.env_streams(9, 2))
+        trainer = Trainer(env_cfg, tc, algo, seeds.stream(9, 2, "net_init"))
+        rx, rs = seeds.stream(9, 2, "exploration"), seeds.stream(9, 2, "buffer_sampling")
+        traces[algo] = []
+        for _ in range(4):
+            train_episode(env, trainer, rx, rs)
+            traces[algo].append([getattr(env, name).tobytes()
+                                 for name in ("_zf", "_chan_obs", "_arrivals", "_noise")])
+        assert trainer.total_steps > tc.warmup_steps
+    assert traces["ddpg"] == traces["maddpg"] == traces["rmaddpg"]
+    assert len({tuple(t) for t in traces["ddpg"]}) == 4  # each episode draws anew
+
+
+@pytest.mark.parametrize("algo", ["ddpg", "rmaddpg"])
+def test_c7_eval_draws_from_stream_index_n_runs(tmp_path, algo):
+    cfg_path, ckpt = trained_tree(tmp_path, algo)
+    cfg = load_config(cfg_path)
+    summary = evaluate(cfg, ckpt, 3, workers=1)
+    assert summary == reference_rollout(cfg, ckpt, 3, run_index=cfg.n_runs)
+    assert summary.episode_returns != reference_rollout(cfg, ckpt, 3, run_index=0).episode_returns

@@ -118,8 +118,9 @@ class TestAct:
 
 
 class TestOldExpressions:
-    """The update's reductions and clamp give the bytes of the numpy
-    calls they replaced, computed side by side."""
+    """The update's reductions, clamp, packed replay ring, in-place TD
+    targets and negated actor gradient give the bytes of the expressions
+    they replaced, computed side by side."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_add_reduce_over_k_is_mean(self, rng, dtype):
@@ -143,6 +144,78 @@ class TestOldExpressions:
                 lo, hi = stored - band, stored + band
                 old = np.clip(r_hat, lo, hi)
             assert np.minimum(np.maximum(r_hat, lo), hi).tobytes() == old.tobytes()
+
+
+    @pytest.mark.parametrize("users,obs_dim", [(2, 6), (8, 10), (1, 3)])
+    def test_packed_ring_sample_is_four_array_gather(self, users, obs_dim):
+        # The parent layout: one ring per field, each gathered with the
+        # same index draw. Pushes wrap the ring.
+        r = np.random.default_rng(users)
+        cap = 37
+        buf = ReplayBuffer(cap, users, obs_dim)
+        rings = [np.empty((cap, users, obs_dim), np.float32), np.empty((cap, users, 2), np.float32),
+                 np.empty((cap, users), np.float32), np.empty((cap, users, obs_dim), np.float32)]
+        for i in range(50):
+            t = make_transition(r, users, obs_dim)
+            push(buf, t)
+            for ring, value in zip(rings, (t.obs, t.acts, t.rewards, t.next_obs)):
+                ring[i % cap] = value
+        for k in (1, 16, cap):
+            batch = buf.sample_arrays(k, np.random.default_rng(k))
+            idx = np.random.default_rng(k).integers(0, cap, size=k)
+            for got, ring in zip((batch.obs, batch.acts, batch.rewards, batch.next_obs), rings):
+                want = ring[idx]
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.nbytes == want.nbytes and got.tobytes() == want.tobytes()
+                assert np.shares_memory(got, batch.rows)
+            # The centralized critics' input is the rows' leading slice.
+            assert batch.rows[:, :users * (obs_dim + 2)].tobytes() == np.concatenate(
+                (rings[0][idx].reshape(k, -1), rings[1][idx].reshape(k, -1)), axis=1).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_td_targets(self, rng, dtype):
+        critic = neural.stack_params([neural.init_mlp(8, 1, rng) for _ in range(3)], dtype)
+        for shape in ((3, 40), (40,)):
+            x_next = neural.input_buffer(shape, 8, dtype)
+            x_next[..., :-1] = rng.normal(size=shape + (8,))
+            rewards = rng.normal(size=(3, 40, 1)).astype(dtype)
+            rewards[0, ::4] = -0.0
+            for gamma in (0.0, 0.95, 0.3):
+                q = neural.forward(critic, x_next, ones_column=True)[0]
+                old = rewards + gamma * q
+                zeros = np.zeros((3, 40, 65), dtype)
+                for z in (None, zeros):
+                    assert td_targets(critic, x_next, rewards, gamma, z).tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_negated_half_actor_gradient_is_neg(self, algo):
+        # _actor_step forms the actor gradient through -half; the parent
+        # formed it through half and negated it (_neg). Dead hidden units
+        # (large negative biases) make exact-zero gradient sums. The two
+        # gradients are equal as values, and a descent step on either
+        # gives the same bits.
+        trainer, rs = filled_trainer(algo, seed=21)
+        trainer.actor.b1[:, ::9] = -1e3
+        td_update(trainer, trainer.buffer.sample_arrays(64, rs))
+        work, actor = trainer.work, trainer.actor
+        u, cache = neural.forward(actor, work.obs, ones_column=True)
+        t = np.tanh(u)
+        du = np.random.default_rng(3).normal(size=u.shape).astype(np.float32)
+        old = du * ((1.0 - t * t) * trainer.half[:, None, :])
+        g_old, _ = neural.backward(actor, cache, old, need_dx=False)
+        np.negative(g_old.flat, out=g_old.flat)                  # _neg
+        _, cache = neural.forward(actor, work.obs, ones_column=True)
+        new = du * ((1.0 - t * t) * work.neg_half)
+        g_new, _ = neural.backward(actor, cache, new, need_dx=False)
+        assert np.array_equal(g_old.flat, g_new.flat)
+        assert (g_old.flat == 0.0).any()
+        stepped = []
+        for g in (g_old, g_new):
+            p, state = actor.copy(), neural.AdamState(lr=1e-4)
+            for _ in range(3):
+                neural.adam_step(state, p, g)
+            stepped.append((p.flat.tobytes(), state.m.tobytes(), state.v.tobytes()))
+        assert stepped[0] == stepped[1]
 
 
 class TestReplayBuffer:
@@ -468,3 +541,35 @@ class TestGuard:
         trainer.nature.flat[1, 7] = np.nan
         with pytest.raises(TrainingDiverged, match="episode 2: agent 1 nature: parameters"):
             trainer.check_params()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_values_whose_sum_overflows_pass(self, monkeypatch, dtype):
+        # The update checks one sum of the diagnostics and scans the roles
+        # only when the sum is not finite; finite values must pass either
+        # way, also where the sum overflows the dtype or float64.
+        trainer, rs = filled_trainer("rmaddpg", seed=15)
+        big = np.finfo(dtype).max
+        stats = agents.UpdateStats(np.array([big, big], dtype), np.array([big, -big], dtype),
+                                   np.array([big, big], dtype))
+        monkeypatch.setattr(agents, "td_update", lambda trainer, batch: stats)
+        with np.errstate(over="ignore"):
+            assert trainer.update(rs) is stats
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_diagnostic_names_first_agent_and_role(self, monkeypatch, bad):
+        trainer, rs = filled_trainer("rmaddpg", seed=16)
+        roles = [("critic", "loss"), ("actor", "objective"), ("nature", "mean output")]
+        cases = [([(r, m)], roles[r], m) for r in range(3) for m in range(2)]
+        # Several bad entries, opposite infinities among them: the first
+        # role in the scan's order, and its first agent, is named.
+        cases += [([(2, 0), (1, 1)], roles[1], 1), ([(1, 1), (0, 1), (2, 0)], roles[0], 1),
+                  ([(0, 0), (0, 1)], roles[0], 0)]
+        for entries, (role, what), agent in cases:
+            values = [np.ones(2, np.float32) for _ in roles]
+            for i, (r, m) in enumerate(entries):
+                values[r][m] = bad if i % 2 == 0 else -bad
+            monkeypatch.setattr(agents, "td_update",
+                                lambda trainer, batch, v=values: agents.UpdateStats(*v))
+            with pytest.raises(TrainingDiverged,
+                               match=f"^episode 2: agent {agent} {role}: {what} not finite$"):
+                trainer.update(rs)

@@ -5,6 +5,7 @@ a step computes."""
 
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -126,10 +127,17 @@ def test_env_steps_pass_independent_checks(checks, users, antennas, distance):
     assert checks.check_steps(cfg, rows) == []
 
 
-def test_self_check_passes():
+def test_self_check_passes(tmp_path):
     # Every workload at tiny size with every output check, untraced and
-    # traced, and the result schema against BENCHMARK.json.
-    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--self-check"],
+    # traced, and the result schema against BENCHMARK.json. It runs from a
+    # copy of bench/ beside the checkout's sources, so its traces and work
+    # files do not replace those of the last real run in bench/_out.
+    root = BENCH.parent
+    shutil.copytree(BENCH, tmp_path / "bench",
+                    ignore=shutil.ignore_patterns("_out", "_work", "__pycache__"))
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(root / "src", target_is_directory=True)
+    proc = subprocess.run([sys.executable, str(tmp_path / "bench" / "run.py"), "--self-check"],
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

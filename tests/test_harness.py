@@ -1,5 +1,4 @@
 import json
-import math
 import multiprocessing
 import os
 import signal
@@ -15,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import cli, neural, phy, runner, seeds
-from mecrl.agents import EpisodeStats, TrainingDiverged, act
+from mecrl import cli, phy, runner, seeds
+from mecrl.agents import EpisodeStats, TrainingDiverged
 from mecrl.cli import main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
@@ -26,7 +25,7 @@ from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
                           write_csv, write_run_csv)
 from mecrl.svgplot import render_svg
 
-from conftest import tiny_config, trained_tree, write_cfg
+from conftest import reference_rollout, tiny_config, trained_tree, write_cfg
 
 
 def record(vals):
@@ -319,36 +318,13 @@ class TestEvaluate:
             expected.append(float(np.mean(total)))
         assert summary.episode_returns == pytest.approx(expected, abs=1e-6)
 
-    @staticmethod
-    def _reference(cfg, ckpt, n_episodes):
-        """The serial rollout, one episode and one act call on (M, d) at a
-        time, folded as evaluate folds it."""
-        n = cfg.env.n_users
-        actor = neural.stack_params([neural.load_params(ckpt / f"{cfg.algo}_{m}_actor.json")
-                                     for m in range(n)])
-        p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
-        env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
-        returns, per_user = [], np.zeros(n)
-        for _ in range(n_episodes):
-            env.reset()
-            sums = np.zeros(n)
-            for _ in range(cfg.env.episode_len):
-                acts = act(actor, p_max, env.obs_vectors())
-                sums += env.step([Action(*a) for a in acts.tolist()]).true_rewards
-            returns.append(math.fsum(sums) / n)
-            per_user += sums
-        mu = math.fsum(returns) / n_episodes
-        std = math.sqrt(math.fsum((v - mu) ** 2 for v in returns) / n_episodes)
-        return runner.EvalSummary(n_episodes, mu, std, tuple(per_user / n_episodes),
-                                  tuple(returns))
-
     @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
     @pytest.mark.parametrize("users,antennas", [(2, 4), (8, 8)])
     def test_lockstep_equals_per_episode_rollout(self, tmp_path, algo, users, antennas):
         cfg, ckpt = self._train_and_save(tmp_path, algo=algo, episodes=2, env={
             "n_users": users, "n_antennas": antennas, "episode_len": 8, "noise_level": 0.5})
         for episodes in (1, 5):
-            ref = self._reference(cfg, ckpt, episodes)
+            ref = reference_rollout(cfg, ckpt, episodes)
             for workers in (1, 2, 3):
                 assert evaluate(cfg, ckpt, episodes, workers=workers) == ref
 

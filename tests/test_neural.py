@@ -504,3 +504,62 @@ class TestOldExpressions:
                 assert g.flat.tobytes() == g_old.flat.tobytes()
                 assert dx.tobytes() == dx_old.tobytes()
             assert not pads[0][..., 1].any() and not pads[1][..., 1, :].any()
+
+    @staticmethod
+    def separate_moment_adam(state, p, g, m, v, s):
+        """The step with m and v in separate arrays, 13 operations."""
+        b1, b2 = state.beta1, state.beta2
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        np.multiply(v, b2, out=v)
+        np.multiply(g, g, out=s)
+        s *= 1.0 - b2
+        v += s
+        if state.t % neural.FLUSH_EVERY == 0:
+            neural._flush_small(m, b1)
+            neural._flush_small(v, b2)
+        np.multiply(v, 1.0 / (1.0 - b2 ** state.t), out=s)
+        np.sqrt(s, out=s)
+        s += state.eps
+        np.divide(m, s, out=s)
+        s *= state.lr / (1.0 - b1 ** state.t)
+        p -= s
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("agents", [None, 3])
+    def test_stacked_moment_adam(self, rng, dtype, agents):
+        # 140 steps cross two flushes. Gradients hold +-0, values far below
+        # and far above one (subnormals, 1e18, and a quarter of the dtype's
+        # maximum, whose square overflows), and a stretch of zeros over
+        # which the moments decay.
+        info = np.finfo(dtype)
+        p = self.make(rng, agents, 2, dtype)
+        for in_place in (True, False):
+            state = AdamState(lr=3e-3, beta2=0.99)
+            buf = neural.adam_gradients(state, p) if in_place else Gradients(
+                p.in_dim, p.out_dim, p.hidden, agents=p.agents, dtype=dtype)
+            ref_p, m, v = p.flat.copy(), np.zeros_like(p.flat), np.zeros_like(p.flat)
+            s = np.empty_like(p.flat)
+            net = MlpParams(p.in_dim, p.out_dim, p.hidden, p.flat.copy(), p.agents)
+            for t in range(1, 141):
+                g = rng.normal(size=p.flat.shape) * 10.0 ** rng.integers(-12, 3, p.flat.shape)
+                g = g.astype(dtype)
+                g.flat[::7] = 0.0
+                g.flat[3::7] = -0.0
+                g.flat[5::11] = 3 * info.smallest_subnormal
+                g.flat[8::11] = -info.smallest_subnormal
+                g.flat[6::13] = 1e18
+                g.flat[9::97] = -info.max / 4
+                if 70 <= t < 100:
+                    g[...] = 0.0
+                buf.flat[...] = g
+                with np.errstate(over="ignore"):
+                    adam_step(state, net, buf)
+                    self.separate_moment_adam(state, ref_p, g, m, v, s)
+                assert net.flat.tobytes() == ref_p.tobytes(), t
+                assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), t
+                assert state.m.base is state.v.base and state.m.shape == p.flat.shape  # one buffer
+            # A gradient held outside the state's buffer is left as it was.
+            if not in_place:
+                assert buf.flat.tobytes() == g.tobytes()
