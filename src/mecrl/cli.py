@@ -82,7 +82,8 @@ def _train_tree(cfg: ExperimentConfig, workers: int | None = None) -> AggregateS
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    all_series = fan_out(partial(_train_run, cfg), cfg.n_runs, workers, "training run")
+    all_series = fan_out(partial(_train_run, cfg), cfg.n_runs, workers,
+                         lambda k: f"training run {k}")
     agg = aggregate_runs(all_series)
     write_csv(agg, all_series, out / "aggregate.csv")
     render_svg([(cfg.algo, agg)], out / "curves.svg")
@@ -175,6 +176,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"mecrl: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"mecrl: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"mecrl: i/o error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ MAX_ANTENNAS = 256
 
 # Memory budget of one reset, which draws the whole episode (see
 # MecEnv.reset). Each training process holds its own, and an eval process
-# holds as many episodes of a reset_group pass as fit in it. The estimate
+# rolls as many episodes at once as fit in it. The estimate
 # per slot is RESET_SLOT_BYTES per user and (antenna + 1), plus
 # RESET_SLOT_BASE_BYTES, plus RESET_TASK_BYTES per expected task. Measured
 # under tracemalloc as the growth of one reset's peak with the episode's
@@ -330,30 +330,24 @@ class MecEnv:
         # The previous trace goes first, so a reset's peak is one trace's,
         # and a reset that raises leaves an env that will not step.
         self._release()
-        for episode in self._draws(1, range(1)):
-            self._start(*episode)
+        self._start(*next(self._draws(1)))
 
-    def reset_group(self, k: int, keep: range | None = None) -> Iterator[MecEnv | None]:
+    def reset_group(self, k: int) -> Iterator[MecEnv]:
         """The next ``k`` episodes in one draw pass: the draws of ``k``
         :meth:`reset` calls, in their order, with one fading recursion and
         one observation-power pass for all of them.
 
-        Yields one item per episode, in order: a shallow copy of this env
-        reset to the episode if its position is in ``keep`` (default all),
-        else None, for an episode drawn only to advance the streams. Only
-        the kept episodes' traces stay held. An episode whose draw fails
-        raises after the earlier ones are yielded. Iterate to the end or
-        to the error: the later episodes' draws finish on demand. This env
-        holds no episode afterwards.
+        Yields a shallow copy of this env per episode, in order, reset to
+        that episode. An episode whose draw fails raises after the earlier
+        ones are yielded. Iterate to the end or to the error: the later
+        episodes' draws finish on demand. This env holds no episode
+        afterwards.
         """
         self._release()
-        for episode in self._draws(k, range(k) if keep is None else keep):
-            if episode is None:
-                yield None
-            else:
-                env = copy.copy(self)
-                env._start(*episode)
-                yield env
+        for episode in self._draws(k):
+            env = copy.copy(self)
+            env._start(*episode)
+            yield env
 
     def _release(self) -> None:
         self.slot = self._h = self._zf = self._chan_obs = self._arrivals = self._noise = None
@@ -368,11 +362,10 @@ class MecEnv:
         self.prev_sinr = [0.0] * n
         self.slot = 0
 
-    def _draws(self, k: int, keep: range) -> Iterator[tuple | None]:
+    def _draws(self, k: int) -> Iterator[tuple]:
         """The draws of ``k`` consecutive episodes: per episode in order,
         its channel (T + 1, N, M), zero-forcing norms (T + 1, M), clipped
-        observation powers (T + 1, M, N), arrivals and noise (T, M) if its
-        position is in ``keep``, else None.
+        observation powers (T + 1, M, N), arrivals and noise (T, M).
 
         The channels come first, one block of all k episodes: every
         episode's initial channel from the init stream, then every
@@ -391,12 +384,7 @@ class MecEnv:
             starts = init_rng.bit_generator.state, rng.bit_generator.state
             init = phy.init_channel(cfg.constants, self._gains, self._rho, init_rng, (k - first,))
             h = phy.evolve_channel(init, rng, n_slots)
-            rows = [p - first for p in keep if p >= first]
-            # The kept rows copied out, so the skipped episodes' channels
-            # go with the block once the pass ends.
-            held = h if len(rows) == len(h) else h[rows]
-            kept = zip(held, self._obs_powers(held))
-            for i, trace in enumerate(h, first):
+            for i, (trace, chan_obs) in enumerate(zip(h, self._obs_powers(h)), first):
                 try:
                     zf = phy.zf_norms(trace)
                 except cmatrix.SingularMatrixError as exc:
@@ -409,20 +397,15 @@ class MecEnv:
                     for _ in range(i - first):
                         phy.innovations(init, rng, n_slots)
                     trace, zf = self._redraw(trace[0], exc)
-                    yield self._finish(trace, zf, self._obs_powers(trace) if i in keep else None)
+                    yield self._finish(trace, zf, self._obs_powers(trace))
                     first = i + 1
                     break
-                if i in keep:
-                    trace, chan_obs = next(kept)
-                    yield self._finish(trace, zf, chan_obs)
-                else:
-                    yield self._finish(trace, zf, None)
+                yield self._finish(trace, zf, chan_obs)
             else:
                 first = k
 
-    def _finish(self, h, zf, chan_obs):
-        """An episode's trace with its arrivals and noise drawn, or None
-        (its draws only taken) if ``chan_obs`` is None."""
+    def _finish(self, h, zf, chan_obs) -> tuple:
+        """An episode's trace, with its arrivals and noise drawn."""
         cfg = self.cfg
         arrivals = draw_arrivals(cfg, self._rng_arrivals, cfg.episode_len)
         noise = None
@@ -430,8 +413,6 @@ class MecEnv:
             z, self._noise_carry = accepted_normals(self._rng_noise, cfg.episode_len * cfg.n_users,
                                                     self._noise_carry)
             noise = (cfg.noise_level * z).reshape(cfg.episode_len, cfg.n_users)
-        if chan_obs is None:
-            return None
         return h, zf, chan_obs, arrivals, noise
 
     def _obs_powers(self, h: np.ndarray) -> np.ndarray:

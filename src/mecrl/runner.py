@@ -42,7 +42,7 @@ def _processes(n: int, workers: int | None) -> int:
     return min(workers, n)
 
 
-def fan_out(fn, n: int, workers: int | None, doing: str) -> list:
+def fan_out(fn, n: int, workers: int | None, doing) -> list:
     """``[fn(k) for k in range(n)]`` over ``W = min(n, workers)`` processes.
 
     ``workers`` None means the CPUs this process may run on. This process
@@ -50,7 +50,7 @@ def fan_out(fn, n: int, workers: int | None, doing: str) -> list:
     take the rest, each process its items in increasing order. Results are
     taken in item order, so the error raised is the one of the earliest
     failing item, as in the serial loop. No worker outlives the call; one
-    that dies raises ``ChildProcessError``, naming the item as ``doing k``.
+    that dies raises ``ChildProcessError``, naming the item ``doing(k)``.
     """
     workers = _processes(n, workers)
     if workers <= 1:
@@ -79,7 +79,7 @@ def fan_out(fn, n: int, workers: int | None, doing: str) -> list:
                 result = conn.recv()
             except EOFError:
                 proc.join()
-                raise ChildProcessError(f"the process {doing} {k} exited "
+                raise ChildProcessError(f"the process {doing(k)} exited "
                                         f"with code {proc.exitcode}") from None
             if isinstance(result, Exception):
                 raise result
@@ -176,10 +176,14 @@ def read_aggregate_csv(path) -> AggregateSeries:
         if len(parts) < 3:
             raise ValueError(f"{path}: line {n}: expected at least 3 cells, got {len(parts)}")
         try:
-            means.append(float(parts[1]))
-            stds.append(float(parts[2]))
+            mean, std = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {exc}") from None
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise ValueError(f"{path}: line {n}: mean and std must be finite, "
+                             f"got {parts[1]!r} and {parts[2]!r}")
+        means.append(mean)
+        stds.append(std)
     return AggregateSeries(means, stds)
 
 
@@ -212,14 +216,15 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
     Reported returns are the true (unperturbed) rewards even when the
     configured reward noise is nonzero. Streams derive from
     ``(base_seed, run_index = n_runs)``, the first index unused by training.
-    The episodes form ``W`` shares, share ``j`` episodes j, j + W, ...,
-    spread over processes by :func:`fan_out`. A process steps its share's
-    episodes in lockstep, one policy evaluation per slot for all of them,
-    as many at once as fit in one reset's memory budget. It draws them,
-    and the other shares' episodes in between, with
-    :meth:`MecEnv.reset_group`. The summary is the same for any
-    ``workers``; a failure raises the error of the earliest failing
-    episode, as the serial loop would.
+    This process draws the episodes in order with
+    :meth:`MecEnv.reset_group`, in passes of up to ``W`` groups, a group
+    being as many episodes as fit in one reset's memory budget. Each pass
+    then splits into at most ``W`` contiguous parts of at most a group,
+    spread over processes by :func:`fan_out`; the forked ones read the
+    drawn traces they inherit and draw nothing. A process steps its part's
+    episodes in lockstep, one policy evaluation per slot for all of them.
+    The summary is the same for any ``workers``; a failure raises the
+    error of the earliest failing episode, as the serial loop would.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -245,19 +250,16 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
     p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
 
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
-    n_shares = _processes(n_episodes, workers)
-    # Episodes a process holds at once, each with its own trace.
+    n_parts = _processes(n_episodes, workers)
+    # Episodes a process rolls at once, each with its own trace.
     group = max(1, int(RESET_BUDGET_BYTES
                        // (cfg.env.reset_slot_bytes() * cfg.env.episode_len)))
+    per_pass = n_parts * group
 
-    def roll(episodes: list) -> tuple[list, tuple | None]:
-        """Step ``[(e, env), ...]`` to the end of their episodes in lockstep.
-
-        Returns their per-user sums and ``(e, error)`` of the earliest
-        failing one, or None. A failure ends that episode and every later
-        one: only the earliest failing episode's error is raised.
-        """
-        envs = [ep_env for _, ep_env in episodes]
+    def roll(envs: list[MecEnv]) -> list:
+        """Step ``envs`` to the end of their episodes in lockstep; returns
+        their per-user sums, or raises the earliest failing one's error. A
+        failure ends that episode and every later one."""
         obs = np.stack([ep_env.obs_vectors() for ep_env in envs])
         sums = [[0.0] * n for _ in envs]
         failed = None
@@ -269,51 +271,33 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
                     sums[i] = [s + r for s, r in zip(sums[i], result.true_rewards)]
                     obs[i] = ep_env.obs_vectors()
                 except Exception as exc:
-                    failed = (episodes[i][0], exc)
+                    failed = exc
                     envs, obs, sums = envs[:i], obs[:i], sums[:i]
                     break
-        return sums, failed
+        if failed is not None:
+            raise failed
+        return sums
 
-    def share(j: int) -> tuple[list | None, tuple | None]:
-        """Per-user sums of share ``j``'s episodes in order, or None and
-        ``(e, error)`` of its earliest failing episode."""
-        own = range(j, n_episodes, n_shares)
-        done = []
-        drawn = 0  # episodes whose draws this process has taken
-        for first in range(0, len(own), group):
-            last = own[first:first + group][-1]
-            episodes, failed = [], None
-            # Nothing depends on the actions, so drawing the episodes this
-            # process skips, in passes of at most `group` episodes, leaves
-            # its env where the serial loop has it. A pass holds only this
-            # share's episodes.
-            try:
-                while drawn <= last:
-                    k = min(group, last + 1 - drawn)
-                    keep = range((j - drawn) % n_shares, k, n_shares)
-                    for ep_env in env.reset_group(k, keep):
-                        if ep_env is not None:
-                            episodes.append((drawn, ep_env))
-                        drawn += 1
-            except Exception as exc:
-                failed = (drawn, exc)
-            sums, roll_failed = roll(episodes) if episodes else (None, None)
-            # The episodes rolled all come before one whose draw failed.
-            if roll_failed or failed:
-                return None, roll_failed or failed
-            done += sums
-        return done, None
+    def rolled(first: int) -> list:
+        """Per-user sums of the pass from episode ``first``, whose envs go
+        on return. A failing draw raises after the episodes before it in
+        the pass have rolled."""
+        envs, failed = [], None
+        try:
+            for ep_env in env.reset_group(min(per_pass, n_episodes - first)):
+                envs.append(ep_env)
+        except Exception as exc:
+            failed = exc
+        size = max(1, -(-len(envs) // n_parts))
+        parts = fan_out(lambda j: roll(envs[j * size:(j + 1) * size]), -(-len(envs) // size),
+                        n_parts, lambda j: f"evaluating episode {first + j * size}")
+        if failed is not None:
+            raise failed
+        return [sums for part in parts for sums in part]
 
-    shares = fan_out(share, n_shares, n_shares, "evaluating episode")
-    failures = [failed for _, failed in shares if failed]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    episode_returns = []
-    per_user = np.zeros(n)
-    for e in range(n_episodes):
-        sums = shares[e % n_shares][0][e // n_shares]
-        episode_returns.append(math.fsum(sums) / n)
-        per_user += sums
+    sums = [s for first in range(0, n_episodes, per_pass) for s in rolled(first)]
+    episode_returns = [math.fsum(s) / n for s in sums]
+    per_user = sum(sums, np.zeros(n))
     mu = math.fsum(episode_returns) / n_episodes
     var = math.fsum((v - mu) ** 2 for v in episode_returns) / n_episodes
     return EvalSummary(

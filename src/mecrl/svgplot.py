@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .runner import AggregateSeries
@@ -34,6 +35,9 @@ def render_svg(series: list[tuple[str, AggregateSeries]], path) -> None:
     if y_lo == y_hi:
         y_lo -= 1.0
         y_hi += 1.0
+    # An overflowing band, or a constant too large to widen, cannot be scaled.
+    if not 0.0 < y_hi - y_lo < math.inf:
+        raise ValueError(f"values from {y_lo:g} to {y_hi:g} are too large to plot")
 
     def sx(e: float) -> float:
         return _ML + (_WIDTH - _ML - _MR) * (e / x_hi)
@@ -84,6 +88,8 @@ def render_svg(series: list[tuple[str, AggregateSeries]], path) -> None:
     for i, (label, _) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         ly = _MT + 14 + 20 * i
+        # Escaped by hand: xml.sax.saxutils imports urllib and 40 more modules.
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<line x1="{lx:.2f}" y1="{ly:.2f}" x2="{lx + 28:.2f}" y2="{ly:.2f}" '
                      f'stroke="{color}" stroke-width="2.5"/>')
         parts.append(f'<text x="{lx + 36:.2f}" y="{ly + 4:.2f}" fill="#333333">{label}</text>')

@@ -14,12 +14,16 @@ Fast criteria, run with every tier-1 pass:
 7. ``eval`` draws from stream index ``n_runs``: its summary equals a
    rollout on ``env_streams(base_seed, n_runs)`` and differs from one on
    index 0, the first training run's.
+8. Once every adversary output lies below ``stored - 2λ``, one ``rmaddpg``
+   update equals, byte for byte, a ``maddpg`` update on ``rewards - 2λ``
+   from the same state: a saturated adversary only shifts the rewards.
 
 The paper-claim criteria (``ddpg``, ``maddpg`` and ``rmaddpg`` compared on
 paired seeds with and without reward noise, behind an opt-in marker) are
 not written yet.
 """
 
+import copy
 import json
 import multiprocessing
 import os
@@ -30,6 +34,7 @@ import pytest
 
 from mecrl import runner, seeds
 from mecrl.agents import Trainer, TrainerConfig, td_update, train_episode
+from mecrl.neural import eval_vec
 from mecrl.cli import _train_tree, main
 from mecrl.config import load_config
 from mecrl.env import EnvConfig, MecEnv
@@ -116,8 +121,9 @@ def test_c4_serial_and_parallel_trees_identical(tmp_path):
 
 @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
 def test_c5_serial_and_parallel_eval_identical(tmp_path, capsys, monkeypatch, algo):
-    # At 3 workers this process rolls episodes 0 and 3 of 5 and must
-    # replay the resets of episodes 1 and 2 in between.
+    # This process draws every episode; the workers roll contiguous parts
+    # of each pass from the traces they inherit: at 3 workers, episodes
+    # 0-1, 2-3 and 4 of 5, or with groups of 1 the passes 0-2 and 3-4.
     cfg_path, ckpt = trained_tree(tmp_path, algo)
     cfg = load_config(cfg_path)
     episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
@@ -127,8 +133,8 @@ def test_c5_serial_and_parallel_eval_identical(tmp_path, capsys, monkeypatch, al
         printed = []
         for cpus in (1, 2, 3):
             assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
-            # Budgets that hold 1 or 2 episodes: each share rolls in
-            # several groups, drawn in passes of at most that many.
+            # Budgets that hold 1 or 2 episodes: each process rolls at most
+            # that many at once, in passes of up to `cpus` parts.
             for group in (1, 2):
                 monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
                                     int(episode_bytes * (group + 1)) - 1)
@@ -171,3 +177,26 @@ def test_c7_eval_draws_from_stream_index_n_runs(tmp_path, algo):
     summary = evaluate(cfg, ckpt, 3, workers=1)
     assert summary == reference_rollout(cfg, ckpt, 3, run_index=cfg.n_runs)
     assert summary.episode_returns != reference_rollout(cfg, ckpt, 3, run_index=0).episode_returns
+
+
+@pytest.mark.parametrize("seed,lam", [(7, 0.5), (8, 5.0)])
+def test_c8_saturated_rmaddpg_update_equals_maddpg_on_shifted_rewards(seed, lam):
+    robust, rs = filled_trainer("rmaddpg", seed=seed, noise_level=lam)
+    central, _ = filled_trainer("maddpg", seed=seed, noise_level=lam)
+    for role in ("actor", "actor_target", "critic", "critic_target"):
+        getattr(central, role).flat[...] = getattr(robust, role).flat
+    src, dst = robust.buffer, central.buffer
+    dst._ring[...] = src._ring
+    dst._size, dst._cursor = src._size, src._cursor
+    dst._rewards[:dst._size] -= np.float32(2 * lam)
+    robust.nature.b2[...] = -1e6
+    rs_central = copy.deepcopy(rs)
+    # The adversary lies below the band on every transition the update samples.
+    batch = src.sample_arrays(robust.tc.batch_size, copy.deepcopy(rs))
+    r_hat = eval_vec(robust.nature, np.concatenate((batch.obs, batch.acts), axis=2))[..., 0]
+    assert (r_hat < batch.rewards - np.float32(2 * lam)).all()
+    a, b = robust.update(rs), central.update(rs_central)
+    assert np.array_equal(a.critic_loss, b.critic_loss)
+    assert np.array_equal(a.actor_objective, b.actor_objective)
+    for role in ("actor", "actor_target", "critic", "critic_target"):
+        assert np.array_equal(getattr(robust, role).flat, getattr(central, role).flat), role

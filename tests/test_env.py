@@ -502,9 +502,9 @@ class TestResetGroup:
     """reset_group(k) draws what k resets draw, byte for byte, in one pass."""
 
     @staticmethod
-    def sequential_and_group(k, keep=None, seed=6, **overrides):
+    def sequential_and_group(k, seed=6, **overrides):
         """The traces of k resets after one warm-up reset, and the items of
-        reset_group(k, keep) on a twin env after the same warm-up."""
+        reset_group(k) on a twin env after the same warm-up."""
         seq, cfg = make_env(seed=seed, noise_level=0.5, episode_len=20, **overrides)
         grp, _ = make_env(seed=seed, noise_level=0.5, episode_len=20, **overrides)
         seq.reset()
@@ -513,17 +513,13 @@ class TestResetGroup:
         for _ in range(k):
             seq.reset()
             expected.append([getattr(seq, name) for name in TRACE])
-        items = list(grp.reset_group(k, keep))
+        items = list(grp.reset_group(k))
         return seq, grp, expected, items, cfg
 
-    def check(self, k, keep=None, **overrides):
-        seq, grp, expected, items, cfg = self.sequential_and_group(k, keep, **overrides)
-        kept = range(k) if keep is None else keep
+    def check(self, k, **overrides):
+        seq, grp, expected, items, cfg = self.sequential_and_group(k, **overrides)
         assert len(items) == k
         for p, (item, want) in enumerate(zip(items, expected)):
-            if p not in kept:
-                assert item is None, p
-                continue
             for name, value in zip(TRACE, want):
                 assert same_bytes(getattr(item, name), value), (p, name)
             assert item.slot == 0 and item.backlog == [0] * cfg.n_users
@@ -537,27 +533,8 @@ class TestResetGroup:
     def test_equals_sequential_resets(self, k, users, antennas):
         self.check(k, n_users=users, constants=phy.PhyConstants(n_antennas=antennas))
 
-    @pytest.mark.parametrize("keep", [range(1, 5, 2), range(0, 5, 3), range(0)])
-    def test_kept_episodes_equal_sequential_resets(self, keep):
-        self.check(5, keep)
-
-    def test_holds_only_the_kept_episodes(self):
-        cfg = EnvConfig(n_users=8, constants=phy.PhyConstants(n_antennas=8), episode_len=200)
-        held = []
-        for keep in (None, range(1, 6, 3)):
-            env = MecEnv(cfg, **seeds.env_streams(0, 0))
-            tracemalloc.start()
-            try:
-                items = list(env.reset_group(6, keep))
-                held.append(tracemalloc.get_traced_memory()[0])
-            finally:
-                tracemalloc.stop()
-            del items
-        assert held[1] < 0.4 * held[0]
-
     @pytest.mark.parametrize("slot", [0, 5])
-    @pytest.mark.parametrize("keep", [None, range(0, 3, 2)])
-    def test_singular_middle_episode_takes_one_retry(self, monkeypatch, slot, keep):
+    def test_singular_middle_episode_takes_one_retry(self, monkeypatch, slot):
         # The middle episode's first inverse fails in the sequential resets
         # (call 4 of invert_hpd, after both warm-ups) and in the group (call 8).
         real, calls = cmatrix.invert_hpd, []
@@ -569,7 +546,7 @@ class TestResetGroup:
             return real(a)
 
         monkeypatch.setattr(cmatrix, "invert_hpd", flaky)
-        self.check(3, keep)
+        self.check(3)
         # Two warm-ups, then three resets and three draws, each with one retry.
         assert len(calls) == 10
 

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,6 +57,61 @@ CONFIG_DOCUMENTS = st.one_of(
     _some_keys(_DEFAULT_DOC["trainer"]).map(lambda trainer: {"trainer": trainer}),
     st.dictionaries(st.sampled_from(["env", "trainer"]), _JSON_VALUES, max_size=2),
 )
+
+# Documents for a whole `mecrl train`: a tiny base config of each algo
+# with up to three of its size keys (every key that sets an allocation or
+# the work done, bounded to a few MB and milliseconds) and up to three
+# other keys redrawn, mostly to numbers, so that many documents train.
+# `out_dir` is the test's own.
+_NOT_A_NUMBER = st.none() | st.booleans() | st.text(max_size=4) | st.lists(st.booleans(), max_size=2)
+_NUMBERS = (st.integers(-2, 300) | st.floats(-10.0, 10.0)
+            | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _mostly(valid, other):
+    """``valid`` about three times in four, else ``other``."""
+    return st.integers(0, 3).flatmap(lambda i: other if i == 3 else valid)
+
+
+_OTHER_VALUES = _mostly(_NUMBERS, st.lists(_NUMBERS, min_size=1, max_size=3) | _JSON_VALUES)
+_SIZE_KEYS = {
+    ("env", "n_users"): st.integers(-1, 3),
+    ("env", "n_antennas"): st.integers(-1, 4),
+    ("env", "episode_len"): st.integers(-1, 3),
+    ("env", "arrival_rate"): st.floats(-1.0, 50.0) | st.lists(st.floats(0.0, 50.0), max_size=3),
+    ("trainer", "hidden"): st.integers(-1, 8),
+    ("trainer", "buffer_capacity"): st.integers(-1, 16),
+    ("trainer", "batch_size"): st.integers(-1, 16),
+    ("trainer", "warmup_steps"): st.integers(-1, 4),
+    ("trainer", "updates_per_step"): st.integers(-1, 3),
+    (None, "episodes"): st.integers(-1, 2),
+    (None, "n_runs"): st.integers(-1, 2),
+}
+_OTHER_KEYS = sorted(({(None, k) for k in _DEFAULT_DOC if k not in ("env", "trainer", "out_dir")}
+                     | {(s, k) for s in ("env", "trainer") for k in _DEFAULT_DOC[s]})
+                     - set(_SIZE_KEYS), key=str)
+
+
+def _train_document(algo, sizes, others):
+    doc = {"env": {"episode_len": 2},
+           "trainer": {"hidden": 4, "buffer_capacity": 8, "batch_size": 2, "warmup_steps": 1},
+           "algo": algo, "episodes": 1, "n_runs": 1}
+    for (section, key), value in [*sizes.items(), *others.items()]:
+        (doc if section is None else doc[section])[key] = value
+    return doc
+
+
+def _some(keys, values):
+    """Up to three of ``keys``, each set to a value ``values(key)`` draws."""
+    return st.lists(st.sampled_from(keys), max_size=3, unique=True).flatmap(
+        lambda chosen: st.fixed_dictionaries({k: values(k) for k in chosen}))
+
+
+TRAIN_DOCUMENTS = st.builds(
+    _train_document,
+    st.sampled_from(["ddpg", "maddpg", "rmaddpg"]),
+    _some(sorted(_SIZE_KEYS, key=str), lambda key: _mostly(_SIZE_KEYS[key], _NOT_A_NUMBER)),
+    _some(_OTHER_KEYS, lambda key: _OTHER_VALUES))
 
 
 class TestConfig:
@@ -265,15 +325,21 @@ class TestSvg:
     def test_legend_order(self, tmp_path):
         path = tmp_path / "c.svg"
         render_svg([("alpha", AggregateSeries([1.0], [0.0])),
-                    ("beta", AggregateSeries([2.0], [0.0]))], path)
+                    ("<b&c>", AggregateSeries([2.0], [0.0]))], path)
         root = ET.parse(path).getroot()
         legend = [el for el in root.iter() if el.get("id") == "legend"][0]
         texts = [el.text for el in legend.iter() if el.tag.endswith("text")]
-        assert texts == ["alpha", "beta"]
+        assert texts == ["alpha", "<b&c>"]  # escaped in the file
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             render_svg([], tmp_path / "c.svg")
+
+    @pytest.mark.parametrize("mean,std", [([1e308, 1e308], [1e308, 0.0]), ([1e300], [0.0])])
+    def test_values_too_large_to_scale_rejected(self, tmp_path, mean, std):
+        with pytest.raises(ValueError, match="too large to plot"):
+            render_svg([("big", AggregateSeries(mean, std))], tmp_path / "c.svg")
+        assert not (tmp_path / "c.svg").exists()
 
 
 class TestEvaluate:
@@ -340,10 +406,12 @@ class TestEvaluate:
             return real_act(actor, p_max, obs, noise)
 
         monkeypatch.setattr(runner, "act", counting_act)
-        # Episodes per act call in this process; at 2 workers its share is
-        # episodes 0, 2 and 4 (the worker's calls are not seen here).
-        for group, workers, sizes in [(None, 1, [5]), (1, 1, [1] * 5), (2, 1, [2, 2, 1]),
-                                      (2, 2, [2, 1])]:
+        # Episodes per act call in this process, which rolls the first part
+        # of each pass (the worker's calls are not seen here). At 2 workers
+        # and groups of 2 the passes are episodes 0-3, split 0-1 and 2-3,
+        # and episode 4 alone.
+        for group, workers, sizes in [(None, 1, [5]), (None, 2, [3]), (1, 1, [1] * 5),
+                                      (2, 1, [2, 2, 1]), (2, 2, [2, 1])]:
             if group is not None:
                 # The largest budget that still holds only `group` episodes.
                 monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
@@ -351,6 +419,35 @@ class TestEvaluate:
             rolled.clear()
             assert evaluate(cfg, ckpt, 5, workers=workers) == whole
             assert rolled == [k for k in sizes for _ in range(cfg.env.episode_len)]
+
+    def test_each_episode_is_drawn_once_by_the_caller(self, tmp_path, monkeypatch):
+        # At 2 workers the worker rolls the last part of each pass from the
+        # traces it inherits; a draw there would fail its part.
+        cfg, ckpt = self._train_and_save(tmp_path, env={"n_users": 2, "episode_len": 8,
+                                                        "noise_level": 0.5})
+        caller, real_zf, real_step = os.getpid(), phy.zf_norms, MecEnv.step
+        draws, steps = [], []
+
+        def zf_norms(h):
+            assert os.getpid() == caller, "a worker drew an episode"
+            draws.append(h)
+            return real_zf(h)
+
+        def step(env, actions):
+            steps.append(os.getpid())  # only this process's steps are seen
+            return real_step(env, actions)
+
+        for episodes in (2, 5):
+            serial = evaluate(cfg, ckpt, episodes, workers=1)
+            monkeypatch.setattr(phy, "zf_norms", zf_norms)
+            monkeypatch.setattr(MecEnv, "step", step)
+            draws.clear()
+            steps.clear()
+            assert evaluate(cfg, ckpt, episodes, workers=2) == serial
+            assert len(draws) == episodes
+            # This process rolls the first part, 1 of 2 or 3 of 5 episodes.
+            assert steps == [caller] * ((episodes + 1) // 2 * cfg.env.episode_len)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("step_fails", [False, True])
     def test_failed_draw_rolls_the_episodes_before_it(self, tmp_path, monkeypatch, step_fails):
@@ -360,10 +457,9 @@ class TestEvaluate:
         real_group, real_step, real_zf = MecEnv.reset_group, MecEnv.step, phy.zf_norms
         draws, stepped = [], set()
 
-        def reset_group(env, k, keep=None):
-            for ep_env in real_group(env, k, keep):
-                if ep_env is not None:
-                    ep_env.episode = len(draws) - 1
+        def reset_group(env, k):
+            for ep_env in real_group(env, k):
+                ep_env.episode = len(draws) - 1
                 yield ep_env
 
         def zf_norms(h):
@@ -589,11 +685,10 @@ class TestCli:
         cfg_path, ckpt = trained_tree(tmp_path)
         real_group, real_step = MecEnv.reset_group, MecEnv.step
 
-        def reset_group(env, k, keep=None):
-            for ep_env in real_group(env, k, keep):
+        def reset_group(env, k):
+            for ep_env in real_group(env, k):
                 env.drawn = getattr(env, "drawn", 0) + 1
-                if ep_env is not None:
-                    ep_env.episode = env.drawn - 1
+                ep_env.episode = env.drawn - 1
                 yield ep_env
 
         def step(env, actions):
@@ -607,8 +702,8 @@ class TestCli:
         # The forked workers inherit the patches.
         monkeypatch.setattr(MecEnv, "reset_group", reset_group)
         monkeypatch.setattr(MecEnv, "step", step)
-        # At 2 CPUs this process's share (episodes 0, 2, 4) fails at episode
-        # 2 before the worker's episode 1 does.
+        # At 3 CPUs the worker's part (episodes 2 and 3) fails at episode 2
+        # before this process's episode 1 does.
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
@@ -630,7 +725,7 @@ class TestCli:
         assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
                      "--episodes", "4"]) == 2
         assert capsys.readouterr() == (
-            "", "mecrl: i/o error: the process evaluating episode 1 exited with code -9\n")
+            "", "mecrl: i/o error: the process evaluating episode 2 exited with code -9\n")
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -662,6 +757,8 @@ class TestCli:
     @pytest.mark.parametrize("row,why", [
         ("1,-2.5", "expected at least 3 cells, got 2"),
         ("1,-2.5,x", "could not convert string to float: 'x'"),
+        ("1,nan,0.0", "mean and std must be finite, got 'nan' and '0.0'"),
+        ("1,-2.5,inf", "mean and std must be finite, got '-2.5' and 'inf'"),
     ])
     def test_bad_aggregate_row_exits_one_naming_the_line(self, tmp_path, capsys, row, why):
         path = tmp_path / "aggregate.csv"
@@ -669,6 +766,53 @@ class TestCli:
         assert main(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")]) == 1
         assert capsys.readouterr() == ("", f"mecrl: error: {path}: line 3: {why}\n")
         assert not (tmp_path / "p.svg").exists()
+
+    def test_plot_label_with_markup_characters(self, tmp_path, capsys):
+        path = tmp_path / "a&b.csv"
+        path.write_text("episode,mean_return,std_return,run0\n0,-3.0,0.0,-3.0\n")
+        svg = tmp_path / "p.svg"
+        assert main(["plot", "--in", str(path), "--out", str(svg)]) == 0
+        legend = [el for el in ET.parse(svg).getroot().iter() if el.get("id") == "legend"][0]
+        assert [el.text for el in legend.iter() if el.tag.endswith("text")] == ["a&b"]
+
+    @pytest.mark.parametrize("key,value", [("buffer_capacity", 10**13), ("hidden", 10**14)])
+    def test_impossible_size_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                     key, value):
+        cfg_path = write_cfg(tmp_path, trainer={"warmup_steps": 5, "batch_size": 4,
+                                                "buffer_capacity": 50, key: value})
+        real = cli.run_training
+
+        def run_training(cfg, k):
+            if k == 0:  # run 0 trains, so that at 2 CPUs run 1's error is pickled back
+                cfg = replace(cfg, trainer=replace(cfg.trainer, buffer_capacity=50, hidden=8))
+            return real(cfg, k)
+
+        monkeypatch.setattr(cli, "run_training", run_training)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert main(["train", "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("mecrl: error: Unable to allocate") and err.count("\n") == 1, err
+            assert not (tmp_path / "out" / "resolved_config.json").exists()
+            assert multiprocessing.active_children() == []
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(doc=TRAIN_DOCUMENTS)
+    def test_fuzzed_document_trains_or_exits_one_with_one_line(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps({**doc, "out_dir": str(Path(tmp) / "out")}))
+            err = io.StringIO()
+            # One CPU: the runs train here, where their warnings are seen.
+            with (warnings.catch_warnings(record=True) as caught,
+                  mock.patch.object(os, "sched_getaffinity", lambda pid: {0}),
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                warnings.simplefilter("always")
+                code = main(["train", "--config", str(path)])
+        # A warning would print a line of its own.
+        assert not caught, [str(w.message) for w in caught]
+        assert (code, err.getvalue().count("\n")) in ((0, 0), (1, 1)), (code, err.getvalue())
+
 
 class TestNoisePair:
     def test_writes_two_grid_cells(self, tmp_path):
