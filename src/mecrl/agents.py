@@ -271,13 +271,14 @@ class _UpdateBuffers:
     step's two (M, k, hidden) activations.
 
     The rest are constant operands at the full shape they meet, which keeps
-    numpy on its vector loops (see ``neural.forward`` and
-    ``neural.backward``): ``zeros`` is every forward's (M, k, hidden + 1)
-    activation shape for the ReLU, and ``zeros_z`` the actor step's
-    (M, k, hidden) one, a contiguous view of the same zeros; ``pads`` are
-    the zero-padded outer-product operands of the critics' and adversaries'
-    backward passes; ``half`` and ``neg_half`` are ±half the action range,
-    (M, k, 2); ``inv_k`` is the adversaries' upstream gradient 1 / k.
+    numpy on its vector loops (see ``neural.forward_unchecked`` and
+    ``neural.backward_unchecked``): ``zeros`` is every forward's
+    (M, k, hidden + 1) activation shape for the ReLU, and ``zeros_z`` the
+    actor step's (M, k, hidden) one, a contiguous view of the same zeros;
+    ``pads`` are the zero-padded outer-product operands of the critics'
+    and adversaries' backward passes; ``half`` and ``neg_half`` are ±half
+    the action range, (M, k, 2); ``inv_k`` is the adversaries' upstream
+    gradient 1 / k.
     """
 
     def __init__(self, algo: str, half: np.ndarray, obs_dim: int, k: int, hidden: int):

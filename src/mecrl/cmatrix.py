@@ -21,12 +21,10 @@ PIVOT_RTOL = 1e-12
 class SingularMatrixError(ValueError):
     """A matrix of the stack is singular or indefinite to working precision.
 
-    ``index`` is the stack position of the first such matrix.
+    The message names the stack position of the first such matrix. It is a
+    ValueError, so the command line reports it as one error line and exits
+    1, as it does a non-finite matrix.
     """
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
 
 
 def invert_hpd(a: np.ndarray) -> np.ndarray:
@@ -53,7 +51,7 @@ def invert_hpd(a: np.ndarray) -> np.ndarray:
                 np.linalg.cholesky(one)
             except np.linalg.LinAlgError:
                 break
-        raise SingularMatrixError(f"matrix {k}: matrix is not positive definite", k) from exc
+        raise SingularMatrixError(f"matrix {k}: matrix is not positive definite") from exc
     # The pivots are the squared diagonal entries of the factor.
     root = low.diagonal(axis1=-2, axis2=-1).real
     pivot = root * root
@@ -63,5 +61,5 @@ def invert_hpd(a: np.ndarray) -> np.ndarray:
         k, row = divmod(int(bad.argmax()), bad.shape[-1])
         raise SingularMatrixError(
             f"matrix {k}: pivot {float(pivot[k, row]):.3e} at row {row} "
-            f"below threshold {float(pivot_floor[k, row]):.3e}", k)
+            f"below threshold {float(pivot_floor[k, row]):.3e}")
     return np.linalg.inv(a)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cmatrix, phy
+from . import phy
 from .errors import ConfigError
 from .phy import PathLossModel, PhyConstants
 
@@ -280,6 +280,11 @@ class MecEnv:
     once, ``reset_group`` does so for several consecutive episodes in one
     pass, and ``step`` reads its slot from them. A reset before the end of
     an episode discards the rest of that episode's draws.
+
+    Zero-forcing needs a channel of full column rank, which Rayleigh
+    fading gives with probability 1. A slot whose Gram matrix fails
+    ``cmatrix.invert_hpd``'s checks raises from the reset that draws it,
+    and the run ends: no channel is drawn again.
     """
 
     def __init__(self, cfg: EnvConfig, *, rng_channel_init: np.random.Generator,
@@ -338,10 +343,11 @@ class MecEnv:
         one observation-power pass for all of them.
 
         Yields a shallow copy of this env per episode, in order, reset to
-        that episode. An episode whose draw fails raises after the earlier
-        ones are yielded. Iterate to the end or to the error: the later
-        episodes' draws finish on demand. This env holds no episode
-        afterwards.
+        that episode. An episode whose draw fails, a singular slot
+        included, raises after the earlier ones are yielded; they are what
+        that many resets would have drawn. Iterate to the end or to the
+        error: the later episodes' draws finish on demand. This env holds
+        no episode afterwards.
         """
         self._release()
         for episode in self._draws(k):
@@ -369,51 +375,24 @@ class MecEnv:
 
         The channels come first, one block of all k episodes: every
         episode's initial channel from the init stream, then every
-        episode's innovations from the evolution stream, and one recursion.
+        episode's innovation from the evolution stream, and one recursion.
         The zero-forcing norms, arrivals and noise follow episode by
-        episode. An episode with a singular slot keeps the episodes before
-        it and takes :meth:`_redraw` alone, with the channel streams where
-        that episode's reset would have them; the episodes after it form a
-        new block.
+        episode. A singular slot raises SingularMatrixError from its
+        episode's norms, before that episode's arrivals and noise are drawn.
         """
         cfg = self.cfg
         n_slots = cfg.episode_len
-        init_rng, rng = self._rng_channel_init, self._rng_channel
-        first = 0
-        while first < k:
-            starts = init_rng.bit_generator.state, rng.bit_generator.state
-            init = phy.init_channel(cfg.constants, self._gains, self._rho, init_rng, (k - first,))
-            h = phy.evolve_channel(init, rng, n_slots)
-            for i, (trace, chan_obs) in enumerate(zip(h, self._obs_powers(h)), first):
-                try:
-                    zf = phy.zf_norms(trace)
-                except cmatrix.SingularMatrixError as exc:
-                    # The channel streams go where this episode's reset has
-                    # them at its first failure: the init stream past its
-                    # initial channel, the evolution stream at its start.
-                    init_rng.bit_generator.state, rng.bit_generator.state = starts
-                    phy.init_channel(cfg.constants, self._gains, self._rho, init_rng,
-                                     (i - first + 1,))
-                    for _ in range(i - first):
-                        phy.innovations(init, rng, n_slots)
-                    trace, zf = self._redraw(trace[0], exc)
-                    yield self._finish(trace, zf, self._obs_powers(trace))
-                    first = i + 1
-                    break
-                yield self._finish(trace, zf, chan_obs)
-            else:
-                first = k
-
-    def _finish(self, h, zf, chan_obs) -> tuple:
-        """An episode's trace, with its arrivals and noise drawn."""
-        cfg = self.cfg
-        arrivals = draw_arrivals(cfg, self._rng_arrivals, cfg.episode_len)
-        noise = None
-        if cfg.noise_level != 0:
-            z, self._noise_carry = accepted_normals(self._rng_noise, cfg.episode_len * cfg.n_users,
-                                                    self._noise_carry)
-            noise = (cfg.noise_level * z).reshape(cfg.episode_len, cfg.n_users)
-        return h, zf, chan_obs, arrivals, noise
+        init = phy.init_channel(cfg.constants, self._gains, self._rho, self._rng_channel_init, (k,))
+        h = phy.evolve_channel(init, self._rng_channel, n_slots)
+        for trace, chan_obs in zip(h, self._obs_powers(h)):
+            zf = phy.zf_norms(trace)
+            arrivals = draw_arrivals(cfg, self._rng_arrivals, n_slots)
+            noise = None
+            if cfg.noise_level != 0:
+                z, self._noise_carry = accepted_normals(self._rng_noise, n_slots * cfg.n_users,
+                                                        self._noise_carry)
+                noise = (cfg.noise_level * z).reshape(n_slots, cfg.n_users)
+            yield trace, zf, chan_obs, arrivals, noise
 
     def _obs_powers(self, h: np.ndarray) -> np.ndarray:
         """Per-antenna channel powers over the clip scale, clipped at 1:
@@ -422,44 +401,6 @@ class MecEnv:
         power += h.imag * h.imag
         power /= self._obs_scale
         return np.minimum(power, 1.0, out=power).swapaxes(-1, -2)
-
-    def _redraw(self, h0: np.ndarray, exc: cmatrix.SingularMatrixError):
-        """Channel (T + 1, N, M) and zero-forcing norms (T + 1, M) of an
-        episode from initial channel ``h0`` whose trace has the singular
-        slot ``exc`` names, with the init stream past ``h0`` and the
-        evolution stream at the episode's first innovation.
-
-        A singular slot 0 is replaced by one more draw of the init stream.
-        A singular later slot takes the next innovation of the evolution
-        stream instead of its own, and the trace is rebuilt from there on.
-        These are the draws a step-by-step evolution with one retry per
-        slot would make; a second failure at one slot raises.
-        """
-        n_slots = self.cfg.episode_len
-        rng = self._rng_channel
-        start = rng.bit_generator.state
-        init = phy.ChannelState(h0, self._rho, self._gains)
-        slot, skipped = None, []
-        while True:
-            # zf_norms names the first failing slot, so a rebuilt trace
-            # fails again at the same slot or at a later one.
-            if exc.index == slot:
-                raise exc
-            slot = exc.index
-            if slot == 0:
-                init = phy.init_channel(self.cfg.constants, self._gains, self._rho,
-                                        self._rng_channel_init)
-            else:
-                # The stream position of this slot's innovation; earlier
-                # skips all lie before it.
-                skipped.append(slot - 1 + len(skipped))
-            rng.bit_generator.state = start
-            innov = phy.innovations(init, rng, n_slots + len(skipped))
-            h = phy.ar_trace(init, np.delete(innov, skipped, axis=0))
-            try:
-                return h, phy.zf_norms(h)
-            except cmatrix.SingularMatrixError as again:
-                exc = again
 
     def obs_vectors(self) -> np.ndarray:
         """Normalized observation vectors for the current state, one row per

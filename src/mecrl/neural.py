@@ -113,7 +113,7 @@ def input_buffer(lead: tuple[int, ...], width: int, dtype) -> np.ndarray:
     return buf
 
 
-def forward(p: MlpParams, x, ones_column: bool = False, zeros: np.ndarray | None = None):
+def forward(p: MlpParams, x, ones_column: bool = False):
     """Evaluate the network; returns (y, cache) with cache for backward.
 
     For a single network ``x`` may be one input vector or a (batch, in_dim)
@@ -123,9 +123,7 @@ def forward(p: MlpParams, x, ones_column: bool = False, zeros: np.ndarray | None
     (agents, batch, out_dim). With ``ones_column`` the input already ends
     in the bias column of ones, (..., in_dim + 1), as from
     :func:`input_buffer`; otherwise it is copied into such a buffer. The
-    input is cast to the parameters' dtype. ``zeros`` may supply a zero
-    array of the activation's shape, (*lead, batch, hidden + 1), for the
-    ReLU to compare against; otherwise one is made.
+    input is cast to the parameters' dtype.
     """
     x = np.asarray(x)
     single = x.ndim == 1
@@ -142,7 +140,7 @@ def forward(p: MlpParams, x, ones_column: bool = False, zeros: np.ndarray | None
         xa = input_buffer(xb.shape[:-1], p.in_dim, dtype)
         xa[..., :-1] = xb
         xb = xa
-    y, (xb, h) = forward_unchecked(p, xb, zeros)
+    y, (xb, h) = forward_unchecked(p, xb)
     return (y[0] if single else y), (xb, h, single)
 
 
@@ -177,17 +175,14 @@ def eval_vec(p: MlpParams, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: bool = True,
-             pads: tuple[np.ndarray, np.ndarray] | None = None):
+def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: bool = True):
     """Gradients of ``<dy, y>`` w.r.t. parameters and input.
 
     Returns ``(g, dx)``; ``dx`` is None when ``need_dx`` is false. ``out``
     may supply a preallocated Gradients buffer. A cache serves one backward
     call: the hidden-layer gradient is formed in its activation buffer.
     Each layer's input carries a ones column, so the last row of each
-    weight-gradient product is the bias gradient. For a network of one
-    output, ``pads`` may supply two zero arrays for the outer product,
-    (*lead, batch, 2) and (*lead, 2, hidden + 1); otherwise they are made.
+    weight-gradient product is the bias gradient.
     """
     xb, h, single = cache
     dy = np.asarray(dy, dtype=p.flat.dtype)
@@ -199,7 +194,7 @@ def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: boo
         )
     g = out if out is not None else Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents,
                                               dtype=p.flat.dtype)
-    g, dx = backward_unchecked(p, (xb, h), dyb, g, need_dx, pads)
+    g, dx = backward_unchecked(p, (xb, h), dyb, g, need_dx, None)
     return g, (dx[0] if single and dx is not None else dx)
 
 

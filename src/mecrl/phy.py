@@ -89,51 +89,30 @@ def init_channel(constants: PhyConstants, gains, rho, rng: np.random.Generator,
     return ChannelState(h=h, rho=rho, gains=gains)
 
 
-def innovations(state: ChannelState, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """The next ``steps`` innovations of the recursion: (steps, N, M)."""
-    return _draw_columns(state.h.shape[-2], state.gains, rng, (steps,))
-
-
-def _recur(trace: np.ndarray, rho: np.ndarray) -> None:
-    """The recursion in place over a (k, T+1, N, M) block whose slot 0
-    holds k initial channels and whose later slots hold their scaled
-    innovations. Each step adds rho * h to the scaled innovation already in
-    its slot, for all k channels at once: the same products and sums as one
-    step of one channel at a time. rho is cast to complex once, as the
-    multiply would cast it in every step."""
-    rho = rho.astype(np.complex128)
-    slots = list(trace.swapaxes(0, 1))
-    scratch = np.empty_like(slots[0])
-    for prev, nxt in zip(slots, slots[1:]):
-        np.add(nxt, np.multiply(rho, prev, scratch), nxt)
-
-
-def ar_trace(state: ChannelState, innov: np.ndarray) -> np.ndarray:
-    """``state.h`` followed by one autoregressive step per innovation:
-    (len(innov) + 1, N, M). Each step preserves the per-entry variance."""
-    trace = np.empty((1, len(innov) + 1) + state.h.shape, dtype=np.complex128)
-    trace[0, 0] = state.h
-    np.multiply(np.sqrt(1.0 - state.rho * state.rho), innov, out=trace[0, 1:])
-    _recur(trace, state.rho)
-    return trace[0]
-
-
 def evolve_channel(state: ChannelState, rng: np.random.Generator, steps: int) -> np.ndarray:
     """The channel trace of ``steps`` autoregressive steps from each channel
     of ``state``: an ``(N, M)`` channel gives ``(steps + 1, N, M)``, slot 0
     being ``state.h``, and a ``lead + (N, M)`` stack gives ``lead +
-    (steps + 1, N, M)``. Each channel's innovations are one (steps, 2, N, M)
+    (steps + 1, N, M)``. Each channel's innovation is one (steps, 2, N, M)
     draw, taken channel by channel and scaled straight into the trace: the
     same values in the same stream order as ``steps`` one-step draws per
-    channel, one channel after the other. One recursion then runs over all
-    the channels at once."""
+    channel, one channel after the other.
+
+    One recursion then runs over all the channels at once: each step adds
+    rho * h to the scaled innovation already in its slot, the same products
+    and sums as one step of one channel at a time. rho is cast to complex
+    once, as the multiply would cast it in every step."""
     h0 = state.h.reshape((-1,) + state.h.shape[-2:])
     trace = np.empty((len(h0), steps + 1) + h0.shape[1:], dtype=np.complex128)
     scale = np.sqrt(1.0 - state.rho * state.rho)
     for row, h in zip(trace, h0):
         row[0] = h
-        np.multiply(scale, innovations(state, rng, steps), out=row[1:])
-    _recur(trace, state.rho)
+        np.multiply(scale, _draw_columns(h0.shape[-2], state.gains, rng, (steps,)), out=row[1:])
+    rho = state.rho.astype(np.complex128)
+    slots = list(trace.swapaxes(0, 1))
+    scratch = np.empty_like(slots[0])
+    for prev, nxt in zip(slots, slots[1:]):
+        np.add(nxt, np.multiply(rho, prev, scratch), nxt)
     return trace.reshape(state.h.shape[:-2] + trace.shape[1:])
 
 
@@ -146,7 +125,9 @@ def zf_norms(h: np.ndarray) -> np.ndarray:
     pseudo-inverse never needs to be formed. Raises SingularMatrixError,
     naming the first failing slot, for a rank-deficient channel (more
     users than antennas included); a non-finite channel makes a
-    non-finite Gram matrix, which ``invert_hpd`` rejects.
+    non-finite Gram matrix, which ``invert_hpd`` rejects. Either error
+    ends the run that drew the trace: a Rayleigh channel has full column
+    rank with probability 1, so no slot is drawn again.
     """
     gram_inv = cmatrix.invert_hpd(h.conj().swapaxes(-1, -2) @ h)
     return np.ascontiguousarray(np.diagonal(gram_inv, axis1=-2, axis2=-1).real)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 from .runner import AggregateSeries
@@ -11,6 +12,11 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 900.0, 540.0
 _ML, _MR, _MT, _MB = 72.0, 24.0, 24.0, 52.0
+
+# Characters XML 1.0 forbids even escaped: the C0 controls other than tab,
+# LF and CR, the surrogates (a file name's undecodable bytes) and U+FFFE and
+# U+FFFF. A legend label shows U+FFFD instead.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -89,7 +95,8 @@ def render_svg(series: list[tuple[str, AggregateSeries]], path) -> None:
         color = PALETTE[i % len(PALETTE)]
         ly = _MT + 14 + 20 * i
         # Escaped by hand: xml.sax.saxutils imports urllib and 40 more modules.
-        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        label = (_NOT_XML.sub("\ufffd", label)
+                 .replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
         parts.append(f'<line x1="{lx:.2f}" y1="{ly:.2f}" x2="{lx + 28:.2f}" y2="{ly:.2f}" '
                      f'stroke="{color}" stroke-width="2.5"/>')
         parts.append(f'<text x="{lx + 36:.2f}" y="{ly + 4:.2f}" fill="#333333">{label}</text>')

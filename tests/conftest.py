@@ -1,10 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from mecrl import neural, runner, seeds
+from mecrl import neural, phy, runner, seeds
 from mecrl.agents import Trainer, TrainerConfig, act, train_episode
 from mecrl.cli import _train_tree
 from mecrl.config import config_from_dict, load_config
@@ -20,6 +21,26 @@ def random_channel(rng, n, m, gain=1.0):
     """Rayleigh channel: i.i.d. circularly-symmetric complex Gaussian."""
     scale = np.sqrt(gain / 2.0)
     return scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+
+
+def singular_slot(monkeypatch, episode, slot, pid=None):
+    """Make ``slot`` of the ``episode``-th channel drawn from now on (0 is
+    the next) rank deficient: its second user's column copies its first's.
+    Episodes are counted over every ``phy.evolve_channel`` call, in process
+    ``pid`` alone if given."""
+    real, drawn = phy.evolve_channel, [0]
+
+    def evolve_channel(state, rng, steps):
+        trace = real(state, rng, steps)
+        if pid is None or os.getpid() == pid:
+            stack = trace.reshape((-1,) + trace.shape[-3:])
+            i = episode - drawn[0]
+            if 0 <= i < len(stack):
+                stack[i, slot, :, 1] = stack[i, slot, :, 0]
+            drawn[0] += len(stack)
+        return trace
+
+    monkeypatch.setattr(phy, "evolve_channel", evolve_channel)
 
 
 def filled_trainer(algo, seed=0, n_users=2, dtype=np.float32, **tc_overrides):

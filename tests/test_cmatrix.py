@@ -101,9 +101,8 @@ class TestStack:
     def test_pivot_names_matrix_and_row(self, rng):
         gram = grams(rng, 5, 2)
         gram[3] = [[1, 1], [1, 1 + 1e-13]]
-        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 3: .* row 1") as info:
+        with pytest.raises(cmatrix.SingularMatrixError, match="^matrix 3: .* row 1"):
             cmatrix.invert_hpd(gram)
-        assert info.value.index == 3 and type(info.value.index) is int
 
     def test_rank_deficient_gram_names_matrix_and_row(self, rng):
         # A channel whose third user's column is the first user's plus a
@@ -112,14 +111,12 @@ class TestStack:
         h = np.stack([random_channel(rng, 6, 3) for _ in range(4)])
         h[2, :, 2] = 5.0 * (h[2, :, 0] + 1e-7 * random_channel(rng, 6, 1)[:, 0])
         gram = h.conj().swapaxes(-1, -2) @ h
-        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 2: pivot .* at row 2 ") as info:
+        with pytest.raises(cmatrix.SingularMatrixError, match="^matrix 2: pivot .* at row 2 "):
             cmatrix.invert_hpd(gram)
-        assert info.value.index == 2
 
     def test_first_bad_matrix_is_named(self, rng):
         gram = grams(rng, 6, 2)
         gram[4] = [[1, 2], [2, 1]]
         gram[5] = [[1, 1], [1, 1]]
-        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 4: matrix is not positive") as info:
+        with pytest.raises(cmatrix.SingularMatrixError, match="^matrix 4: matrix is not positive"):
             cmatrix.invert_hpd(gram)
-        assert info.value.index == 4 and type(info.value.index) is int

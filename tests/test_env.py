@@ -11,6 +11,8 @@ from mecrl.env import (RESET_BUDGET_BYTES, RESET_SLOT_BASE_BYTES, RESET_SLOT_BYT
                        RESET_TASK_BYTES, Action, ActionError, ConfigError, EnvConfig, MecEnv,
                        Observation, StateError, TaskQueue, accepted_normals, draw_arrivals)
 
+from conftest import singular_slot
+
 
 def make_env(seed=0, **overrides):
     cfg = EnvConfig(**overrides)
@@ -534,21 +536,23 @@ class TestResetGroup:
         self.check(k, n_users=users, constants=phy.PhyConstants(n_antennas=antennas))
 
     @pytest.mark.parametrize("slot", [0, 5])
-    def test_singular_middle_episode_takes_one_retry(self, monkeypatch, slot):
-        # The middle episode's first inverse fails in the sequential resets
-        # (call 4 of invert_hpd, after both warm-ups) and in the group (call 8).
-        real, calls = cmatrix.invert_hpd, []
-
-        def flaky(a):
-            calls.append(a)
-            if len(calls) in (4, 8):
-                raise cmatrix.SingularMatrixError("injected", slot)
-            return real(a)
-
-        monkeypatch.setattr(cmatrix, "invert_hpd", flaky)
-        self.check(3)
-        # Two warm-ups, then three resets and three draws, each with one retry.
-        assert len(calls) == 10
+    def test_singular_middle_episode_raises_after_the_one_before(self, monkeypatch, slot):
+        seq, _ = make_env(seed=6, noise_level=0.5, episode_len=20)
+        grp, _ = make_env(seed=6, noise_level=0.5, episode_len=20)
+        seq.reset()
+        grp.reset()  # so the group starts mid-stream, with a noise carry
+        seq.reset()
+        singular_slot(monkeypatch, 1, slot)
+        got = []
+        with pytest.raises(cmatrix.SingularMatrixError, match=f"^matrix {slot}: "):
+            for item in grp.reset_group(3):
+                got.append(item)
+        assert len(got) == 1
+        for name in TRACE:
+            assert same_bytes(getattr(got[0], name), getattr(seq, name)), name
+        # The failing episode drew no arrivals and no noise.
+        assert stream_states(grp)[2:] == stream_states(seq)[2:]
+        assert grp.slot is None and grp._h is None
 
     def test_failed_draw_yields_the_episodes_before_it(self, monkeypatch):
         env, _ = make_env(seed=3)
@@ -575,81 +579,21 @@ class TestResetGroup:
         assert a.slot == 1 and b.slot == 0 and b.backlog == [0] * cfg.n_users
 
 
-class TestSingularResample:
-    """A singular channel draw is replaced by one fresh draw of the same
-    stream, and the episode goes on: the draws a step-by-step evolution
-    with one retry per slot makes."""
+class TestSingularSlot:
+    """A singular slot raises from the reset that draws it; no channel is
+    drawn again."""
 
-    @staticmethod
-    def fail_at(monkeypatch, *slots):
-        """invert_hpd fails at the given stack positions, one per call."""
-        real = cmatrix.invert_hpd
-        calls = []
-
-        def flaky(a):
-            calls.append(a)
-            if len(calls) <= len(slots):
-                raise cmatrix.SingularMatrixError("injected", slots[len(calls) - 1])
-            return real(a)
-
-        monkeypatch.setattr(cmatrix, "invert_hpd", flaky)
-        return calls
-
-    @staticmethod
-    def per_step_reference(cfg, seed, singular_slots):
-        """Channels of one episode drawn one slot at a time, each singular
-        slot redrawn once from its own stream."""
-        streams = seeds.env_streams(seed, 0)
-        scale = np.sqrt(cfg.gains() / 2.0)
-        rho = np.asarray(cfg.rho)
-        shape = (cfg.constants.n_antennas, cfg.n_users)
-
-        def draw(rng):
-            re = rng.standard_normal(shape)
-            im = rng.standard_normal(shape)
-            return scale * (re + 1j * im)
-
-        h = draw(streams["rng_channel_init"])
-        if 0 in singular_slots:
-            h = draw(streams["rng_channel_init"])
-        trace = [h]
-        for t in range(1, cfg.episode_len + 1):
-            innovation = draw(streams["rng_channel"])
-            if t in singular_slots:
-                innovation = draw(streams["rng_channel"])
-            h = rho * h + np.sqrt(1.0 - rho * rho) * innovation
-            trace.append(h)
-        return trace
-
-    def check_slots(self, monkeypatch, *slots):
+    @pytest.mark.parametrize("slot", [0, 5])
+    def test_reset_raises_and_the_env_will_not_step(self, monkeypatch, slot):
         env, cfg = make_env(seed=4, episode_len=12)
-        calls = self.fail_at(monkeypatch, *slots)
         env.reset()
-        assert len(calls) == len(slots) + 1
-        ref = self.per_step_reference(cfg, 4, slots)
-        for t in range(cfg.episode_len):
-            assert np.array_equal(env.channel.h, ref[t]), f"slot {t}"
-            res = env.step([Action(1.0, 0.5)] * cfg.n_users)
-            sinr = [i["sinr"] for i in res.info]
-            zf = phy.zf_norms(ref[t][None])[0]
-            assert sinr == [1.0 / (cfg.constants.noise_power_w * z) for z in zf]
-        assert np.array_equal(env.channel.h, ref[-1])
-        assert env.slot == cfg.episode_len
-
-    def test_reset_draws_one_replacement(self, monkeypatch):
-        self.check_slots(monkeypatch, 0)
-
-    def test_step_draws_one_replacement(self, monkeypatch):
-        self.check_slots(monkeypatch, 5)
-
-    def test_two_failures_at_later_slots(self, monkeypatch):
-        self.check_slots(monkeypatch, 3, 9)
-
-    def test_second_failure_at_one_slot_raises(self, monkeypatch):
-        env, _ = make_env(seed=4)
-        self.fail_at(monkeypatch, 5, 5)
-        with pytest.raises(cmatrix.SingularMatrixError, match="injected"):
+        singular_slot(monkeypatch, 0, slot)
+        with pytest.raises(cmatrix.SingularMatrixError, match=f"^matrix {slot}: "):
             env.reset()
+        with pytest.raises(StateError):
+            env.step([Action(1.0, 0.5)] * cfg.n_users)
+        with pytest.raises(StateError):
+            env.obs_vectors()
 
 
 class TestObsVector:

@@ -30,7 +30,7 @@ from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
                           write_csv, write_run_csv)
 from mecrl.svgplot import render_svg
 
-from conftest import reference_rollout, tiny_config, trained_tree, write_cfg
+from conftest import reference_rollout, singular_slot, tiny_config, trained_tree, write_cfg
 
 
 def record(vals):
@@ -330,6 +330,17 @@ class TestSvg:
         legend = [el for el in root.iter() if el.get("id") == "legend"][0]
         texts = [el.text for el in legend.iter() if el.tag.endswith("text")]
         assert texts == ["alpha", "<b&c>"]  # escaped in the file
+
+    def test_label_with_characters_xml_forbids_parses(self, tmp_path):
+        # A file name may hold any byte but "/" and NUL, an undecodable one
+        # as a surrogate; the legend shows U+FFFD for each character XML 1.0
+        # forbids, escaped or not.
+        path = tmp_path / "c.svg"
+        label = "a\x01b\x08\x0b\x0c\x1f\tc\ufffe\uffffd\udcff\ud800\x7f\n<&>"
+        render_svg([(label, AggregateSeries([1.0, 2.0], [0.0, 0.0]))], path)
+        legend = [el for el in ET.parse(path).getroot().iter() if el.get("id") == "legend"][0]
+        texts = [el.text for el in legend.iter() if el.tag.endswith("text")]
+        assert texts == ["a\ufffdb" + "\ufffd" * 4 + "\tc\ufffd\ufffdd\ufffd\ufffd\x7f\n<&>"]
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
@@ -710,6 +721,31 @@ class TestCli:
                          "--episodes", "5"]) == 1
             assert capsys.readouterr() == ("", "mecrl: error: episode 1: step failed\n")
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_singular_slot_in_training_exits_one_with_one_line(self, tmp_path, capsys,
+                                                                monkeypatch, cpus):
+        # Slot 3 of run 0's second reset is singular; run 0 trains in this
+        # process. The run ends there, and so does the tree.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        singular_slot(monkeypatch, 1, 3, pid=os.getpid())
+        assert main(["train", "--config", str(write_cfg(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mecrl: error: matrix 3: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_singular_slot_in_eval_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # Slot 2 of episode 3 is singular; this process draws every episode.
+        cfg_path, ckpt = trained_tree(tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        singular_slot(monkeypatch, 3, 2)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
+                     "--episodes", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("mecrl: error: matrix 2: "), err
+        assert err.count("\n") == 1, err
+        assert multiprocessing.active_children() == []
 
     def test_killed_eval_worker_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
         cfg_path, ckpt = trained_tree(tmp_path)

@@ -419,9 +419,10 @@ class TestStacked:
 
 
 class TestOldExpressions:
-    """``forward``'s ReLU against a zero array and ``backward``'s padded
-    outer product give the bytes of the expressions they replaced, which
-    are computed here side by side on the same numpy and BLAS."""
+    """``forward_unchecked``'s ReLU against a zero array and
+    ``backward_unchecked``'s padded outer product give the bytes of the
+    expressions they replaced, which are computed here side by side on the
+    same numpy and BLAS."""
 
     @staticmethod
     def make(rng, agents, out_dim, dtype, in_dim=5, hidden=64):
@@ -479,7 +480,7 @@ class TestOldExpressions:
             zeros = np.zeros(h_old.shape, dtype)
             for z in (zeros, None):
                 with np.errstate(invalid="ignore"):
-                    y, (_, h, _) = forward(p, xb, ones_column=True, zeros=z)
+                    y, (_, h) = neural.forward_unchecked(p, xb, z)
                 assert y.tobytes() == y_old.tobytes() and h.tobytes() == h_old.tobytes()
             assert not zeros.any()
 
@@ -499,8 +500,9 @@ class TestOldExpressions:
             lead = dy.shape[:-1]
             pads = (np.zeros(lead + (2,), dtype), np.zeros(lead[:-1] + (2, p.hidden + 1), dtype))
             for pad in (pads, None):
-                _, cache = forward(p, xb, ones_column=True)
-                g, dx = backward(p, cache, dy, pads=pad)
+                _, cache = neural.forward_unchecked(p, xb)
+                g = Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents, dtype=dtype)
+                g, dx = neural.backward_unchecked(p, cache, dy, g, True, pad)
                 assert g.flat.tobytes() == g_old.flat.tobytes()
                 assert dx.tobytes() == dx_old.tobytes()
             assert not pads[0][..., 1].any() and not pads[1][..., 1, :].any()

@@ -107,9 +107,8 @@ class TestZfNorms:
 
     def test_too_many_users(self):
         # A wide channel's Gram matrix is singular.
-        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 0") as info:
+        with pytest.raises(cmatrix.SingularMatrixError, match="^matrix 0:"):
             phy.zf_norms(np.ones((1, 2, 3), dtype=complex))
-        assert info.value.index == 0
 
     def test_duplicate_columns_singular(self, rng):
         col = random_channel(rng, 4, 1)
@@ -126,9 +125,8 @@ class TestZfNorms:
     def test_stack_names_the_singular_channel(self, rng):
         stack = np.stack([random_channel(rng, 4, 2) for _ in range(6)])
         stack[4, :, 1] = stack[4, :, 0]
-        with pytest.raises(cmatrix.SingularMatrixError, match="matrix 4") as info:
+        with pytest.raises(cmatrix.SingularMatrixError, match="^matrix 4:"):
             phy.zf_norms(stack)
-        assert info.value.index == 4
 
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
