@@ -19,10 +19,10 @@ import numpy as np
 from . import neural
 from .env import Action, EnvConfig, MecEnv, StepResult
 from .errors import ConfigError
-# The update runs the unchecked kernels on its own buffers, under the names
-# the benchmark's tracer patches.
-from .neural import AdamState, MlpParams, adam_step, eval_vec, soft_update
-from .neural import backward_unchecked as backward, forward_unchecked as forward
+# Imported by name: the update calls these on its own buffers, and the
+# benchmark's tracer patches them on this module.
+from .neural import (AdamState, Gradients, MlpParams, adam_step, backward, eval_vec, forward,
+                     soft_update)
 
 ALGOS = ("ddpg", "maddpg", "rmaddpg")
 
@@ -184,7 +184,7 @@ def td_targets(critic_target: MlpParams, x_next, rewards: np.ndarray,
     """Bootstrapped regression targets of all agents:
     r + gamma * Q_target(s', a'), shape (M, k, 1). ``x_next`` is in the
     critic's dtype and ends in a ones column (see ``neural.input_buffer``);
-    ``zeros`` is passed on to ``neural.forward_unchecked``."""
+    ``zeros`` is passed on to ``neural.forward``."""
     y = forward(critic_target, x_next, zeros)[0]
     y *= gamma
     y += rewards
@@ -251,7 +251,7 @@ def _actor_step(trainer: "Trainer", work: "_UpdateBuffers") -> np.ndarray:
     dz = np.multiply(z > 0.0, critic.w2 * (1.0 / k), out=z)
     du = dz @ w_own.swapaxes(1, 2)
     du *= (1.0 - t * t) * work.neg_half
-    g, _ = backward(trainer.actor, cache, du, trainer.actor_grad, False, None)
+    g, _ = backward(trainer.actor, cache, du, trainer.actor_grad, False)
     adam_step(trainer.actor_opt, trainer.actor, g)
     return objective
 
@@ -271,14 +271,13 @@ class _UpdateBuffers:
     step's two (M, k, hidden) activations.
 
     The rest are constant operands at the full shape they meet, which keeps
-    numpy on its vector loops (see ``neural.forward_unchecked`` and
-    ``neural.backward_unchecked``): ``zeros`` is every forward's
-    (M, k, hidden + 1) activation shape for the ReLU, and ``zeros_z`` the
-    actor step's (M, k, hidden) one, a contiguous view of the same zeros;
-    ``pads`` are the zero-padded outer-product operands of the critics'
-    and adversaries' backward passes; ``half`` and ``neg_half`` are ±half
-    the action range, (M, k, 2); ``inv_k`` is the adversaries' upstream
-    gradient 1 / k.
+    numpy on its vector loops (see ``neural.forward`` and ``neural.backward``):
+    ``zeros`` is every forward's (M, k, hidden + 1) activation shape for the
+    ReLU, and ``zeros_z`` the actor step's (M, k, hidden) one, a contiguous
+    view of the same zeros; ``pads`` are the zero-padded outer-product
+    operands of the critics' and adversaries' backward passes; ``half`` and
+    ``neg_half`` are ±half the action range, (M, k, 2); ``inv_k`` is the
+    adversaries' upstream gradient 1 / k.
     """
 
     def __init__(self, algo: str, half: np.ndarray, obs_dim: int, k: int, hidden: int):
@@ -399,14 +398,14 @@ class Trainer:
         self.critic_target = self.critic.copy()
         self.actor_opt = AdamState(lr=tc.lr_actor)
         self.critic_opt = AdamState(lr=tc.lr_critic)
-        self.actor_grad = neural.adam_gradients(self.actor_opt, self.actor)
-        self.critic_grad = neural.adam_gradients(self.critic_opt, self.critic)
+        self.actor_grad = Gradients(obs_dim, 2, tc.hidden, agents=n, dtype=dtype)
+        self.critic_grad = Gradients(critic_in, 1, tc.hidden, agents=n, dtype=dtype)
         self.nature = self.nature_opt = self.nature_grad = None
         if algo == "rmaddpg":
             self.nature = neural.stack_params(
                 [neural.init_mlp(obs_dim + 2, 1, rng_init, tc.hidden) for _ in range(n)], dtype)
             self.nature_opt = AdamState(lr=tc.lr_nature)
-            self.nature_grad = neural.adam_gradients(self.nature_opt, self.nature)
+            self.nature_grad = Gradients(obs_dim + 2, 1, tc.hidden, agents=n, dtype=dtype)
         # Actions are squashed and clipped against the float64 bounds the
         # environment checks them with; the update squashes in ``dtype``.
         self.p_max = np.column_stack((env_cfg.p_max_offload_w, env_cfg.p_max_local_w))

@@ -18,13 +18,17 @@ import numpy as np
 PIVOT_RTOL = 1e-12
 
 
-class SingularMatrixError(ValueError):
-    """A matrix of the stack is singular or indefinite to working precision.
+class MatrixError(ValueError):
+    """A matrix of the stack fails :func:`invert_hpd`'s checks. ``args`` are
+    its stack position and the reason, and the message names both. It is a
+    ValueError, so the command line reports it as one line and exits 1."""
 
-    The message names the stack position of the first such matrix. It is a
-    ValueError, so the command line reports it as one error line and exits
-    1, as it does a non-finite matrix.
-    """
+    def __str__(self) -> str:
+        return f"matrix {self.args[0]}: {self.args[1]}"
+
+
+class SingularMatrixError(MatrixError):
+    """A matrix of the stack is singular or indefinite to working precision."""
 
 
 def invert_hpd(a: np.ndarray) -> np.ndarray:
@@ -35,13 +39,15 @@ def invert_hpd(a: np.ndarray) -> np.ndarray:
     triangle, so rounding in a Gram matrix's upper triangle is harmless.
     The inverse itself comes from ``np.linalg.inv``, which inverts a stack
     one matrix at a time, so a matrix inverts bit-identically in any stack.
-    Raises ValueError for NaN or Inf entries (a huge path gain can overflow
-    the Gram matrix) and :class:`SingularMatrixError` when a factorization
-    fails or a pivot falls below PIVOT_RTOL times the diagonal entry of its
-    row, naming the first failing matrix and its first failing row.
+    Raises :class:`MatrixError` for NaN or Inf entries (a huge path gain
+    can overflow the Gram matrix) and :class:`SingularMatrixError` when a
+    factorization fails or a pivot falls below PIVOT_RTOL times the
+    diagonal entry of its row, naming the first failing matrix and, for a
+    pivot, its first failing row.
     """
     if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+        k = int(np.isfinite(a).all(axis=(-2, -1)).argmin())
+        raise MatrixError(k, "matrix contains NaN or Inf entries")
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -51,7 +57,7 @@ def invert_hpd(a: np.ndarray) -> np.ndarray:
                 np.linalg.cholesky(one)
             except np.linalg.LinAlgError:
                 break
-        raise SingularMatrixError(f"matrix {k}: matrix is not positive definite") from exc
+        raise SingularMatrixError(k, "matrix is not positive definite") from exc
     # The pivots are the squared diagonal entries of the factor.
     root = low.diagonal(axis1=-2, axis2=-1).real
     pivot = root * root
@@ -60,6 +66,6 @@ def invert_hpd(a: np.ndarray) -> np.ndarray:
     if bad.any():
         k, row = divmod(int(bad.argmax()), bad.shape[-1])
         raise SingularMatrixError(
-            f"matrix {k}: pivot {float(pivot[k, row]):.3e} at row {row} "
-            f"below threshold {float(pivot_floor[k, row]):.3e}")
+            k, f"pivot {float(pivot[k, row]):.3e} at row {row} "
+               f"below threshold {float(pivot_floor[k, row]):.3e}")
     return np.linalg.inv(a)

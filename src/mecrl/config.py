@@ -150,6 +150,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
     return config_from_dict(doc)
 
 

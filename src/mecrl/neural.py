@@ -1,15 +1,14 @@
 """Two-layer ReLU perceptrons with hand-written backpropagation.
 
-The deterministic policy update needs exact gradients with respect to the
-network *input* as well as the parameters, so both paths are derived
-analytically and checked against central finite differences. Parameters
-live in one flat floating-point buffer with reshaped views per layer, which
-lets the optimizer and target blending run as single vector operations;
-computation runs in the buffer's dtype. Each layer's weights and bias are
-one contiguous matrix, applied to its input with a trailing ones column,
-so a layer is one matrix product. A buffer may carry a leading agent axis:
-the same functions then evaluate, differentiate and step the networks of
-all agents of one role at once.
+Parameters live in one flat floating-point buffer with reshaped views per
+layer, which lets the optimizer and target blending run as single vector
+operations; computation runs in the buffer's dtype. Each layer's weights
+and bias are one contiguous matrix, applied to its input with a trailing
+ones column, so a layer is one matrix product. A buffer may carry a
+leading agent axis: the same functions then evaluate, differentiate and
+step the networks of all agents of one role at once. The policy update
+forms the critic's input gradient itself; ``backward``'s ``need_dx`` serves
+the tests' per-agent reference update and finite-difference checks.
 """
 
 from __future__ import annotations
@@ -113,41 +112,13 @@ def input_buffer(lead: tuple[int, ...], width: int, dtype) -> np.ndarray:
     return buf
 
 
-def forward(p: MlpParams, x, ones_column: bool = False):
-    """Evaluate the network; returns (y, cache) with cache for backward.
-
-    For a single network ``x`` may be one input vector or a (batch, in_dim)
-    matrix; the output shape follows suit. For a stacked network ``x`` is
-    either a (batch, in_dim) matrix every agent reads, or one
-    (batch, in_dim) matrix per agent, (agents, batch, in_dim); the output is
-    (agents, batch, out_dim). With ``ones_column`` the input already ends
-    in the bias column of ones, (..., in_dim + 1), as from
-    :func:`input_buffer`; otherwise it is copied into such a buffer. The
-    input is cast to the parameters' dtype.
-    """
-    x = np.asarray(x)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    ndims = (2,) if p.agents is None else (2, 3)
-    if xb.ndim not in ndims or xb.shape[-1] != p.in_dim + ones_column or (
-            xb.ndim == 3 and xb.shape[0] != p.agents):
-        raise ValueError(f"input has shape {x.shape}, network expects in_dim {p.in_dim}"
-                         + (" plus a ones column" if ones_column else ""))
-    dtype = p.flat.dtype
-    if ones_column:
-        xb = xb.astype(dtype, copy=False)
-    else:
-        xa = input_buffer(xb.shape[:-1], p.in_dim, dtype)
-        xa[..., :-1] = xb
-        xb = xa
-    y, (xb, h) = forward_unchecked(p, xb)
-    return (y[0] if single else y), (xb, h, single)
-
-
-def forward_unchecked(p: MlpParams, xb: np.ndarray, zeros: np.ndarray | None = None):
-    """:func:`forward`'s kernel, for a batch ``xb`` in the parameters' dtype
-    that ends in its ones column. Returns (y, cache), y batched, the cache
-    for :func:`backward_unchecked`."""
+def forward(p: MlpParams, xb: np.ndarray, zeros: np.ndarray | None = None):
+    """Evaluate the network on a batch ``xb`` in the parameters' dtype that
+    ends in its ones column (see :func:`input_buffer`): (batch, in_dim + 1),
+    or for a stacked network that or one such batch per agent. Returns
+    (y, cache), y batched, the cache for :func:`backward`; ``zeros`` is an
+    optional zero array of the hidden activation's shape. numpy's matrix
+    products raise ValueError for a mis-shaped input."""
     lead = () if p.agents is None else (p.agents,)
     h = input_buffer(lead + xb.shape[-2:-1], p.hidden, p.flat.dtype)
     np.matmul(xb, p.l1, out=h[..., :-1])
@@ -175,33 +146,15 @@ def eval_vec(p: MlpParams, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def backward(p: MlpParams, cache, dy, out: Gradients | None = None, need_dx: bool = True):
-    """Gradients of ``<dy, y>`` w.r.t. parameters and input.
-
-    Returns ``(g, dx)``; ``dx`` is None when ``need_dx`` is false. ``out``
-    may supply a preallocated Gradients buffer. A cache serves one backward
-    call: the hidden-layer gradient is formed in its activation buffer.
-    Each layer's input carries a ones column, so the last row of each
-    weight-gradient product is the bias gradient.
-    """
-    xb, h, single = cache
-    dy = np.asarray(dy, dtype=p.flat.dtype)
-    dyb = dy[None, :] if single else dy
-    if dyb.shape != h.shape[:-1] + (p.out_dim,):
-        raise ValueError(
-            f"upstream gradient shape {dy.shape} does not match cache batch "
-            f"{h.shape[:-1]} and out_dim {p.out_dim}"
-        )
-    g = out if out is not None else Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents,
-                                              dtype=p.flat.dtype)
-    g, dx = backward_unchecked(p, (xb, h), dyb, g, need_dx, None)
-    return g, (dx[0] if single and dx is not None else dx)
-
-
-def backward_unchecked(p: MlpParams, cache, dy: np.ndarray, g: Gradients, need_dx: bool,
-                       pads: tuple[np.ndarray, np.ndarray] | None):
-    """:func:`backward`'s kernel: ``dy`` is batched in the parameters'
-    dtype and ``g`` is required."""
+def backward(p: MlpParams, cache, dy: np.ndarray, g: Gradients, need_dx: bool,
+             pads: tuple[np.ndarray, np.ndarray] | None = None):
+    """Gradients of ``<dy, y>`` w.r.t. parameters, written into ``g``, and
+    input; returns ``(g, dx)``, ``dx`` None unless ``need_dx``. ``dy`` is
+    batched in the parameters' dtype. A cache serves one backward call: the
+    hidden-layer gradient is formed in its activation buffer. Each layer's
+    input carries a ones column, so the last row of each weight-gradient
+    product is the bias gradient. ``pads`` are optional operands for the
+    one-output case below."""
     xb, h = cache
     np.matmul(h.swapaxes(-1, -2), dy, out=g.l2)
     # ReLU mask: post-activation h is positive exactly where the
@@ -245,11 +198,9 @@ FLUSH_EVERY = 64
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators and step constants for one network
-    or one stack of networks. ``m`` and ``v`` are rows 0 and 1 of one
-    (4, size) buffer whose rows 2 and 3 are scratch; row 2 is the gradient
-    buffer of :func:`adam_gradients`. The betas are read into per-row
-    factors when the buffer is made, at the first step at the latest."""
+    """First/second-moment accumulators, with one scratch array of their
+    size, and step constants for one network or one stack of networks.
+    The arrays are made at the first step."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -258,51 +209,35 @@ class AdamState:
     t: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
-    _buf: np.ndarray | None = field(default=None, repr=False)
-    _grad: np.ndarray | None = field(default=None, repr=False)
-    _grad_sq: np.ndarray | None = field(default=None, repr=False)
-    _rates: np.ndarray | None = field(default=None, repr=False)
-
-
-def adam_gradients(state: AdamState, p: MlpParams) -> Gradients:
-    """Gradient buffer for ``p`` that :func:`adam_step` reads in place (its
-    contents do not survive the step); allocates ``state``'s buffers."""
-    if state.m is None:
-        b1, b2, flat = state.beta1, state.beta2, p.flat
-        state._buf = np.zeros((4, flat.size), flat.dtype)
-        state.m, state.v, state._grad, state._grad_sq = (
-            row.reshape(flat.shape) for row in state._buf)
-        # Each row's factor, cast as numpy casts the Python floats.
-        state._rates = np.array([[b1], [b2], [1.0 - b1], [1.0 - b2]], flat.dtype)
-    return Gradients(p.in_dim, p.out_dim, p.hidden, state._grad, p.agents)
+    _scratch: np.ndarray | None = field(default=None, repr=False)
 
 
 def adam_step(state: AdamState, p: MlpParams, g: Gradients) -> None:
-    """One bias-corrected adaptive-moment descent step along ``g``.
-
-    Callers negate the gradient for ascent. Mutates ``p`` and ``state``. A
-    gradient outside :func:`adam_gradients`' buffer is copied into it.
-    """
+    """One bias-corrected adaptive-moment descent step along ``g``, which
+    callers negate for ascent. Mutates ``p`` and ``state``, reads ``g``."""
     if not p.same_shape(g):
         raise ValueError("gradient shapes do not match parameters")
-    s = adam_gradients(state, p).flat if state.m is None else state._grad
-    if g.flat is not s:
-        s[...] = g.flat
+    if state.m is None:
+        state.m = np.zeros_like(p.flat)
+        state.v = np.zeros_like(p.flat)
+        state._scratch = np.empty_like(p.flat)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    # Per element, m = m * b1 + g * (1 - b1) and v = v * b2 + (g * g) * (1 - b2):
-    # [m; v; g; g * g] times the row factors, then rows 2-3 added to rows 0-1.
-    buf = state._buf
-    np.multiply(s, s, out=state._grad_sq)
-    np.multiply(buf, state._rates, out=buf)
-    np.add(buf[:2], buf[2:], out=buf[:2])
+    m, v, s = state.m, state.v, state._scratch
+    np.multiply(m, b1, out=m)
+    np.multiply(g.flat, 1.0 - b1, out=s)
+    m += s
+    np.multiply(v, b2, out=v)
+    np.multiply(g.flat, g.flat, out=s)
+    s *= 1.0 - b2
+    v += s
     if state.t % FLUSH_EVERY == 0:
-        _flush_small(state.m, b1)
-        _flush_small(state.v, b2)
-    np.multiply(state.v, 1.0 / (1.0 - b2 ** state.t), out=s)
+        _flush_small(m, b1)
+        _flush_small(v, b2)
+    np.multiply(v, 1.0 / (1.0 - b2 ** state.t), out=s)
     np.sqrt(s, out=s)
     s += state.eps
-    np.divide(state.m, s, out=s)
+    np.divide(m, s, out=s)
     s *= state.lr / (1.0 - b1 ** state.t)
     p.flat -= s
 
@@ -378,5 +313,8 @@ def save_params(p: MlpParams, path) -> None:
 
 
 def load_params(path) -> MlpParams:
-    with open(path, "r", encoding="utf-8") as f:
-        return params_from_doc(json.load(f))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return params_from_doc(json.load(f))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None

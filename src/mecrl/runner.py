@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import neural, seeds
+from . import cmatrix, neural, seeds
 from .agents import EpisodeStats, Trainer, act, train_episode
 from .config import ExperimentConfig
 from .env import RESET_BUDGET_BYTES, MecEnv
@@ -94,12 +94,19 @@ def fan_out(fn, n: int, workers: int | None, doing) -> list:
     return results
 
 
+def _channel_failed(where: str, exc: cmatrix.MatrixError) -> ValueError:
+    """The error of the episode ``where`` whose draw failed zero-forcing."""
+    slot, reason = exc.args
+    return ValueError(f"{where}, slot {slot}: zero-forcing channel failed: {reason}")
+
+
 def run_training(cfg: ExperimentConfig, run_index: int):
     """Execute one seeded run; returns (per-episode stats, trainer).
 
     All randomness derives from ``(cfg.base_seed, run_index)`` through the
     purpose-split streams, so repeated calls are bit-identical and the
-    environment draws match across algorithms.
+    environment draws match across algorithms. A slot that fails
+    zero-forcing ends the run with an error naming run, episode and slot.
     """
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, run_index))
     rng_explore = seeds.stream(cfg.base_seed, run_index, "exploration")
@@ -110,8 +117,13 @@ def run_training(cfg: ExperimentConfig, run_index: int):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         trainer = Trainer(cfg.env, cfg.trainer, cfg.algo,
                           seeds.stream(cfg.base_seed, run_index, "net_init"))
-        stats = [train_episode(env, trainer, rng_explore, rng_sample)
-                 for _ in range(cfg.episodes)]
+        try:
+            stats = [train_episode(env, trainer, rng_explore, rng_sample)
+                     for _ in range(cfg.episodes)]
+        except cmatrix.MatrixError as exc:
+            # Only a reset draws channels; trainer.episode is the one it drew.
+            raise _channel_failed(f"training run {run_index}, episode {trainer.episode}",
+                                  exc) from None
     return stats, trainer
 
 
@@ -286,6 +298,8 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
         try:
             for ep_env in env.reset_group(min(per_pass, n_episodes - first)):
                 envs.append(ep_env)
+        except cmatrix.MatrixError as exc:
+            failed = _channel_failed(f"evaluation episode {first + len(envs)}", exc)
         except Exception as exc:
             failed = exc
         size = max(1, -(-len(envs) // n_parts))

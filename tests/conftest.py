@@ -23,6 +23,21 @@ def random_channel(rng, n, m, gain=1.0):
     return scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
 
 
+def with_ones(p, x):
+    """``x``, a batch of ``p``'s inputs or one batch per agent, as
+    ``neural.forward`` takes it: in ``p``'s dtype, with its ones column."""
+    x = np.asarray(x)
+    xb = neural.input_buffer(x.shape[:-1], x.shape[-1], p.flat.dtype)
+    xb[..., :-1] = x
+    return xb
+
+
+def gradients(p):
+    """A zero gradient buffer for ``neural.backward`` to fill, shaped and
+    typed like ``p``."""
+    return neural.Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents, dtype=p.flat.dtype)
+
+
 def singular_slot(monkeypatch, episode, slot, pid=None):
     """Make ``slot`` of the ``episode``-th channel drawn from now on (0 is
     the next) rank deficient: its second user's column copies its first's.

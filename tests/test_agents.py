@@ -10,7 +10,7 @@ from mecrl.agents import (ALGOS, Batch, ReplayBuffer, Trainer, TrainerConfig,
                           TrainingDiverged, act, td_targets, td_update, train_episode)
 from mecrl.env import EnvConfig, MecEnv
 
-from conftest import filled_trainer
+from conftest import filled_trainer, gradients, with_ones
 
 
 @dataclass
@@ -181,7 +181,7 @@ class TestOldExpressions:
             rewards = rng.normal(size=(3, 40, 1)).astype(dtype)
             rewards[0, ::4] = -0.0
             for gamma in (0.0, 0.95, 0.3):
-                q = neural.forward(critic, x_next, ones_column=True)[0]
+                q = neural.forward(critic, x_next)[0]
                 old = rewards + gamma * q
                 zeros = np.zeros((3, 40, 65), dtype)
                 for z in (None, zeros):
@@ -198,15 +198,15 @@ class TestOldExpressions:
         trainer.actor.b1[:, ::9] = -1e3
         td_update(trainer, trainer.buffer.sample_arrays(64, rs))
         work, actor = trainer.work, trainer.actor
-        u, cache = neural.forward(actor, work.obs, ones_column=True)
+        u, cache = neural.forward(actor, work.obs)
         t = np.tanh(u)
         du = np.random.default_rng(3).normal(size=u.shape).astype(np.float32)
         old = du * ((1.0 - t * t) * trainer.half[:, None, :])
-        g_old, _ = neural.backward(actor, cache, old, need_dx=False)
+        g_old, _ = neural.backward(actor, cache, old, gradients(actor), False)
         np.negative(g_old.flat, out=g_old.flat)                  # _neg
-        _, cache = neural.forward(actor, work.obs, ones_column=True)
+        _, cache = neural.forward(actor, work.obs)
         new = du * ((1.0 - t * t) * work.neg_half)
-        g_new, _ = neural.backward(actor, cache, new, need_dx=False)
+        g_new, _ = neural.backward(actor, cache, new, gradients(actor), False)
         assert np.array_equal(g_old.flat, g_new.flat)
         assert (g_old.flat == 0.0).any()
         stepped = []
@@ -344,6 +344,15 @@ class TestDescentAscent:
         assert all(b < a for a, b in zip(means, means[1:])), means
 
 
+def fwd(p, x):
+    """``neural.forward`` on a plain (batch, in_dim) input."""
+    return neural.forward(p, with_ones(p, x))
+
+
+def bwd(p, cache, dy):
+    return neural.backward(p, cache, dy, gradients(p), True)
+
+
 def reference_update(ref, batch, algo, tc, noise_level):
     """The update as M separate networks: a loop over agents calling
     neural.forward/backward/adam_step/soft_update on single networks, with
@@ -353,7 +362,7 @@ def reference_update(ref, batch, algo, tc, noise_level):
     mean, and the fraction of clamped adversary estimates."""
     k, n, d = batch.obs.shape
     gamma, tau = tc.gamma, tc.tau_soft
-    next_acts = [(np.tanh(neural.forward(r["actor_target"], batch.next_obs[:, i])[0]) + 1.0)
+    next_acts = [(np.tanh(fwd(r["actor_target"], batch.next_obs[:, i])[0]) + 1.0)
                  * r["half"] for i, r in enumerate(ref)]
     losses, objectives, natures, clamped = [], [], [], []
     for i, r in enumerate(ref):
@@ -365,29 +374,29 @@ def reference_update(ref, batch, algo, tc, noise_level):
                                 + [next_acts[j] for j in users], axis=1)
         reward = batch.rewards[:, i]
         if algo == "rmaddpg":
-            r_hat, cache = neural.forward(r["nature"], np.concatenate(
+            r_hat, cache = fwd(r["nature"], np.concatenate(
                 (batch.obs[:, i], batch.acts[:, i]), axis=1))
             band = 2.0 * noise_level
             clipped = np.clip(r_hat[:, 0], reward - band, reward + band)
             clamped.append(np.mean(clipped != r_hat[:, 0]))
             natures.append(np.mean(r_hat))
-            g, _ = neural.backward(r["nature"], cache, np.full((k, 1), 1.0 / k))
+            g, _ = bwd(r["nature"], cache, np.full((k, 1), 1.0 / k))
             neural.adam_step(r["nature_opt"], r["nature"], g)
             reward = clipped
-        y = reward[:, None] + gamma * neural.forward(r["critic_target"], x_next)[0]
-        q, cache = neural.forward(r["critic"], x)
+        y = reward[:, None] + gamma * fwd(r["critic_target"], x_next)[0]
+        q, cache = fwd(r["critic"], x)
         losses.append(np.mean((q - y) ** 2))
-        g, _ = neural.backward(r["critic"], cache, 2.0 * (q - y) / k)
+        g, _ = bwd(r["critic"], cache, 2.0 * (q - y) / k)
         neural.adam_step(r["critic_opt"], r["critic"], g)
-        u, cache_a = neural.forward(r["actor"], batch.obs[:, i])
+        u, cache_a = fwd(r["actor"], batch.obs[:, i])
         t = np.tanh(u)
         own = users.index(i)
         act_cols[own] = (t + 1.0) * r["half"]
-        q2, cache_q2 = neural.forward(r["critic"], np.concatenate(obs_cols + act_cols, axis=1))
+        q2, cache_q2 = fwd(r["critic"], np.concatenate(obs_cols + act_cols, axis=1))
         objectives.append(np.mean(q2))
-        _, dx = neural.backward(r["critic"], cache_q2, np.full((k, 1), 1.0 / k))
+        _, dx = bwd(r["critic"], cache_q2, np.full((k, 1), 1.0 / k))
         off = len(users) * d + 2 * own
-        g, _ = neural.backward(r["actor"], cache_a, dx[:, off:off + 2] * ((1.0 - t * t) * r["half"]))
+        g, _ = bwd(r["actor"], cache_a, dx[:, off:off + 2] * ((1.0 - t * t) * r["half"]))
         g.flat *= -1.0
         neural.adam_step(r["actor_opt"], r["actor"], g)
         neural.soft_update(r["critic_target"], r["critic"], tau)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from mecrl import cli, phy, runner, seeds
 from mecrl.agents import EpisodeStats, TrainingDiverged
-from mecrl.cli import main
+from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
 from mecrl.env import Action, ConfigError, MecEnv
@@ -177,6 +177,17 @@ class TestConfig:
             replace(cfg.env.constants, kappa=0)
         with pytest.raises(ConfigError, match="d0_m"):
             replace(cfg.env.path_loss, d0_m=0.0)
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "scripts").glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_committed_config_loads_and_trains_shrunk(self, tmp_path, path):
+        cfg = load_config(path)
+        small = replace(cfg, n_runs=1, episodes=1, out_dir=str(tmp_path / "out"),
+                        env=replace(cfg.env, episode_len=5),
+                        trainer=replace(cfg.trainer, warmup_steps=2, batch_size=2))
+        agg = _train_tree(small, workers=1)
+        assert len(agg.mean) == 1
+        assert (tmp_path / "out" / "resolved_config.json").exists()
 
     @settings(max_examples=300, deadline=1000, database=None)
     @given(doc=CONFIG_DOCUMENTS)
@@ -731,7 +742,8 @@ class TestCli:
         singular_slot(monkeypatch, 1, 3, pid=os.getpid())
         assert main(["train", "--config", str(write_cfg(tmp_path))]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("mecrl: error: matrix 3: ") and err.count("\n") == 1, err
+        assert err.startswith("mecrl: error: training run 0, episode 1, slot 3: "
+                              "zero-forcing channel failed: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out" / "resolved_config.json").exists()
         assert multiprocessing.active_children() == []
 
@@ -743,7 +755,8 @@ class TestCli:
         assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
                      "--episodes", "5"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("mecrl: error: matrix 2: "), err
+        assert out == "" and err.startswith("mecrl: error: evaluation episode 3, slot 2: "
+                                            "zero-forcing channel failed: "), err
         assert err.count("\n") == 1, err
         assert multiprocessing.active_children() == []
 
@@ -774,6 +787,21 @@ class TestCli:
         assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err == f"mecrl: error: {path}: layer b1: value {float(value)} is not finite\n", err
+
+    def test_deeply_nested_config_exits_one_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"mecrl: error: {path}: JSON nested too deeply to parse\n")
+
+    def test_deeply_nested_checkpoint_exits_one_naming_the_file(self, tmp_path, capsys):
+        cfg_path, ckpt = trained_tree(tmp_path)
+        path = ckpt / "ddpg_1_actor.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt)]) == 1
+        assert capsys.readouterr() == (
+            "", f"mecrl: error: {path}: JSON nested too deeply to parse\n")
 
     @pytest.mark.parametrize("shape,why", [
         ([64, "x"], "shape [64, 'x'] is not a list of positive integers"),

@@ -9,27 +9,31 @@ from mecrl import neural
 from mecrl.neural import (AdamState, Gradients, MlpParams, adam_step, backward,
                           forward, init_mlp, soft_update)
 
+from conftest import gradients, with_ones
+
 
 def grad_check(p: MlpParams, x, dy, step: float = 1e-6) -> float:
     """Max relative deviation of backward against central differences.
 
-    Covers every parameter and every input component. The relative error
-    uses a guarded denominator so an all-zero comparison reports 0.
+    ``x`` is a (batch, in_dim) float64 input and ``dy`` a (batch, out_dim)
+    upstream gradient. Covers every parameter and every input component.
+    The relative error uses a guarded denominator so an all-zero
+    comparison reports 0.
     """
-    xa = np.array(x, dtype=np.float64)
+    xb = with_ones(p, x)
     dya = np.asarray(dy, dtype=np.float64)
 
     def objective() -> float:
-        y, _ = forward(p, xa)
+        y, _ = forward(p, xb)
         return float(np.sum(dya * y))
 
-    y, cache = forward(p, xa)
+    y, cache = forward(p, xb)
     # Looked up on the module, so a patched backward is the one checked.
-    g, dx = neural.backward(p, cache, dya)
+    g, dx = neural.backward(p, cache, dya, gradients(p), True)
 
     worst = 0.0
-    for arr, analytic in ((p.flat, g.flat), (xa.ravel(), np.asarray(dx).ravel())):
-        for i in range(arr.size):
+    for arr, analytic in ((p.flat, g.flat), (xb[:, :-1], dx)):
+        for i in np.ndindex(arr.shape):
             orig = arr[i]
             arr[i] = orig + step
             f_plus = objective()
@@ -83,13 +87,13 @@ class TestForward:
     def test_constant_bias(self, rng):
         p = MlpParams(3, 2, hidden=8)
         p.b2[:] = [1.5, -2.0]
-        y, _ = forward(p, np.zeros(3))
+        y, _ = forward(p, with_ones(p, np.zeros((1, 3))))
         assert np.allclose(y, [1.5, -2.0])
 
     def test_zero_input_uses_hidden_bias(self, rng):
         p = init_mlp(3, 2, rng, hidden=8)
         p.b1[:] = rng.normal(size=8)
-        y, _ = forward(p, np.zeros(3))
+        y, _ = forward(p, with_ones(p, np.zeros((1, 3))))
         expected = p.w2 @ np.maximum(p.b1, 0.0) + p.b2
         assert np.allclose(y, expected)
 
@@ -99,54 +103,43 @@ class TestForward:
             p.b1[:] = rng.normal(size=16)
             p.b2[:] = rng.normal(size=3)
             x = rng.normal(size=6)
-            y, _ = forward(p, x)
-            assert np.allclose(y, straight_line_eval(p, x), atol=1e-12)
+            y, _ = forward(p, with_ones(p, x[None]))
+            assert np.allclose(y[0], straight_line_eval(p, x), atol=1e-12)
 
     def test_batch_matches_vector(self, rng):
         p = init_mlp(4, 2, rng, hidden=8)
         xs = rng.normal(size=(5, 4))
-        ys, _ = forward(p, xs)
+        ys, _ = forward(p, with_ones(p, xs))
         for i in range(5):
-            yi, _ = forward(p, xs[i])
-            assert np.allclose(ys[i], yi, rtol=1e-12, atol=1e-14)
+            yi, _ = forward(p, with_ones(p, xs[i:i + 1]))
+            assert np.allclose(ys[i], yi[0], rtol=1e-12, atol=1e-14)
 
     def test_eval_vec_matches_forward(self, rng):
         p = init_mlp(4, 2, rng, hidden=8)
         x = rng.normal(size=4)
-        assert np.allclose(neural.eval_vec(p, x), forward(p, x)[0])
+        assert np.allclose(neural.eval_vec(p, x), forward(p, with_ones(p, x[None]))[0][0])
 
     def test_dtype_follows_parameters(self, rng):
         p = neural.stack_params([init_mlp(4, 2, rng, hidden=8)], np.float32)
         x = rng.normal(size=(1, 5, 4))
-        y, cache = forward(p, x)
-        g, dx = backward(p, cache, np.ones((1, 5, 2)))
+        y, cache = forward(p, with_ones(p, x))
+        g, dx = backward(p, cache, np.ones((1, 5, 2), np.float32), gradients(p), True)
         outputs = (y, g.flat, dx, neural.eval_vec(p, x[:, 0]))
         assert {a.dtype for a in outputs} == {np.dtype(np.float32)}
-        assert np.allclose(y, forward(neural.stack_params([p.agent(0)], np.float64), x)[0],
-                           rtol=1e-5, atol=1e-6)
-
-    def test_ones_column_input(self, rng):
-        p = init_mlp(4, 2, rng, hidden=8)
-        p.b1[:] = rng.normal(size=8)
-        x = rng.normal(size=(3, 4))
-        xa = neural.input_buffer((3,), 4, np.float64)
-        xa[:, :-1] = x
-        assert np.array_equal(forward(p, xa, ones_column=True)[0], forward(p, x)[0])
-        with pytest.raises(ValueError):
-            forward(p, x, ones_column=True)
+        p64 = neural.stack_params([p.agent(0)], np.float64)
+        assert np.allclose(y, forward(p64, with_ones(p64, x))[0], rtol=1e-5, atol=1e-6)
 
     def test_dimension_error(self, rng):
         p = init_mlp(4, 2, rng)
         with pytest.raises(ValueError):
-            forward(p, np.zeros(5))
+            forward(p, with_ones(p, np.zeros((1, 5))))
 
 
 class TestBackward:
     def test_zero_upstream(self, rng):
         p = init_mlp(4, 2, rng, hidden=8)
-        x = rng.normal(size=4)
-        _, cache = forward(p, x)
-        g, dx = backward(p, cache, np.zeros(2))
+        _, cache = forward(p, with_ones(p, rng.normal(size=(1, 4))))
+        g, dx = backward(p, cache, np.zeros((1, 2)), gradients(p), True)
         assert np.all(g.flat == 0) and np.all(dx == 0)
 
     def test_linear_regime_input_gradient(self, rng):
@@ -154,39 +147,39 @@ class TestBackward:
         # affine and dx = dy @ w2 @ w1 exactly.
         p = init_mlp(3, 2, rng, hidden=8)
         p.b1[:] = 100.0
-        x = rng.normal(size=3) * 0.1
-        dy = rng.normal(size=2)
-        _, cache = forward(p, x)
-        _, dx = backward(p, cache, dy)
+        x = rng.normal(size=(1, 3)) * 0.1
+        dy = rng.normal(size=(1, 2))
+        _, cache = forward(p, with_ones(p, x))
+        _, dx = backward(p, cache, dy, gradients(p), True)
         assert np.allclose(dx, dy @ p.w2 @ p.w1, atol=1e-10)
 
     def test_stale_cache_rejected(self, rng):
         p = init_mlp(4, 2, rng, hidden=8)
-        _, cache = forward(p, rng.normal(size=(3, 4)))
+        _, cache = forward(p, with_ones(p, rng.normal(size=(3, 4))))
         with pytest.raises(ValueError):
-            backward(p, cache, np.zeros((5, 2)))
+            backward(p, cache, np.zeros((5, 2)), gradients(p), True)
 
     def test_grad_check_random_nets(self, rng):
         for _ in range(5):
             p = init_mlp(4, 2, rng, hidden=10)
             p.b1[:] = rng.normal(size=10) * 0.1
-            x = rng.normal(size=4)
-            dy = rng.normal(size=2)
+            x = rng.normal(size=(1, 4))
+            dy = rng.normal(size=(1, 2))
             assert grad_check(p, x, dy) < 1e-5
 
     def test_grad_check_zero_network(self):
         p = MlpParams(3, 2, hidden=4)
-        assert grad_check(p, np.zeros(3), np.zeros(2)) == 0.0
+        assert grad_check(p, np.zeros((1, 3)), np.zeros((1, 2))) == 0.0
 
     def test_grad_check_detects_corruption(self, rng, monkeypatch):
         p = init_mlp(4, 2, rng, hidden=8)
-        x = rng.normal(size=4)
-        dy = rng.normal(size=2)
+        x = rng.normal(size=(1, 4))
+        dy = rng.normal(size=(1, 2))
 
         real_backward = neural.backward
 
-        def corrupted(p_, cache_, dy_, out=None, need_dx=True):
-            g, dx = real_backward(p_, cache_, dy_, out=out, need_dx=need_dx)
+        def corrupted(p_, cache_, dy_, g_, need_dx, pads=None):
+            g, dx = real_backward(p_, cache_, dy_, g_, need_dx, pads)
             g.w1 *= 1.5
             return g, dx
 
@@ -383,12 +376,12 @@ class TestStacked:
         shared = rng.normal(size=(7, 5))
         dy = rng.normal(size=(3, 7, 2))
         for x in (per_agent, shared):
-            y, cache = forward(stack, x)
-            g, dx = backward(stack, cache, dy)
+            y, cache = forward(stack, with_ones(stack, x))
+            g, dx = backward(stack, cache, dy, gradients(stack), True)
             for m, p in enumerate(nets):
                 xm = x[m] if x.ndim == 3 else x
-                ym, cm = forward(p, xm)
-                gm, dxm = backward(p, cm, dy[m])
+                ym, cm = forward(p, with_ones(p, xm))
+                gm, dxm = backward(p, cm, dy[m], gradients(p), True)
                 assert np.allclose(y[m], ym, rtol=1e-13, atol=1e-15)
                 assert np.allclose(g.flat[m], gm.flat, rtol=1e-13, atol=1e-15)
                 assert np.allclose(dx[m], dxm, rtol=1e-13, atol=1e-15)
@@ -403,7 +396,7 @@ class TestStacked:
     def test_wrong_agent_count_rejected(self, rng):
         _, stack = self.make(rng)
         with pytest.raises(ValueError):
-            forward(stack, np.zeros((2, 7, 5)))
+            forward(stack, with_ones(stack, np.zeros((2, 7, 5))))
 
     def test_single_step_per_role(self, rng):
         # Adam and target blending act on the whole stack elementwise, so
@@ -419,8 +412,8 @@ class TestStacked:
 
 
 class TestOldExpressions:
-    """``forward_unchecked``'s ReLU against a zero array and
-    ``backward_unchecked``'s padded outer product give the bytes of the
+    """``forward``'s ReLU against a zero array and ``backward``'s padded
+    outer product give the bytes of the
     expressions they replaced, which are computed here side by side on the
     same numpy and BLAS."""
 
@@ -455,8 +448,8 @@ class TestOldExpressions:
 
     @staticmethod
     def broadcast_outer_backward(p, cache, dy):
-        xb, h, _ = cache
-        g = Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents, dtype=p.flat.dtype)
+        xb, h = cache
+        g = gradients(p)
         np.matmul(h.swapaxes(-1, -2), dy, out=g.l2)
         active = h > 0.0
         dz = np.multiply(dy, p.l2.swapaxes(-1, -2), out=h)
@@ -480,7 +473,7 @@ class TestOldExpressions:
             zeros = np.zeros(h_old.shape, dtype)
             for z in (zeros, None):
                 with np.errstate(invalid="ignore"):
-                    y, (_, h) = neural.forward_unchecked(p, xb, z)
+                    y, (_, h) = forward(p, xb, z)
                 assert y.tobytes() == y_old.tobytes() and h.tobytes() == h_old.tobytes()
             assert not zeros.any()
 
@@ -494,15 +487,14 @@ class TestOldExpressions:
             dy = rng.normal(size=(() if agents is None else (agents,)) + (batch, 1)).astype(dtype)
             dy[..., ::3, :] = 0.0        # 0 * negative l2 is -0 in the old form
             dy[..., 1::7, :] = -0.0
-            _, cache = forward(p, xb, ones_column=True)
+            _, cache = forward(p, xb)
             assert (cache[1] == 0.0).any() and (cache[1] > 0.0).any()
-            g_old, dx_old = self.broadcast_outer_backward(p, (xb, cache[1].copy(), None), dy)
+            g_old, dx_old = self.broadcast_outer_backward(p, (xb, cache[1].copy()), dy)
             lead = dy.shape[:-1]
             pads = (np.zeros(lead + (2,), dtype), np.zeros(lead[:-1] + (2, p.hidden + 1), dtype))
             for pad in (pads, None):
-                _, cache = neural.forward_unchecked(p, xb)
-                g = Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents, dtype=dtype)
-                g, dx = neural.backward_unchecked(p, cache, dy, g, True, pad)
+                _, cache = forward(p, xb)
+                g, dx = backward(p, cache, dy, gradients(p), True, pad)
                 assert g.flat.tobytes() == g_old.flat.tobytes()
                 assert dx.tobytes() == dx_old.tobytes()
             assert not pads[0][..., 1].any() and not pads[1][..., 1, :].any()
@@ -537,31 +529,28 @@ class TestOldExpressions:
         # which the moments decay.
         info = np.finfo(dtype)
         p = self.make(rng, agents, 2, dtype)
-        for in_place in (True, False):
-            state = AdamState(lr=3e-3, beta2=0.99)
-            buf = neural.adam_gradients(state, p) if in_place else Gradients(
-                p.in_dim, p.out_dim, p.hidden, agents=p.agents, dtype=dtype)
-            ref_p, m, v = p.flat.copy(), np.zeros_like(p.flat), np.zeros_like(p.flat)
-            s = np.empty_like(p.flat)
-            net = MlpParams(p.in_dim, p.out_dim, p.hidden, p.flat.copy(), p.agents)
-            for t in range(1, 141):
-                g = rng.normal(size=p.flat.shape) * 10.0 ** rng.integers(-12, 3, p.flat.shape)
-                g = g.astype(dtype)
-                g.flat[::7] = 0.0
-                g.flat[3::7] = -0.0
-                g.flat[5::11] = 3 * info.smallest_subnormal
-                g.flat[8::11] = -info.smallest_subnormal
-                g.flat[6::13] = 1e18
-                g.flat[9::97] = -info.max / 4
-                if 70 <= t < 100:
-                    g[...] = 0.0
-                buf.flat[...] = g
-                with np.errstate(over="ignore"):
-                    adam_step(state, net, buf)
-                    self.separate_moment_adam(state, ref_p, g, m, v, s)
-                assert net.flat.tobytes() == ref_p.tobytes(), t
-                assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), t
-                assert state.m.base is state.v.base and state.m.shape == p.flat.shape  # one buffer
-            # A gradient held outside the state's buffer is left as it was.
-            if not in_place:
-                assert buf.flat.tobytes() == g.tobytes()
+        state = AdamState(lr=3e-3, beta2=0.99)
+        buf = gradients(p)
+        ref_p, m, v = p.flat.copy(), np.zeros_like(p.flat), np.zeros_like(p.flat)
+        s = np.empty_like(p.flat)
+        net = MlpParams(p.in_dim, p.out_dim, p.hidden, p.flat.copy(), p.agents)
+        for t in range(1, 141):
+            g = rng.normal(size=p.flat.shape) * 10.0 ** rng.integers(-12, 3, p.flat.shape)
+            g = g.astype(dtype)
+            g.flat[::7] = 0.0
+            g.flat[3::7] = -0.0
+            g.flat[5::11] = 3 * info.smallest_subnormal
+            g.flat[8::11] = -info.smallest_subnormal
+            g.flat[6::13] = 1e18
+            g.flat[9::97] = -info.max / 4
+            if 70 <= t < 100:
+                g[...] = 0.0
+            buf.flat[...] = g
+            with np.errstate(over="ignore"):
+                adam_step(state, net, buf)
+                self.separate_moment_adam(state, ref_p, g, m, v, s)
+            assert net.flat.tobytes() == ref_p.tobytes(), t
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes(), t
+            assert state.m.shape == p.flat.shape
+        # The step reads the gradient and leaves it as it was.
+        assert buf.flat.tobytes() == g.tobytes()
