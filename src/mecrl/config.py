@@ -142,7 +142,7 @@ def load_config(path) -> ExperimentConfig:
         text = f.read()
 
     def reject_nonfinite(name):
-        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+        raise ConfigError(f"non-finite number {name} is not allowed")
 
     try:
         doc = json.loads(text, parse_constant=reject_nonfinite)
@@ -152,6 +152,8 @@ def load_config(path) -> ExperimentConfig:
         ) from exc
     except RecursionError:
         raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as exc:  # a non-finite number, an integer over the digit limit
+        raise ConfigError(f"{path}: {exc}") from None
     return config_from_dict(doc)
 
 

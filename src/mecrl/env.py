@@ -46,6 +46,10 @@ RESET_SLOT_BYTES = 88
 RESET_SLOT_BASE_BYTES = 64
 RESET_TASK_BYTES = 24
 
+# Largest buffer in bits. A backlog up to it converts to float64 exactly,
+# so roll_lockstep compares it with a float capacity as MecEnv.step does.
+MAX_BUFFER_BITS = 1 << 53
+
 # Largest task size in bits. The budget above admits about 2.8 M expected
 # tasks per episode, so an episode's int64 sums of arrived bits stay below
 # about 1.2e16 and cannot wrap.
@@ -136,8 +140,9 @@ class EnvConfig:
         if not 0 < lo <= hi <= MAX_TASK_BITS:
             raise ConfigError(f"task_size_bits must satisfy 0 < min <= max <= {MAX_TASK_BITS}, "
                               f"got {self.task_size_bits}")
-        if self.buffer_cap_bits <= 0:
-            raise ConfigError(f"buffer_cap_bits must be positive, got {self.buffer_cap_bits}")
+        if not 0 < self.buffer_cap_bits <= MAX_BUFFER_BITS:
+            raise ConfigError(f"buffer_cap_bits must satisfy 0 < cap <= 2**53, "
+                              f"got {self.buffer_cap_bits}")
         for name in ("p_max_offload_w", "p_max_local_w", "w_energy", "w_queue"):
             if any(v < 0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} entries must be nonnegative")
@@ -473,3 +478,83 @@ class MecEnv:
         self.slot = t + 1
         return StepResult((backlog, sinrs, local, offloaded, arrived, drops, self._h, t + 1),
                           true_rewards, perceived)
+
+
+def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
+    """Roll freshly reset envs of one config, such as those
+    :meth:`MecEnv.reset_group` yields, to the end of their episodes in
+    lockstep; returns each episode's per-user sums of true rewards.
+
+    Each slot makes one ``policy`` call on the (E, n_users, obs_dim)
+    observations of the E episodes still rolling, for (E, n_users, 2)
+    actions, and runs as numpy operations on (E, n_users) arrays. It gives
+    byte for byte what :meth:`MecEnv.step` gives each episode: the same
+    float operations in the same order, log2 and the cube root taken per
+    element as step takes them (numpy's can differ in the last bit), and
+    exact comparisons of capacities with backlogs of at most
+    ``buffer_cap_bits`` <= 2**53. An episode on which step would raise is
+    stepped there for its error; it and every later episode stop, the
+    earlier ones roll on, and the earliest error is raised after them.
+    The envs are not advanced, but for the one whose error is raised.
+    """
+    cfg = envs[0].cfg
+    c = cfg.constants
+    clip, cap_bits = cfg.obs_sinr_clip, cfg.buffer_cap_bits
+    rate, third = c.slot_s * c.bandwidth_hz, 1.0 / 3.0
+    p_max = np.column_stack((cfg.p_max_offload_w, cfg.p_max_local_w))
+    neg_w_e, w_q = -np.array(cfg.w_energy), np.array(cfg.w_queue)
+    zf = np.stack([env._zf for env in envs])
+    arrivals = np.stack([env._arrivals for env in envs])
+    chan_obs = [env._chan_obs for env in envs]
+    backlog = np.zeros((len(envs), cfg.n_users), dtype=np.int64)
+    sinr, sums = np.zeros(backlog.shape), np.zeros(backlog.shape)
+    obs = np.empty(backlog.shape + (cfg.obs_dim,))
+    failed = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(cfg.episode_len):
+            obs[..., 0] = backlog / float(cap_bits)
+            obs[..., 1] = np.minimum(sinr, clip) / clip
+            for row, trace in zip(obs, chan_obs):
+                row[:, 2:] = trace[t]
+            a = np.asarray(policy(obs), dtype=np.float64)
+            p_off, p_loc = a[..., 0], a[..., 1]
+            denom = c.noise_power_w * zf[:, t]
+            gamma = p_off / denom
+            # The maxima keep an out-of-box action's operands in the
+            # domains of ** and log2; its episode stops at this slot.
+            x = np.maximum(p_loc / c.kappa, 0.0)
+            freq = np.array([v ** third for v in x.ravel().tolist()]).reshape(x.shape)
+            cap = c.slot_s * freq / c.cycles_per_bit
+            rest = backlog - np.floor(np.minimum(cap, backlog)).astype(np.int64)
+            x = np.maximum(1.0 + gamma, 1.0)
+            cap = rate * np.array([math.log2(v) for v in x.ravel().tolist()]).reshape(x.shape)
+            total = rest - np.floor(np.minimum(cap, rest)).astype(np.int64) + arrivals[:, t]
+            after = np.minimum(total, cap_bits)
+            reward = neg_w_e * (p_off + p_loc) - w_q * after
+            # Where step raises: an action outside its box (NaN included),
+            # a zero divisor of the SINR, a NaN capacity at math.floor.
+            fails = (~((a >= 0.0) & (a <= p_max)).all(axis=(1, 2))
+                     | (denom == 0.0).any(axis=1) | np.isnan(cap).any(axis=1))
+            if fails.any():
+                i = int(fails.argmax())
+                failed = _step_error(envs[i], t, backlog[i], a[i])
+                envs, chan_obs, zf, arrivals = envs[:i], chan_obs[:i], zf[:i], arrivals[:i]
+                obs, sums, after, gamma, reward = obs[:i], sums[:i], after[:i], gamma[:i], reward[:i]
+                if not i:
+                    break
+            sums += reward
+            backlog, sinr = after, gamma
+    if failed is not None:
+        raise failed
+    return sums.tolist()
+
+
+def _step_error(env: MecEnv, t: int, backlog: np.ndarray, actions: np.ndarray) -> Exception:
+    """The error :meth:`MecEnv.step` raises for ``env``'s episode at slot
+    ``t``, with ``backlog`` queued and ``actions`` taken."""
+    env.slot, env.backlog = t, backlog.tolist()
+    try:
+        env.step(actions.tolist())
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+    raise AssertionError(f"slot {t} steps, but the array slot found it failing")

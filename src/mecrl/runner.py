@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import cmatrix, neural, seeds
-from .agents import EpisodeStats, Trainer, act, train_episode
+from .agents import EpisodeStats, Trainer, TrainingDiverged, act, train_episode
 from .config import ExperimentConfig
-from .env import RESET_BUDGET_BYTES, MecEnv
+from .env import RESET_BUDGET_BYTES, MecEnv, roll_lockstep
 from .errors import ConfigError
 
 
@@ -35,13 +35,6 @@ def _share(fn, items, conn) -> None:
             return
 
 
-def _processes(n: int, workers: int | None) -> int:
-    """How many processes :func:`fan_out` spreads ``n`` items over."""
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    return min(workers, n)
-
-
 def fan_out(fn, n: int, workers: int | None, doing) -> list:
     """``[fn(k) for k in range(n)]`` over ``W = min(n, workers)`` processes.
 
@@ -52,7 +45,9 @@ def fan_out(fn, n: int, workers: int | None, doing) -> list:
     failing item, as in the serial loop. No worker outlives the call; one
     that dies raises ``ChildProcessError``, naming the item ``doing(k)``.
     """
-    workers = _processes(n, workers)
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = min(workers, n)
     if workers <= 1:
         return [fn(k) for k in range(n)]
     import multiprocessing
@@ -106,7 +101,8 @@ def run_training(cfg: ExperimentConfig, run_index: int):
     All randomness derives from ``(cfg.base_seed, run_index)`` through the
     purpose-split streams, so repeated calls are bit-identical and the
     environment draws match across algorithms. A slot that fails
-    zero-forcing ends the run with an error naming run, episode and slot.
+    zero-forcing ends the run with an error naming run, episode and slot,
+    and so does the trainer's guard, with its agent and network.
     """
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, run_index))
     rng_explore = seeds.stream(cfg.base_seed, run_index, "exploration")
@@ -124,6 +120,8 @@ def run_training(cfg: ExperimentConfig, run_index: int):
             # Only a reset draws channels; trainer.episode is the one it drew.
             raise _channel_failed(f"training run {run_index}, episode {trainer.episode}",
                                   exc) from None
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"training run {run_index}, {exc}") from None
     return stats, trainer
 
 
@@ -221,22 +219,18 @@ class EvalSummary:
     episode_returns: tuple[float, ...]
 
 
-def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
-             workers: int | None = None) -> EvalSummary:
+def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSummary:
     """Roll the saved deterministic policies with zero exploration noise.
 
     Reported returns are the true (unperturbed) rewards even when the
     configured reward noise is nonzero. Streams derive from
     ``(base_seed, run_index = n_runs)``, the first index unused by training.
-    This process draws the episodes in order with
-    :meth:`MecEnv.reset_group`, in passes of up to ``W`` groups, a group
-    being as many episodes as fit in one reset's memory budget. Each pass
-    then splits into at most ``W`` contiguous parts of at most a group,
-    spread over processes by :func:`fan_out`; the forked ones read the
-    drawn traces they inherit and draw nothing. A process steps its part's
-    episodes in lockstep, one policy evaluation per slot for all of them.
-    The summary is the same for any ``workers``; a failure raises the
-    error of the earliest failing episode, as the serial loop would.
+    The episodes are drawn in order with :meth:`MecEnv.reset_group`, in
+    passes of as many episodes as fit in one reset's memory budget, and
+    each pass is rolled by :func:`env.roll_lockstep`, one policy
+    evaluation per slot for all its episodes. A failure raises the error
+    of the earliest failing episode, after the episodes before it in its
+    pass have rolled, as a loop over the episodes would.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -262,33 +256,8 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
     p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
 
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
-    n_parts = _processes(n_episodes, workers)
-    # Episodes a process rolls at once, each with its own trace.
-    group = max(1, int(RESET_BUDGET_BYTES
-                       // (cfg.env.reset_slot_bytes() * cfg.env.episode_len)))
-    per_pass = n_parts * group
-
-    def roll(envs: list[MecEnv]) -> list:
-        """Step ``envs`` to the end of their episodes in lockstep; returns
-        their per-user sums, or raises the earliest failing one's error. A
-        failure ends that episode and every later one."""
-        obs = np.stack([ep_env.obs_vectors() for ep_env in envs])
-        sums = [[0.0] * n for _ in envs]
-        failed = None
-        for _ in range(cfg.env.episode_len):
-            acts = act(actor, p_max, obs).tolist()
-            for i, ep_env in enumerate(envs):
-                try:
-                    result = ep_env.step(acts[i])
-                    sums[i] = [s + r for s, r in zip(sums[i], result.true_rewards)]
-                    obs[i] = ep_env.obs_vectors()
-                except Exception as exc:
-                    failed = exc
-                    envs, obs, sums = envs[:i], obs[:i], sums[:i]
-                    break
-        if failed is not None:
-            raise failed
-        return sums
+    per_pass = max(1, int(RESET_BUDGET_BYTES
+                          // (cfg.env.reset_slot_bytes() * cfg.env.episode_len)))
 
     def rolled(first: int) -> list:
         """Per-user sums of the pass from episode ``first``, whose envs go
@@ -302,12 +271,10 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int,
             failed = _channel_failed(f"evaluation episode {first + len(envs)}", exc)
         except Exception as exc:
             failed = exc
-        size = max(1, -(-len(envs) // n_parts))
-        parts = fan_out(lambda j: roll(envs[j * size:(j + 1) * size]), -(-len(envs) // size),
-                        n_parts, lambda j: f"evaluating episode {first + j * size}")
+        sums = roll_lockstep(envs, lambda obs: act(actor, p_max, obs)) if envs else []
         if failed is not None:
             raise failed
-        return [sums for part in parts for sums in part]
+        return sums
 
     sums = [s for first in range(0, n_episodes, per_pass) for s in rolled(first)]
     episode_returns = [math.fsum(s) / n for s in sums]

@@ -58,6 +58,27 @@ def singular_slot(monkeypatch, episode, slot, pid=None):
     monkeypatch.setattr(phy, "evolve_channel", evolve_channel)
 
 
+def nan_actions(monkeypatch, episode_len, failures):
+    """Make ``runner.act`` return NaN as power ``k`` (0 offload, 1 local) of
+    ``user`` in ``episode`` at ``slot``, for each ``(episode, slot, user,
+    k)`` of ``failures``. Episodes count from the first of each pass, whose
+    rows come first, and every pass must roll all its slots. Returns the
+    list that each call's episode count is appended to."""
+    real, rolled = runner.act, []
+
+    def act(actor, p_max, obs, noise=None):
+        a = real(actor, p_max, obs, noise)
+        slot = len(rolled) % episode_len
+        rolled.append(len(obs))
+        for episode, at, user, k in failures:
+            if at == slot and episode < len(a):
+                a[episode, user, k] = np.nan
+        return a
+
+    monkeypatch.setattr(runner, "act", act)
+    return rolled
+
+
 def filled_trainer(algo, seed=0, n_users=2, dtype=np.float32, **tc_overrides):
     """Trainer plus a buffer filled from real environment interaction."""
     env_cfg = EnvConfig(n_users=n_users, noise_level=tc_overrides.pop("noise_level", 5.0))

@@ -6,8 +6,9 @@ Fast criteria, run with every tier-1 pass:
 2. ``rmaddpg`` equals ``maddpg`` at zero reward noise.
 3. Reruns of one config write byte-identical trees.
 4. Serial and parallel training trees are byte-identical.
-5. Serial and parallel eval summaries are identical at 1, 2 and 3
-   workers, also when the reset budget holds only 1 or 2 episodes.
+5. Eval rolls its episodes in lockstep, pass by pass, to the summary of
+   one episode at a time, at reset budgets that hold 1, 2 or all of them,
+   and ``mecrl eval`` prints the same lines at 1, 2 and 3 usable CPUs.
 6. The env draws do not depend on the algo: for one ``(base_seed, run)``,
    every episode's trace (ZF norms, channel observations, arrivals and
    reward noise) is the same under ``ddpg``, ``maddpg`` and ``rmaddpg``.
@@ -121,32 +122,29 @@ def test_c4_serial_and_parallel_trees_identical(tmp_path):
 
 @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
 def test_c5_serial_and_parallel_eval_identical(tmp_path, capsys, monkeypatch, algo):
-    # This process draws every episode; the workers roll contiguous parts
-    # of each pass from the traces they inherit: at 3 workers, episodes
-    # 0-1, 2-3 and 4 of 5, or with groups of 1 the passes 0-2 and 3-4.
+    # Budgets that hold 1 or 2 episodes roll the passes 0, 1, ... or 0-1,
+    # 2-3, ...; the default one rolls every episode in one pass.
     cfg_path, ckpt = trained_tree(tmp_path, algo)
     cfg = load_config(cfg_path)
     episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
     budget = runner.RESET_BUDGET_BYTES
     for episodes in (5, 7):
-        serial = evaluate(cfg, ckpt, episodes, workers=1)
+        ref = reference_rollout(cfg, ckpt, episodes)
+        for group in (1, 2):
+            monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
+                                int(episode_bytes * (group + 1)) - 1)
+            assert evaluate(cfg, ckpt, episodes) == ref
+        monkeypatch.setattr(runner, "RESET_BUDGET_BYTES", budget)
+        assert evaluate(cfg, ckpt, episodes) == ref
         printed = []
         for cpus in (1, 2, 3):
-            assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
-            # Budgets that hold 1 or 2 episodes: each process rolls at most
-            # that many at once, in passes of up to `cpus` parts.
-            for group in (1, 2):
-                monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
-                                    int(episode_bytes * (group + 1)) - 1)
-                assert evaluate(cfg, ckpt, episodes, workers=cpus) == serial
-            monkeypatch.setattr(runner, "RESET_BUDGET_BYTES", budget)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
                          "--episodes", str(episodes)]) == 0
             printed.append(capsys.readouterr().out)
             assert multiprocessing.active_children() == []
         assert printed[0].startswith(f"evaluated {episodes} episodes: "
-                                     f"mean true return {serial.mean_true_return:.4f}")
+                                     f"mean true return {ref.mean_true_return:.4f}")
         assert printed == [printed[0]] * 3
 
 
@@ -174,7 +172,7 @@ def test_c6_env_draws_are_identical_across_algos():
 def test_c7_eval_draws_from_stream_index_n_runs(tmp_path, algo):
     cfg_path, ckpt = trained_tree(tmp_path, algo)
     cfg = load_config(cfg_path)
-    summary = evaluate(cfg, ckpt, 3, workers=1)
+    summary = evaluate(cfg, ckpt, 3)
     assert summary == reference_rollout(cfg, ckpt, 3, run_index=cfg.n_runs)
     assert summary.episode_returns != reference_rollout(cfg, ckpt, 3, run_index=0).episode_returns
 

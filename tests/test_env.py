@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecrl import cmatrix, phy, seeds
-from mecrl.env import (RESET_BUDGET_BYTES, RESET_SLOT_BASE_BYTES, RESET_SLOT_BYTES,
-                       RESET_TASK_BYTES, Action, ActionError, ConfigError, EnvConfig, MecEnv,
-                       Observation, StateError, TaskQueue, accepted_normals, draw_arrivals)
+from mecrl.env import (MAX_BUFFER_BITS, RESET_BUDGET_BYTES, RESET_SLOT_BASE_BYTES,
+                       RESET_SLOT_BYTES, RESET_TASK_BYTES, Action, ActionError, ConfigError,
+                       EnvConfig, MecEnv, Observation, StateError, TaskQueue, accepted_normals,
+                       draw_arrivals, roll_lockstep)
 
 from conftest import singular_slot
 
@@ -34,6 +36,12 @@ class TestConfig:
     def test_per_user_length_check(self):
         with pytest.raises(ConfigError):
             EnvConfig(n_users=2, rho=(0.9, 0.9, 0.9))
+
+    def test_buffer_cap_is_at_most_2_to_the_53(self):
+        assert EnvConfig(buffer_cap_bits=MAX_BUFFER_BITS).buffer_cap_bits == 2**53
+        with pytest.raises(ConfigError, match=r"^buffer_cap_bits must satisfy 0 < cap <= 2\*\*53, "
+                                              r"got 9007199254740993$"):
+            EnvConfig(buffer_cap_bits=MAX_BUFFER_BITS + 1)
 
     def test_bad_task_sizes(self):
         with pytest.raises(ConfigError):
@@ -577,6 +585,109 @@ class TestResetGroup:
         a, b = env.reset_group(2)
         a.step([Action(1.0, 1.0)] * cfg.n_users)
         assert a.slot == 1 and b.slot == 0 and b.backlog == [0] * cfg.n_users
+
+
+class TestRollLockstep:
+    """roll_lockstep's array slot gives, byte for byte, what MecEnv.step
+    gives each episode: observations, return sums and errors."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, database=None)
+    def test_array_slot_equals_list_step(self, data):
+        draw = data.draw
+        users = draw(st.integers(1, 4), label="users")
+        episodes, slots = draw(st.integers(1, 4), label="E"), draw(st.integers(1, 4), label="T")
+        per_user = lambda values: st.lists(st.sampled_from(values), min_size=users,
+                                           max_size=users)
+        cfg = EnvConfig(
+            n_users=users, episode_len=slots, noise_level=draw(st.sampled_from([0.0, 0.5])),
+            # Gains of 1e3 with the least noise power make an infinite SINR;
+            # 1e20 makes its divisor 0, which raises ZeroDivisionError.
+            constants=phy.PhyConstants(
+                n_antennas=draw(st.integers(users, 4)),
+                noise_power_w=draw(st.sampled_from([1e-9, sys.float_info.min])),
+                kappa=draw(st.sampled_from([1e-27, 1e-300])),
+                # slot_s * bandwidth_hz = inf gives a NaN capacity at SINR 0.
+                slot_s=draw(st.sampled_from([1e-3, 1e300])),
+                bandwidth_hz=draw(st.sampled_from([1e6, 1e300]))),
+            path_loss=phy.PathLossModel(g0_db=draw(st.sampled_from([-30.0, 30.0, 200.0]))),
+            distances_m=draw(per_user([1.0, 100.0])),
+            arrival_rate=draw(per_user([0.0, 2.0, 6.0])),
+            buffer_cap_bits=draw(st.sampled_from([1, 700, 3000, MAX_BUFFER_BITS])),
+            p_max_offload_w=draw(per_user([0.0, 0.3, 2.0, 5.0])),
+            p_max_local_w=draw(per_user([0.0, 0.3, 2.0, 5.0])),
+            w_energy=draw(per_user([0.0, 1.0, 0.1, 3.7])),
+            w_queue=draw(per_user([0.0, 2e-4, 0.3])),
+            obs_sinr_clip=draw(st.sampled_from([1.0, 100.0, 1e300])))
+        p_max = np.column_stack((cfg.p_max_offload_w, cfg.p_max_local_w))
+        seed = draw(st.integers(0, 10**6), label="seed")
+        c = cfg.constants
+        bad = {}
+        for _ in range(draw(st.integers(0, 2), label="bad actions")):
+            e, t = draw(st.integers(0, episodes - 1)), draw(st.integers(0, slots - 1))
+            m, k = draw(st.integers(0, users - 1)), draw(st.integers(0, 1))
+            bad[e, t, m, k] = draw(st.sampled_from([np.nan, -1e-3, p_max[m, k] + 1e-3]))
+
+        def power(env, e, m, k):
+            """A fraction of p_max, or the power whose capacity is b bits
+            of the backlog in exact arithmetic: there a last-bit error in
+            the capacity can move its floor."""
+            t = env.slot
+            if (e, t, m, k) in bad:
+                return bad[e, t, m, k]
+            b = draw(st.one_of(st.none(), st.integers(1, max(1, env.backlog[m]))))
+            if b is None:
+                return p_max[m, k] * draw(st.one_of(st.just(0.0), st.just(1.0),
+                                                    st.floats(0.0, 1.0)))
+            if k:
+                p = c.kappa * (b * c.cycles_per_bit / c.slot_s) ** 3
+            else:
+                p = ((2.0 ** (b / (c.slot_s * c.bandwidth_hz)) - 1.0)
+                     * c.noise_power_w * env._zf[t, m])
+            return min(p, p_max[m, k])
+
+        # The list step, one episode after the other, each to its error.
+        acts = np.zeros((episodes, slots, users, 2))
+        want_obs, want_sums, errors = [], [], []
+        for e, env in enumerate(MecEnv(cfg, **seeds.env_streams(seed, 0))
+                                .reset_group(episodes)):
+            want_obs.append([])
+            sums = [0.0] * users
+            try:
+                for t in range(slots):
+                    want_obs[e].append(env.obs_vectors())
+                    acts[e, t] = [[power(env, e, m, k) for k in range(2)] for m in range(users)]
+                    step = env.step([Action(*a) for a in acts[e, t].tolist()])
+                    sums = [v + r for v, r in zip(sums, step.true_rewards)]
+            except (ArithmeticError, ValueError) as exc:
+                errors.append((e, t, exc))
+            want_sums.append(sums)
+
+        seen = [[] for _ in range(episodes)]
+
+        def policy(obs):
+            t = len(seen[0])
+            for e, row in enumerate(obs):
+                assert len(seen[e]) == t, "a stopped episode is rolled again"
+                seen[e].append(row.copy())
+            return acts[:len(obs), t]
+
+        envs = list(MecEnv(cfg, **seeds.env_streams(seed, 0)).reset_group(episodes))
+        if errors:
+            first, at, error = errors[0]
+            with pytest.raises(type(error)) as raised:
+                roll_lockstep(envs, policy)
+            assert str(raised.value) == str(error)
+            # The episodes before the first failing one roll to the end; it
+            # and the later ones stop at its failing slot, or before.
+            assert [len(v) for v in seen[:first + 1]] == [slots] * first + [at + 1]
+            assert all(len(v) <= at + 1 for v in seen[first:])
+        else:
+            assert np.array(roll_lockstep(envs, policy)).tobytes() == np.array(
+                want_sums).tobytes()
+            assert [len(v) for v in seen] == [slots] * episodes
+        for e, rows in enumerate(seen):
+            assert np.array(rows).tobytes() == np.array(want_obs[e][:len(rows)]).tobytes()
 
 
 class TestSingularSlot:

@@ -24,13 +24,14 @@ from mecrl.agents import EpisodeStats, TrainingDiverged
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
-from mecrl.env import Action, ConfigError, MecEnv
+from mecrl.env import Action, ConfigError
 from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
                           read_aggregate_csv, run_training, save_checkpoints,
                           write_csv, write_run_csv)
 from mecrl.svgplot import render_svg
 
-from conftest import reference_rollout, singular_slot, tiny_config, trained_tree, write_cfg
+from conftest import (nan_actions, reference_rollout, singular_slot, tiny_config, trained_tree,
+                      write_cfg)
 
 
 def record(vals):
@@ -412,77 +413,47 @@ class TestEvaluate:
         cfg, ckpt = self._train_and_save(tmp_path, algo=algo, episodes=2, env={
             "n_users": users, "n_antennas": antennas, "episode_len": 8, "noise_level": 0.5})
         for episodes in (1, 5):
-            ref = reference_rollout(cfg, ckpt, episodes)
-            for workers in (1, 2, 3):
-                assert evaluate(cfg, ckpt, episodes, workers=workers) == ref
+            assert evaluate(cfg, ckpt, episodes) == reference_rollout(cfg, ckpt, episodes)
 
     def test_groups_within_the_budget_give_the_same_summary(self, tmp_path, monkeypatch):
         cfg, ckpt = self._train_and_save(tmp_path, env={"n_users": 2, "episode_len": 8,
                                                         "noise_level": 0.5})
-        whole = evaluate(cfg, ckpt, 5, workers=1)
+        whole = evaluate(cfg, ckpt, 5)
         episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
-        rolled, real_act = [], runner.act
-
-        def counting_act(actor, p_max, obs, noise=None):
-            rolled.append(obs.shape[0])
-            return real_act(actor, p_max, obs, noise)
-
-        monkeypatch.setattr(runner, "act", counting_act)
-        # Episodes per act call in this process, which rolls the first part
-        # of each pass (the worker's calls are not seen here). At 2 workers
-        # and groups of 2 the passes are episodes 0-3, split 0-1 and 2-3,
-        # and episode 4 alone.
-        for group, workers, sizes in [(None, 1, [5]), (None, 2, [3]), (1, 1, [1] * 5),
-                                      (2, 1, [2, 2, 1]), (2, 2, [2, 1])]:
+        rolled = nan_actions(monkeypatch, cfg.env.episode_len, [])
+        # Episodes per act call: a pass rolls all its episodes together.
+        for group, sizes in [(None, [5]), (1, [1] * 5), (2, [2, 2, 1])]:
             if group is not None:
                 # The largest budget that still holds only `group` episodes.
                 monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
                                     int(episode_bytes * (group + 1)) - 1)
             rolled.clear()
-            assert evaluate(cfg, ckpt, 5, workers=workers) == whole
+            assert evaluate(cfg, ckpt, 5) == whole
             assert rolled == [k for k in sizes for _ in range(cfg.env.episode_len)]
 
     def test_each_episode_is_drawn_once_by_the_caller(self, tmp_path, monkeypatch):
-        # At 2 workers the worker rolls the last part of each pass from the
-        # traces it inherits; a draw there would fail its part.
         cfg, ckpt = self._train_and_save(tmp_path, env={"n_users": 2, "episode_len": 8,
                                                         "noise_level": 0.5})
-        caller, real_zf, real_step = os.getpid(), phy.zf_norms, MecEnv.step
-        draws, steps = [], []
+        real_zf, draws = phy.zf_norms, []
 
         def zf_norms(h):
-            assert os.getpid() == caller, "a worker drew an episode"
             draws.append(h)
             return real_zf(h)
 
-        def step(env, actions):
-            steps.append(os.getpid())  # only this process's steps are seen
-            return real_step(env, actions)
-
+        monkeypatch.setattr(phy, "zf_norms", zf_norms)
         for episodes in (2, 5):
-            serial = evaluate(cfg, ckpt, episodes, workers=1)
-            monkeypatch.setattr(phy, "zf_norms", zf_norms)
-            monkeypatch.setattr(MecEnv, "step", step)
+            ref = reference_rollout(cfg, ckpt, episodes)
             draws.clear()
-            steps.clear()
-            assert evaluate(cfg, ckpt, episodes, workers=2) == serial
+            assert evaluate(cfg, ckpt, episodes) == ref
             assert len(draws) == episodes
-            # This process rolls the first part, 1 of 2 or 3 of 5 episodes.
-            assert steps == [caller] * ((episodes + 1) // 2 * cfg.env.episode_len)
-            monkeypatch.undo()
 
     @pytest.mark.parametrize("step_fails", [False, True])
     def test_failed_draw_rolls_the_episodes_before_it(self, tmp_path, monkeypatch, step_fails):
         # Episode 2's draw fails inside a group of 5: episodes 0 and 1 are
-        # still rolled, and the error reported is the earliest episode's.
+        # still rolled, and the error reported is the earliest episode's,
+        # episode 1's NaN action at slot 3 if it takes one.
         cfg, ckpt = self._train_and_save(tmp_path)
-        real_group, real_step, real_zf = MecEnv.reset_group, MecEnv.step, phy.zf_norms
-        draws, stepped = [], set()
-
-        def reset_group(env, k):
-            for ep_env in real_group(env, k):
-                ep_env.episode = len(draws) - 1
-                yield ep_env
+        real_zf, draws = phy.zf_norms, []
 
         def zf_norms(h):
             draws.append(h)
@@ -490,19 +461,13 @@ class TestEvaluate:
                 raise ValueError("episode 2: draw failed")
             return real_zf(h)
 
-        def step(env, actions):
-            stepped.add(env.episode)
-            if step_fails and env.episode == 1:
-                raise ValueError("episode 1: step failed")
-            return real_step(env, actions)
-
-        monkeypatch.setattr(MecEnv, "reset_group", reset_group)
-        monkeypatch.setattr(MecEnv, "step", step)
         monkeypatch.setattr(phy, "zf_norms", zf_norms)
-        failed = "episode 1: step failed" if step_fails else "episode 2: draw failed"
+        rolled = nan_actions(monkeypatch, cfg.env.episode_len, [(1, 3, 0, 0)] * step_fails)
+        failed = "user 0: p_offload_w=nan outside" if step_fails else "episode 2: draw failed"
         with pytest.raises(ValueError, match=failed):
-            evaluate(cfg, ckpt, 5, workers=1)
-        assert stepped == {0, 1}
+            evaluate(cfg, ckpt, 5)
+        t = cfg.env.episode_len
+        assert rolled == ([2] * 4 + [1] * (t - 4) if step_fails else [2] * t)
 
     def test_missing_checkpoint(self, tmp_path):
         cfg = tiny_config()
@@ -601,6 +566,8 @@ class TestCli:
         ("env", "n_users", str(2**62)),
         ("env", "n_users", "10000000"),
         ("env", "n_antennas", str(10**9)),
+        ("env", "buffer_cap_bits", str(2**53 + 1)),   # backlogs must convert to float64 exactly
+        ("env", "buffer_cap_bits", str(2**54)),
         ("env", "g0_db", "1e308"),
         ("env", "noise_power_w", "1e-320"),
         ("env", "noise_power_w", "0"),
@@ -635,7 +602,8 @@ class TestCli:
         cfg_path.write_text(json.dumps(doc).replace('"@value@"', value))
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err == "mecrl: error: episode 0: agent 0 critic: loss not finite\n", err
+        assert err == ("mecrl: error: training run 0, episode 0: "
+                       "agent 0 critic: loss not finite\n"), err
         # Only a complete tree has its resolved config.
         assert not (tmp_path / "out" / "resolved_config.json").exists()
 
@@ -704,33 +672,19 @@ class TestCli:
     @pytest.mark.parametrize("failing", [(1,), (1, 2)])
     def test_parallel_eval_reports_the_earliest_failing_episode(self, tmp_path, capsys,
                                                                 monkeypatch, failing):
+        # Episode 1 takes a NaN offload power at slot 3 and episode 2 a NaN
+        # local power at slot 1, before it: episode 1's error is reported.
         cfg_path, ckpt = trained_tree(tmp_path)
-        real_group, real_step = MecEnv.reset_group, MecEnv.step
-
-        def reset_group(env, k):
-            for ep_env in real_group(env, k):
-                env.drawn = getattr(env, "drawn", 0) + 1
-                ep_env.episode = env.drawn - 1
-                yield ep_env
-
-        def step(env, actions):
-            episode = env.episode  # steps run only in the episodes rolled
-            if episode in failing:
-                if episode == 1:
-                    time.sleep(0.2)  # episode 2 fails first
-                raise ValueError(f"episode {episode}: step failed")
-            return real_step(env, actions)
-
-        # The forked workers inherit the patches.
-        monkeypatch.setattr(MecEnv, "reset_group", reset_group)
-        monkeypatch.setattr(MecEnv, "step", step)
-        # At 3 CPUs the worker's part (episodes 2 and 3) fails at episode 2
-        # before this process's episode 1 does.
+        at = {1: (1, 3, 0, 0), 2: (2, 1, 1, 1)}
+        rolled = nan_actions(monkeypatch, load_config(cfg_path).env.episode_len,
+                             [at[k] for k in failing])
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            rolled.clear()
             assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
                          "--episodes", "5"]) == 1
-            assert capsys.readouterr() == ("", "mecrl: error: episode 1: step failed\n")
+            assert capsys.readouterr() == (
+                "", "mecrl: error: user 0: p_offload_w=nan outside [0, 2.0]\n")
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -760,23 +714,6 @@ class TestCli:
         assert err.count("\n") == 1, err
         assert multiprocessing.active_children() == []
 
-    def test_killed_eval_worker_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
-        cfg_path, ckpt = trained_tree(tmp_path)
-        real, caller = MecEnv.step, os.getpid()
-
-        def step(env, actions):
-            if os.getpid() != caller:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(env, actions)
-
-        monkeypatch.setattr(MecEnv, "step", step)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
-                     "--episodes", "4"]) == 2
-        assert capsys.readouterr() == (
-            "", "mecrl: i/o error: the process evaluating episode 2 exited with code -9\n")
-        assert multiprocessing.active_children() == []
-
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_nonfinite_checkpoint_exits_one_naming_the_file(self, tmp_path, capsys, value):
         cfg_path, ckpt = trained_tree(tmp_path)
@@ -787,6 +724,16 @@ class TestCli:
         assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err == f"mecrl: error: {path}: layer b1: value {float(value)} is not finite\n", err
+
+    def test_oversized_integer_in_config_exits_one_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"episodes": ' + "1" * 5000 + "}")
+        assert main(["train", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            f"mecrl: error: {path}: Exceeds the limit (4300 digits)"), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     def test_deeply_nested_config_exits_one_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
