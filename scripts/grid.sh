@@ -1,7 +1,7 @@
 #!/bin/sh
 # Discount x reward-noise sweep with ddpg/rmaddpg overlays per cell.
-# At the default desk scale, meaningful noise levels are a few reward
-# units (see scripts/noise_pair.py); pass larger ones to stress harder.
+# At the default desk scale, meaningful noise levels are a few reward units
+# (the token `probe`, see `grid` in README); pass larger ones to stress harder.
 set -e
 cd "$(dirname "$0")/.."
 CFG=${1:-scripts/desk.json}

@@ -15,7 +15,8 @@ from pathlib import Path
 from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigError
 from .runner import (AggregateSeries, aggregate_runs, evaluate, fan_out, read_aggregate_csv,
-                     run_training, save_checkpoints, write_csv, write_run_csv)
+                     run_training, save_checkpoints, typical_reward_magnitude, write_csv,
+                     write_run_csv)
 from .svgplot import render_svg
 
 
@@ -91,17 +92,6 @@ def _train_tree(cfg: ExperimentConfig, workers: int | None = None) -> AggregateS
     return agg
 
 
-def train_cell(cfg: ExperimentConfig, cell: Path):
-    """Train ddpg and rmaddpg on cfg into cell/<algo> and overlay their
-    curves in cell/curves.svg; returns the (algo, aggregate) pairs."""
-    overlays = []
-    for algo in ("ddpg", "rmaddpg"):
-        sub_cfg = replace(cfg, algo=algo, out_dir=str(cell / algo))
-        overlays.append((algo, _train_tree(sub_cfg)))
-    render_svg(overlays, cell / "curves.svg")
-    return overlays
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.runs is not None:
@@ -131,11 +121,15 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _parse_list(text: str, what: str) -> list[tuple[str, float]]:
+def _parse_list(text: str, what: str, named=()) -> list[tuple[str, float | None]]:
+    """(token, value) pairs of a comma-separated list; value None for a token of ``named``."""
     items = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
+            continue
+        if tok in named:
+            items.append((tok, None))
             continue
         try:
             value = float(tok)
@@ -150,16 +144,30 @@ def _parse_list(text: str, what: str) -> list[tuple[str, float]]:
 
 
 def cmd_grid(args) -> int:
-    """Train ddpg and rmaddpg in every (gamma, noise) cell and overlay them."""
+    """Train ddpg and rmaddpg in every (gamma, noise) cell and overlay them.
+    The noise token ``probe`` is twice :func:`runner.typical_reward_magnitude`."""
     cfg = load_config(args.config)
     gammas = _parse_list(args.gamma, "gamma")
-    noises = _parse_list(args.noise, "noise")
+    noises = _parse_list(args.noise, "noise", named=("probe",))
+    if any(value is None for _, value in noises):
+        probe = 2.0 * typical_reward_magnitude(cfg)
+        if not math.isfinite(probe):
+            raise ConfigError(f"bad noise value 'probe': the level {probe} is not finite")
+        print(f"reward-noise level: {probe:.3f}")
+        noises = [(tok, probe if value is None else value) for tok, value in noises]
     root = Path(cfg.out_dir)
     for g_tok, g_val in gammas:
         for n_tok, n_val in noises:
             cell = root / f"g{g_tok}_n{n_tok}"
-            train_cell(replace(cfg, env=replace(cfg.env, noise_level=n_val),
-                               trainer=replace(cfg.trainer, gamma=g_val)), cell)
+            cell_cfg = replace(cfg, env=replace(cfg.env, noise_level=n_val),
+                               trainer=replace(cfg.trainer, gamma=g_val))
+            overlays = []
+            for algo in ("ddpg", "rmaddpg"):
+                agg = _train_tree(replace(cell_cfg, algo=algo, out_dir=str(cell / algo)))
+                tail = agg.mean[-100:]
+                print(f"{cell} {algo}: final-100 mean return {math.fsum(tail) / len(tail):.2f}")
+                overlays.append((algo, agg))
+            render_svg(overlays, cell / "curves.svg")
             print(f"finished cell {cell}")
     return 0
 

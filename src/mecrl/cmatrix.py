@@ -19,8 +19,9 @@ PIVOT_RTOL = 1e-12
 
 
 class MatrixError(ValueError):
-    """A matrix of the stack fails :func:`invert_hpd`'s checks. ``args`` are
-    its stack position and the reason, and the message names both. It is a
+    """A matrix of the stack fails :func:`invert_hpd`'s checks, or a slot's
+    SINR divisor underflows to 0 (``MecEnv.reset``). ``args`` are its stack
+    position and the reason, and the message names both. It is a
     ValueError, so the command line reports it as one line and exits 1."""
 
     def __str__(self) -> str:

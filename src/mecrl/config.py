@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .agents import ALGOS, TrainerConfig
 from .env import EnvConfig
 from .errors import ConfigError
+from .files import write_atomic
 from .phy import PathLossModel, PhyConstants
 
 
@@ -158,6 +159,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(config_to_dict(cfg), f, indent=2)
-        f.write("\n")
+    write_atomic(path, (json.dumps(config_to_dict(cfg), indent=2) + "\n").encode("utf-8"))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import phy
+from . import cmatrix, phy
 from .errors import ConfigError
 from .phy import PathLossModel, PhyConstants
 
@@ -288,8 +288,9 @@ class MecEnv:
 
     Zero-forcing needs a channel of full column rank, which Rayleigh
     fading gives with probability 1. A slot whose Gram matrix fails
-    ``cmatrix.invert_hpd``'s checks raises from the reset that draws it,
-    and the run ends: no channel is drawn again.
+    ``cmatrix.invert_hpd``'s checks, or whose SINR divisor (noise power
+    times zero-forcing norm) underflows to 0, raises from the reset that
+    draws it, and the run ends: no channel is drawn again.
     """
 
     def __init__(self, cfg: EnvConfig, *, rng_channel_init: np.random.Generator,
@@ -383,7 +384,9 @@ class MecEnv:
         episode's innovation from the evolution stream, and one recursion.
         The zero-forcing norms, arrivals and noise follow episode by
         episode. A singular slot raises SingularMatrixError from its
-        episode's norms, before that episode's arrivals and noise are drawn.
+        episode's norms, and a norm whose product with the noise power
+        underflows to 0 raises MatrixError, before that episode's arrivals
+        and noise are drawn.
         """
         cfg = self.cfg
         n_slots = cfg.episode_len
@@ -391,6 +394,11 @@ class MecEnv:
         h = phy.evolve_channel(init, self._rng_channel, n_slots)
         for trace, chan_obs in zip(h, self._obs_powers(h)):
             zf = phy.zf_norms(trace)
+            # The SINR divides by noise power times the norm; it must not be 0.
+            zero = (cfg.constants.noise_power_w * zf == 0.0).any(axis=1)
+            if zero.any():
+                raise cmatrix.MatrixError(int(zero.argmax()), "noise_power_w times a "
+                                          "zero-forcing norm underflows to 0")
             arrivals = draw_arrivals(cfg, self._rng_arrivals, n_slots)
             noise = None
             if cfg.noise_level != 0:
@@ -518,8 +526,7 @@ def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
                 row[:, 2:] = trace[t]
             a = np.asarray(policy(obs), dtype=np.float64)
             p_off, p_loc = a[..., 0], a[..., 1]
-            denom = c.noise_power_w * zf[:, t]
-            gamma = p_off / denom
+            gamma = p_off / (c.noise_power_w * zf[:, t])
             # The maxima keep an out-of-box action's operands in the
             # domains of ** and log2; its episode stops at this slot.
             x = np.maximum(p_loc / c.kappa, 0.0)
@@ -531,10 +538,9 @@ def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
             total = rest - np.floor(np.minimum(cap, rest)).astype(np.int64) + arrivals[:, t]
             after = np.minimum(total, cap_bits)
             reward = neg_w_e * (p_off + p_loc) - w_q * after
-            # Where step raises: an action outside its box (NaN included),
-            # a zero divisor of the SINR, a NaN capacity at math.floor.
-            fails = (~((a >= 0.0) & (a <= p_max)).all(axis=(1, 2))
-                     | (denom == 0.0).any(axis=1) | np.isnan(cap).any(axis=1))
+            # Where step raises: an action outside its box, NaN included. The
+            # reset and the config rule out a zero SINR divisor and a NaN capacity.
+            fails = ~((a >= 0.0) & (a <= p_max)).all(axis=(1, 2))
             if fails.any():
                 i = int(fails.argmax())
                 failed = _step_error(envs[i], t, backlog[i], a[i])
@@ -555,6 +561,6 @@ def _step_error(env: MecEnv, t: int, backlog: np.ndarray, actions: np.ndarray) -
     env.slot, env.backlog = t, backlog.tolist()
     try:
         env.step(actions.tolist())
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         return exc
     raise AssertionError(f"slot {t} steps, but the array slot found it failing")

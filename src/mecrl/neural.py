@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import write_atomic
+
 HIDDEN = 64
 
 _LAYER_NAMES = ("w1", "b1", "w2", "b2")
@@ -308,8 +310,7 @@ def params_from_doc(doc: dict) -> MlpParams:
 
 def save_params(p: MlpParams, path) -> None:
     # json.dumps takes the C encoder; json.dump would encode in Python.
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(params_to_doc(p)))
+    write_atomic(path, json.dumps(params_to_doc(p)).encode("utf-8"))
 
 
 def load_params(path) -> MlpParams:

@@ -49,6 +49,9 @@ class PhyConstants:
         for name in ("noise_power_w", "bandwidth_hz", "slot_s", "kappa", "cycles_per_bit", "n_antennas"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be strictly positive")
+        if not math.isfinite(self.slot_s * self.bandwidth_hz):
+            raise ConfigError(f"slot_s * bandwidth_hz must be finite, "
+                              f"got {self.slot_s} * {self.bandwidth_hz}")
 
 
 @dataclass

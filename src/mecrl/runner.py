@@ -14,6 +14,7 @@ from .agents import EpisodeStats, Trainer, TrainingDiverged, act, train_episode
 from .config import ExperimentConfig
 from .env import RESET_BUDGET_BYTES, MecEnv, roll_lockstep
 from .errors import ConfigError
+from .files import write_atomic
 
 
 @dataclass
@@ -125,6 +126,28 @@ def run_training(cfg: ExperimentConfig, run_index: int):
     return stats, trainer
 
 
+def typical_reward_magnitude(cfg: ExperimentConfig, episodes: int = 5) -> float:
+    """Mean absolute true reward per user and slot of ``episodes`` episodes
+    under a uniform random policy, on the eval env streams ``(base_seed,
+    n_runs)`` with actions from ``default_rng(base_seed)``. Twice it is
+    ``mecrl grid``'s ``probe`` reward-noise level."""
+    env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
+    rng = np.random.default_rng(cfg.base_seed)
+    mags = []
+    for e in range(episodes):
+        try:
+            env.reset()
+        except cmatrix.MatrixError as exc:
+            raise _channel_failed(f"probe episode {e}", exc) from None
+        for _ in range(cfg.env.episode_len):
+            acts = [(float(rng.uniform(0, cfg.env.p_max_offload_w[m])),
+                     float(rng.uniform(0, cfg.env.p_max_local_w[m])))
+                    for m in range(cfg.env.n_users)]
+            mags.extend(abs(r) for r in env.step(acts).true_rewards)
+    with np.errstate(over="ignore"):  # the caller checks the level is finite
+        return float(np.mean(mags))
+
+
 def aggregate_runs(series: list[list[EpisodeStats]]) -> AggregateSeries:
     """Mean and population std of the per-run mean true return.
 
@@ -157,7 +180,7 @@ def write_csv(agg: AggregateSeries, series: list[list[EpisodeStats]], path) -> N
         row = [str(e), _fmt(agg.mean[e]), _fmt(agg.std[e])]
         row += [_fmt(s[e].mean_true) for s in series]
         lines.append(",".join(row))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_run_csv(stats: list[EpisodeStats], path) -> None:
@@ -170,7 +193,7 @@ def write_run_csv(stats: list[EpisodeStats], path) -> None:
                _fmt(math.fsum(r.perceived_returns) / n), _fmt(r.sigma)]
         row += [_fmt(v) for v in r.true_returns]
         lines.append(",".join(row))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_aggregate_csv(path) -> AggregateSeries:

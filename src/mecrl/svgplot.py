@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import re
-from pathlib import Path
 
+from .files import write_atomic
 from .runner import AggregateSeries
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -103,4 +103,4 @@ def render_svg(series: list[tuple[str, AggregateSeries]], path) -> None:
     parts.append('</g>')
 
     parts.append('</svg>')
-    Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+    write_atomic(path, ("\n".join(parts) + "\n").encode("utf-8"))

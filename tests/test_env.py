@@ -25,6 +25,10 @@ class TestConfig:
     def test_defaults_validate(self):
         EnvConfig()
 
+    def test_infinite_rate_rejected(self):
+        with pytest.raises(ConfigError, match=r"^slot_s \* bandwidth_hz must be finite"):
+            phy.PhyConstants(slot_s=1e300, bandwidth_hz=1e300)
+
     def test_more_users_than_antennas(self):
         with pytest.raises(ConfigError):
             EnvConfig(n_users=5)
@@ -601,16 +605,16 @@ class TestRollLockstep:
                                            max_size=users)
         cfg = EnvConfig(
             n_users=users, episode_len=slots, noise_level=draw(st.sampled_from([0.0, 0.5])),
-            # Gains of 1e3 with the least noise power make an infinite SINR;
-            # 1e20 makes its divisor 0, which raises ZeroDivisionError.
+            # Gains of 1e3 with the least noise power make an infinite SINR.
+            # The reset rejects a divisor of 0 (gains near 1e20), and the
+            # config an infinite slot_s * bandwidth_hz, so neither is drawn.
             constants=phy.PhyConstants(
                 n_antennas=draw(st.integers(users, 4)),
                 noise_power_w=draw(st.sampled_from([1e-9, sys.float_info.min])),
                 kappa=draw(st.sampled_from([1e-27, 1e-300])),
-                # slot_s * bandwidth_hz = inf gives a NaN capacity at SINR 0.
-                slot_s=draw(st.sampled_from([1e-3, 1e300])),
-                bandwidth_hz=draw(st.sampled_from([1e6, 1e300]))),
-            path_loss=phy.PathLossModel(g0_db=draw(st.sampled_from([-30.0, 30.0, 200.0]))),
+                slot_s=draw(st.sampled_from([1e-3, 1e150])),
+                bandwidth_hz=draw(st.sampled_from([1e6, 1e150]))),
+            path_loss=phy.PathLossModel(g0_db=draw(st.sampled_from([-30.0, 30.0]))),
             distances_m=draw(per_user([1.0, 100.0])),
             arrival_rate=draw(per_user([0.0, 2.0, 6.0])),
             buffer_cap_bits=draw(st.sampled_from([1, 700, 3000, MAX_BUFFER_BITS])),
@@ -659,7 +663,7 @@ class TestRollLockstep:
                     acts[e, t] = [[power(env, e, m, k) for k in range(2)] for m in range(users)]
                     step = env.step([Action(*a) for a in acts[e, t].tolist()])
                     sums = [v + r for v, r in zip(sums, step.true_rewards)]
-            except (ArithmeticError, ValueError) as exc:
+            except ValueError as exc:
                 errors.append((e, t, exc))
             want_sums.append(sums)
 
@@ -691,8 +695,8 @@ class TestRollLockstep:
 
 
 class TestSingularSlot:
-    """A singular slot raises from the reset that draws it; no channel is
-    drawn again."""
+    """A singular slot, or one whose SINR divisor is 0, raises from the
+    reset that draws it; no channel is drawn again."""
 
     @pytest.mark.parametrize("slot", [0, 5])
     def test_reset_raises_and_the_env_will_not_step(self, monkeypatch, slot):
@@ -705,6 +709,19 @@ class TestSingularSlot:
             env.step([Action(1.0, 0.5)] * cfg.n_users)
         with pytest.raises(StateError):
             env.obs_vectors()
+
+
+    def test_zero_sinr_divisor_raises_from_reset(self):
+        # A path gain of 1e20 gives norms near 1e-20, whose product with the
+        # least noise power underflows to 0.
+        env, cfg = make_env(seed=4, episode_len=4, distances_m=1.0,
+                            path_loss=phy.PathLossModel(g0_db=200.0),
+                            constants=phy.PhyConstants(noise_power_w=sys.float_info.min))
+        with pytest.raises(cmatrix.MatrixError, match="^matrix 0: noise_power_w times a "
+                                                      "zero-forcing norm underflows to 0$"):
+            env.reset()
+        with pytest.raises(StateError):
+            env.step([Action(1.0, 0.5)] * cfg.n_users)
 
 
 class TestObsVector:

@@ -1,11 +1,11 @@
 import contextlib
+import errno
 import io
 import json
+import math
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import tempfile
 import time
 import warnings
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import cli, phy, runner, seeds
+from mecrl import cli, files, neural, phy, runner, seeds
 from mecrl.agents import EpisodeStats, TrainingDiverged
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
@@ -825,20 +825,134 @@ class TestCli:
         assert (code, err.getvalue().count("\n")) in ((0, 0), (1, 1)), (code, err.getvalue())
 
 
-class TestNoisePair:
-    def test_writes_two_grid_cells(self, tmp_path):
-        repo = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"),
-                                                            os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, str(repo / "scripts" / "noise_pair.py"),
-                        "--episodes", "1", "--runs", "2",
-                        "--out", str(tmp_path)],
-                       env=env, check=True, capture_output=True, timeout=120)
-        for tag in ("clean", "noisy"):
-            cell = tmp_path / tag
-            assert {p.name for p in cell.iterdir()} == {"ddpg", "rmaddpg", "curves.svg"}
-            for algo in ("ddpg", "rmaddpg"):
-                assert {p.name for p in (cell / algo).iterdir()} == {
-                    "resolved_config.json", "run_0.csv", "run_1.csv",
-                    "aggregate.csv", "curves.svg", "checkpoints"}
+class TestGridProbe:
+    def test_probe_level_of_the_default_config(self):
+        cfg = ExperimentConfig(n_runs=5, base_seed=0)
+        assert repr(2.0 * runner.typical_reward_magnitude(cfg)) == "4.396725565121346"
+
+    def test_probed_cell_is_the_train_tree_at_that_level(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, out_dir=str(tmp_path / "grid"))
+        assert main(["grid", "--config", str(cfg_path), "--gamma", "0.95",
+                     "--noise", "probe"]) == 0
+        cfg = load_config(cfg_path)
+        level = 2.0 * runner.typical_reward_magnitude(cfg)
+        cell = tmp_path / "grid" / "g0.95_nprobe"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"reward-noise level: {level:.3f}"
+        assert {p.name for p in (tmp_path / "grid").iterdir()} == {cell.name}
+        for algo, line in zip(("ddpg", "rmaddpg"), lines[1:]):
+            want = tmp_path / "want" / algo
+            agg = _train_tree(replace(cfg, algo=algo, out_dir=str(want),
+                                      env=replace(cfg.env, noise_level=level),
+                                      trainer=replace(cfg.trainer, gamma=0.95)), workers=1)
+            tail = agg.mean[-100:]
+            assert line == f"{cell} {algo}: final-100 mean return {math.fsum(tail) / len(tail):.2f}"
+            files = sorted(p.relative_to(want) for p in want.rglob("*"))
+            assert files == sorted(p.relative_to(cell / algo) for p in (cell / algo).rglob("*"))
+            for name in files:
+                got, expected = (cell / algo / name), (want / name)
+                if got.is_dir():
+                    continue
+                if name.name == "resolved_config.json":
+                    assert (json.loads(got.read_text()) ==
+                            {**json.loads(expected.read_text()), "out_dir": str(cell / algo)})
+                else:
+                    assert got.read_bytes() == expected.read_bytes(), name
+
+    @pytest.mark.parametrize("gamma,noise", [("probe", "0"), ("0.95", "0,probes"),
+                                             ("0.95", "Probe")])
+    def test_misplaced_or_unknown_token_exits_one_with_one_line(self, tmp_path, capsys,
+                                                                gamma, noise):
+        cfg_path = write_cfg(tmp_path)
+        assert main(["grid", "--config", str(cfg_path), "--gamma", gamma,
+                     "--noise", noise]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("mecrl: error: bad ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonfinite_probe_level_exits_one_with_one_line(self, tmp_path, capsys):
+        # Rewards near -1e308 make the mean magnitude overflow.
+        cfg_path = write_cfg(tmp_path, env={"n_users": 2, "episode_len": 6, "w_energy": 1e308})
+        assert main(["grid", "--config", str(cfg_path), "--gamma", "0.95",
+                     "--noise", "0,probe"]) == 1
+        assert capsys.readouterr() == (
+            "", "mecrl: error: bad noise value 'probe': the level inf is not finite\n")
+        assert not (tmp_path / "out").exists()
+
+
+# Configs that validated but failed inside a slot: noise power times the
+# zero-forcing norm underflows to 0, and a slot's rate overflows. The first
+# is found by the reset that draws the slot, the second by the config.
+FAILING_SLOT_ENVS = {
+    "zero SINR divisor": ({"g0_db": 200.0, "distances_m": 1.0,
+                           "noise_power_w": 2.2250738585072014e-308},
+                          "{where}, slot 0: zero-forcing channel failed: noise_power_w times a "
+                          "zero-forcing norm underflows to 0"),
+    "infinite rate": ({"slot_s": 1e300, "bandwidth_hz": 1e300},
+                      "slot_s * bandwidth_hz must be finite, got 1e+300 * 1e+300"),
+}
+
+
+class TestFailingSlotConfigs:
+    @pytest.mark.parametrize("case", sorted(FAILING_SLOT_ENVS))
+    def test_train_eval_and_probe_exit_one_with_one_line(self, tmp_path, capsys, case):
+        env, message = FAILING_SLOT_ENVS[case]
+        _, ckpt = trained_tree(tmp_path)
+        cfg_path = write_cfg(tmp_path, env={"n_users": 2, "episode_len": 4, **env},
+                             out_dir=str(tmp_path / "bad"))
+        for command, extra, where in (
+                ("train", [], "training run 0, episode 0"),
+                ("eval", ["--checkpoints", str(ckpt)], "evaluation episode 0"),
+                ("grid", ["--gamma", "0.95", "--noise", "0,probe"], "probe episode 0")):
+            assert main([command, "--config", str(cfg_path), *extra]) == 1
+            assert capsys.readouterr() == (
+                "", "mecrl: error: " + message.format(where=where) + "\n")
+        assert not (tmp_path / "bad" / "resolved_config.json").exists()
+
+
+class _HalfDisk(io.FileIO):
+    """A file whose write stores half the bytes and then fails, as a full
+    disk would."""
+
+    def write(self, data):
+        super().write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestWriteAtomic:
+    WRITERS = {
+        "run csv": lambda path: write_run_csv([record([1.0, 2.0])], path),
+        "aggregate csv": lambda path: write_csv(AggregateSeries([1.0], [0.0]),
+                                                [[record([1.0])]], path),
+        "svg": lambda path: render_svg([("a", AggregateSeries([1.0, 2.0], [0.0, 0.5]))], path),
+        "checkpoint": lambda path: neural.save_params(
+            neural.init_mlp(3, 2, np.random.default_rng(0), hidden=4), path),
+        "resolved config": lambda path: save_config(ExperimentConfig(), path),
+    }
+
+    @pytest.mark.parametrize("fail_in", ["write", "replace"])
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, writer, fail_in):
+        path = tmp_path / "target"
+        path.write_bytes(b"old bytes\n")
+        if fail_in == "write":
+            monkeypatch.setattr(files, "open", _HalfDisk, raising=False)
+        else:
+            def replace_fails(src, dst):
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+            monkeypatch.setattr(os, "replace", replace_fails)
+        with pytest.raises(OSError):
+            self.WRITERS[writer](path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_replaces_the_file_and_leaves_nothing_else(self, tmp_path, writer):
+        path = tmp_path / "target"
+        path.write_bytes(b"old bytes\n")
+        self.WRITERS[writer](path)
+        fresh = tmp_path / "fresh"
+        self.WRITERS[writer](fresh)
+        assert path.read_bytes() == fresh.read_bytes() != b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "target"]
