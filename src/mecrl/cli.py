@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -115,7 +116,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    series = [(Path(p).stem, read_aggregate_csv(p)) for p in args.inputs]
+    """Overlay the inputs, each labelled with its path relative to the
+    inputs' common parent directory, without ``.csv``."""
+    full = [os.path.abspath(p) for p in args.inputs]
+    parent = os.path.commonpath([os.path.dirname(p) for p in full])
+    series = [(os.path.relpath(f, parent).removesuffix(".csv"), read_aggregate_csv(p))
+              for f, p in zip(full, args.inputs)]
     render_svg(series, args.out)
     print(f"wrote {args.out}")
     return 0

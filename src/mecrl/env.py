@@ -46,6 +46,13 @@ RESET_SLOT_BYTES = 88
 RESET_SLOT_BASE_BYTES = 64
 RESET_TASK_BYTES = 24
 
+# Bound on the complex128 Gram stack (16 bytes per entry) of one
+# phy.zf_norms call in a draw pass, which holds as many consecutive episodes
+# as fit. At 50 slots that is 20 episodes at 2 users, where numpy's fixed
+# cost per call dominates, and one at 8 users, where larger stacks measured
+# slower.
+ZF_CHUNK_BYTES = 64 << 10
+
 # Largest buffer in bits. A backlog up to it converts to float64 exactly,
 # so roll_lockstep compares it with a float capacity as MecEnv.step does.
 MAX_BUFFER_BITS = 1 << 53
@@ -382,30 +389,50 @@ class MecEnv:
         The channels come first, one block of all k episodes: every
         episode's initial channel from the init stream, then every
         episode's innovation from the evolution stream, and one recursion.
-        The zero-forcing norms, arrivals and noise follow episode by
-        episode. A singular slot raises SingularMatrixError from its
-        episode's norms, and a norm whose product with the noise power
-        underflows to 0 raises MatrixError, before that episode's arrivals
-        and noise are drawn.
+        The zero-forcing norms follow in one call per run of consecutive
+        episodes whose Gram stacks fit in ``ZF_CHUNK_BYTES``, and the
+        arrivals and noise episode by episode. A singular slot raises
+        SingularMatrixError from its episode's norms, and a norm whose
+        product with the noise power underflows to 0 raises MatrixError,
+        after the earlier episodes are yielded and before that episode's
+        arrivals and noise are drawn.
         """
         cfg = self.cfg
         n_slots = cfg.episode_len
         init = phy.init_channel(cfg.constants, self._gains, self._rho, self._rng_channel_init, (k,))
         h = phy.evolve_channel(init, self._rng_channel, n_slots)
-        for trace, chan_obs in zip(h, self._obs_powers(h)):
-            zf = phy.zf_norms(trace)
-            # The SINR divides by noise power times the norm; it must not be 0.
-            zero = (cfg.constants.noise_power_w * zf == 0.0).any(axis=1)
-            if zero.any():
-                raise cmatrix.MatrixError(int(zero.argmax()), "noise_power_w times a "
-                                          "zero-forcing norm underflows to 0")
-            arrivals = draw_arrivals(cfg, self._rng_arrivals, n_slots)
-            noise = None
-            if cfg.noise_level != 0:
-                z, self._noise_carry = accepted_normals(self._rng_noise, n_slots * cfg.n_users,
-                                                        self._noise_carry)
-                noise = (cfg.noise_level * z).reshape(n_slots, cfg.n_users)
-            yield trace, zf, chan_obs, arrivals, noise
+        chan_obs = self._obs_powers(h)
+        per_call = max(1, ZF_CHUNK_BYTES // ((n_slots + 1) * cfg.n_users * cfg.n_users * 16))
+        for first in range(0, k, per_call):
+            block = h[first:first + per_call]
+            try:
+                zf = self._zf_norms(block.reshape((-1,) + block.shape[2:])).reshape(
+                    block.shape[:2] + (cfg.n_users,))
+            except cmatrix.MatrixError:
+                # Episode by episode, so the failing one raises with its own
+                # slot once the episodes before it are yielded.
+                zf = [None] * len(block)
+            for trace, norms, obs in zip(block, zf, chan_obs[first:first + per_call]):
+                if norms is None:
+                    norms = self._zf_norms(trace)
+                arrivals = draw_arrivals(cfg, self._rng_arrivals, n_slots)
+                noise = None
+                if cfg.noise_level != 0:
+                    z, self._noise_carry = accepted_normals(
+                        self._rng_noise, n_slots * cfg.n_users, self._noise_carry)
+                    noise = (cfg.noise_level * z).reshape(n_slots, cfg.n_users)
+                yield trace, norms, obs, arrivals, noise
+
+    def _zf_norms(self, h: np.ndarray) -> np.ndarray:
+        """``phy.zf_norms`` of a (S, N, M) stack of slots. The SINR divides
+        by noise power times the norm, so a product of 0 raises MatrixError
+        naming the first such slot."""
+        zf = phy.zf_norms(h)
+        zero = self.cfg.constants.noise_power_w * zf == 0.0
+        if zero.any():
+            raise cmatrix.MatrixError(int(zero.any(axis=1).argmax()), "noise_power_w times a "
+                                      "zero-forcing norm underflows to 0")
+        return zf
 
     def _obs_powers(self, h: np.ndarray) -> np.ndarray:
         """Per-antenna channel powers over the clip scale, clipped at 1:
@@ -511,9 +538,9 @@ def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
     rate, third = c.slot_s * c.bandwidth_hz, 1.0 / 3.0
     p_max = np.column_stack((cfg.p_max_offload_w, cfg.p_max_local_w))
     neg_w_e, w_q = -np.array(cfg.w_energy), np.array(cfg.w_queue)
-    zf = np.stack([env._zf for env in envs])
+    divisor = c.noise_power_w * np.stack([env._zf for env in envs])
     arrivals = np.stack([env._arrivals for env in envs])
-    chan_obs = [env._chan_obs for env in envs]
+    chan_obs = np.stack([env._chan_obs for env in envs])
     backlog = np.zeros((len(envs), cfg.n_users), dtype=np.int64)
     sinr, sums = np.zeros(backlog.shape), np.zeros(backlog.shape)
     obs = np.empty(backlog.shape + (cfg.obs_dim,))
@@ -522,11 +549,10 @@ def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
         for t in range(cfg.episode_len):
             obs[..., 0] = backlog / float(cap_bits)
             obs[..., 1] = np.minimum(sinr, clip) / clip
-            for row, trace in zip(obs, chan_obs):
-                row[:, 2:] = trace[t]
+            obs[..., 2:] = chan_obs[:, t]
             a = np.asarray(policy(obs), dtype=np.float64)
             p_off, p_loc = a[..., 0], a[..., 1]
-            gamma = p_off / (c.noise_power_w * zf[:, t])
+            gamma = p_off / divisor[:, t]
             # The maxima keep an out-of-box action's operands in the
             # domains of ** and log2; its episode stops at this slot.
             x = np.maximum(p_loc / c.kappa, 0.0)
@@ -540,11 +566,11 @@ def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
             reward = neg_w_e * (p_off + p_loc) - w_q * after
             # Where step raises: an action outside its box, NaN included. The
             # reset and the config rule out a zero SINR divisor and a NaN capacity.
-            fails = ~((a >= 0.0) & (a <= p_max)).all(axis=(1, 2))
-            if fails.any():
-                i = int(fails.argmax())
+            inside = (a >= 0.0) & (a <= p_max)
+            if not inside.all():
+                i = int(inside.all(axis=(1, 2)).argmin())
                 failed = _step_error(envs[i], t, backlog[i], a[i])
-                envs, chan_obs, zf, arrivals = envs[:i], chan_obs[:i], zf[:i], arrivals[:i]
+                envs, chan_obs, divisor, arrivals = envs[:i], chan_obs[:i], divisor[:i], arrivals[:i]
                 obs, sums, after, gamma, reward = obs[:i], sums[:i], after[:i], gamma[:i], reward[:i]
                 if not i:
                     break

@@ -103,7 +103,8 @@ def run_training(cfg: ExperimentConfig, run_index: int):
     purpose-split streams, so repeated calls are bit-identical and the
     environment draws match across algorithms. A slot that fails
     zero-forcing ends the run with an error naming run, episode and slot,
-    and so does the trainer's guard, with its agent and network.
+    and so does the trainer's guard, with its agent and network. So does an
+    episode whose true returns, or their sum, are not finite.
     """
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, run_index))
     rng_explore = seeds.stream(cfg.base_seed, run_index, "exploration")
@@ -114,9 +115,16 @@ def run_training(cfg: ExperimentConfig, run_index: int):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         trainer = Trainer(cfg.env, cfg.trainer, cfg.algo,
                           seeds.stream(cfg.base_seed, run_index, "net_init"))
+        stats = []
         try:
-            stats = [train_episode(env, trainer, rng_explore, rng_sample)
-                     for _ in range(cfg.episodes)]
+            for episode in range(cfg.episodes):
+                stats.append(train_episode(env, trainer, rng_explore, rng_sample))
+                returns = stats[-1].true_returns
+                # A sum of floats overflows to inf where mean_true's fsum raises.
+                if not math.isfinite(sum(returns)):
+                    raise ValueError(f"training run {run_index}, episode {episode}: true returns "
+                                     f"{returns} do not sum to a finite value; the rewards "
+                                     f"overflow float64")
         except cmatrix.MatrixError as exc:
             # Only a reset draws channels; trainer.episode is the one it drew.
             raise _channel_failed(f"training run {run_index}, episode {trainer.episode}",

@@ -38,9 +38,9 @@ def gradients(p):
     return neural.Gradients(p.in_dim, p.out_dim, p.hidden, agents=p.agents, dtype=p.flat.dtype)
 
 
-def singular_slot(monkeypatch, episode, slot, pid=None):
-    """Make ``slot`` of the ``episode``-th channel drawn from now on (0 is
-    the next) rank deficient: its second user's column copies its first's.
+def edit_slot(monkeypatch, episode, slot, edit, pid=None):
+    """Call ``edit`` on the (N, M) channel of ``slot`` of the ``episode``-th
+    channel drawn from now on (0 is the next), to change it in place.
     Episodes are counted over every ``phy.evolve_channel`` call, in process
     ``pid`` alone if given."""
     real, drawn = phy.evolve_channel, [0]
@@ -51,11 +51,22 @@ def singular_slot(monkeypatch, episode, slot, pid=None):
             stack = trace.reshape((-1,) + trace.shape[-3:])
             i = episode - drawn[0]
             if 0 <= i < len(stack):
-                stack[i, slot, :, 1] = stack[i, slot, :, 0]
+                edit(stack[i, slot])
             drawn[0] += len(stack)
         return trace
 
     monkeypatch.setattr(phy, "evolve_channel", evolve_channel)
+
+
+def singular_slot(monkeypatch, episode, slot, pid=None):
+    """Make ``slot`` of the ``episode``-th channel drawn from now on rank
+    deficient: its second user's column copies its first's (see
+    :func:`edit_slot`)."""
+
+    def copy_column(h):
+        h[:, 1] = h[:, 0]
+
+    edit_slot(monkeypatch, episode, slot, copy_column, pid)
 
 
 def nan_actions(monkeypatch, episode_len, failures):

@@ -13,7 +13,7 @@ from mecrl.env import (MAX_BUFFER_BITS, RESET_BUDGET_BYTES, RESET_SLOT_BASE_BYTE
                        EnvConfig, MecEnv, Observation, StateError, TaskQueue, accepted_normals,
                        draw_arrivals, roll_lockstep)
 
-from conftest import singular_slot
+from conftest import edit_slot, singular_slot
 
 
 def make_env(seed=0, **overrides):
@@ -568,21 +568,93 @@ class TestResetGroup:
 
     def test_failed_draw_yields_the_episodes_before_it(self, monkeypatch):
         env, _ = make_env(seed=3)
-        real, calls = phy.zf_norms, []
+        calls = []
 
-        def zf_norms(h):
-            calls.append(h)
+        def failing_arrivals(cfg, rng, n_slots):
+            calls.append(n_slots)
             if len(calls) == 3:
                 raise ValueError("injected")
-            return real(h)
+            return draw_arrivals(cfg, rng, n_slots)
 
-        monkeypatch.setattr(phy, "zf_norms", zf_norms)
+        monkeypatch.setattr("mecrl.env.draw_arrivals", failing_arrivals)
         got = []
         with pytest.raises(ValueError, match="injected"):
             for item in env.reset_group(5):
                 got.append(item)
         assert len(got) == 2 and all(item.slot == 0 for item in got)
         assert env.slot is None
+
+    @pytest.fixture
+    def zf_calls(self, monkeypatch):
+        """The slot count of each ``phy.zf_norms`` call from now on."""
+        real, calls = phy.zf_norms, []
+
+        def zf_norms(h):
+            calls.append(len(h))
+            return real(h)
+
+        monkeypatch.setattr(phy, "zf_norms", zf_norms)
+        return calls
+
+    # At 2 users and 20 slots an episode's Gram stack is 21 * 2 * 2 * 16
+    # bytes; this bound takes 3 episodes per zero-forcing call.
+    CHUNK = 3
+    SMALL_BOUND = CHUNK * 1344 + 1343
+
+    @pytest.mark.parametrize("k", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_norms_in_chunks_equal_sequential_resets(self, monkeypatch, zf_calls, k):
+        monkeypatch.setattr("mecrl.env.ZF_CHUNK_BYTES", self.SMALL_BOUND)
+        self.check(k)  # stream states included
+        # Two warm-up resets and k resets, then the group's chunks.
+        chunks = [21 * min(self.CHUNK, k - first) for first in range(0, k, self.CHUNK)]
+        assert zf_calls == [21] * (k + 2) + chunks
+
+    @pytest.mark.parametrize("users,antennas,k,calls", [(2, 4, 20, [51 * 20]),
+                                                        (2, 4, 21, [51 * 20, 51]),
+                                                        (8, 8, 3, [51] * 3)])
+    def test_default_bound(self, zf_calls, users, antennas, k, calls):
+        # At 50 slots a 20-episode pass at 2 x 4 is one call; at 8 x 8 each
+        # episode is its own call, and so is a reset.
+        env, _ = make_env(n_users=users, constants=phy.PhyConstants(n_antennas=antennas),
+                          episode_len=50)
+        env.reset()
+        assert len(list(env.reset_group(k))) == k
+        assert zf_calls == [51] + calls
+
+    @pytest.mark.parametrize("failure", ["singular", "zero divisor"])
+    @pytest.mark.parametrize("episode", [1, 4])
+    def test_failure_in_the_middle_of_a_chunk(self, monkeypatch, failure, episode):
+        # Episode 1 is the middle of the first chunk of 3, episode 4 of the
+        # second. With the least noise power, a slot scaled by 1e13 has
+        # norms near 1e-18, whose product with it underflows to 0.
+        monkeypatch.setattr("mecrl.env.ZF_CHUNK_BYTES", self.SMALL_BOUND)
+        over = dict(seed=6, noise_level=0.5, episode_len=20,
+                    constants=phy.PhyConstants(noise_power_w=sys.float_info.min))
+        seq, _ = make_env(**over)
+        grp, _ = make_env(**over)
+        grp.reset()  # so the group starts mid-stream, with a noise carry
+        seq.reset()
+        expected = []
+        for _ in range(episode):
+            seq.reset()
+            expected.append([getattr(seq, name) for name in TRACE])
+        if failure == "singular":
+            singular_slot(monkeypatch, episode, 5)
+            error, reason = cmatrix.SingularMatrixError, ""
+        else:
+            edit_slot(monkeypatch, episode, 5, lambda h: np.multiply(h, 1e13, out=h))
+            error, reason = cmatrix.MatrixError, "noise_power_w times a zero-forcing norm"
+        got = []
+        with pytest.raises(error, match=f"^matrix 5: {reason}"):
+            for item in grp.reset_group(2 * self.CHUNK + 1):
+                got.append(item)
+        assert len(got) == episode
+        for item, want in zip(got, expected):
+            for name, value in zip(TRACE, want):
+                assert same_bytes(getattr(item, name), value), name
+        # The failing episode drew no arrivals and no noise.
+        assert stream_states(grp)[2:] == stream_states(seq)[2:]
+        assert grp.slot is None and grp._h is None
 
     def test_copies_step_on_their_own(self):
         env, cfg = make_env(seed=2, noise_level=0.5)

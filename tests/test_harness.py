@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import tempfile
 import time
@@ -19,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecrl import cli, files, neural, phy, runner, seeds
+from mecrl import cli, files, neural, runner, seeds
 from mecrl.agents import EpisodeStats, TrainingDiverged
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
-from mecrl.env import Action, ConfigError
+from mecrl.env import Action, ConfigError, draw_arrivals
 from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
                           read_aggregate_csv, run_training, save_checkpoints,
                           write_csv, write_run_csv)
@@ -250,6 +251,23 @@ class TestRunner:
         write_run_csv(stats, tmp_path / "run_0.csv")
         assert tmp_path.joinpath("run_0.csv").read_text().splitlines()[1].startswith("0,")
 
+    @pytest.mark.parametrize("returns", [(-1e308, -1e308), (math.nan, -1.0), (-1.0, -math.inf)])
+    def test_nonfinite_return_names_its_run_and_episode(self, monkeypatch, returns):
+        # Finite returns whose sum overflows would make mean_true's fsum raise.
+        real, episodes = runner.train_episode, []
+
+        def train_episode(env, trainer, *rngs):
+            stats = real(env, trainer, *rngs)
+            episodes.append(stats)
+            return EpisodeStats(returns, returns, stats.sigma) if len(episodes) == 2 else stats
+
+        monkeypatch.setattr(runner, "train_episode", train_episode)
+        with pytest.raises(ValueError, match=rf"^training run 1, episode 1: true returns "
+                                             rf"\({re.escape(', '.join(map(repr, returns)))}\) "
+                                             rf"do not sum to a finite value"):
+            run_training(tiny_config(), 1)
+        assert len(episodes) == 2
+
     def test_aggregate_example(self):
         runs = [[record([1.0]), record([2.0])],
                 [record([3.0]), record([4.0])]]
@@ -434,13 +452,13 @@ class TestEvaluate:
     def test_each_episode_is_drawn_once_by_the_caller(self, tmp_path, monkeypatch):
         cfg, ckpt = self._train_and_save(tmp_path, env={"n_users": 2, "episode_len": 8,
                                                         "noise_level": 0.5})
-        real_zf, draws = phy.zf_norms, []
+        draws = []
 
-        def zf_norms(h):
-            draws.append(h)
-            return real_zf(h)
+        def counted_arrivals(cfg, rng, n_slots):
+            draws.append(n_slots)
+            return draw_arrivals(cfg, rng, n_slots)
 
-        monkeypatch.setattr(phy, "zf_norms", zf_norms)
+        monkeypatch.setattr("mecrl.env.draw_arrivals", counted_arrivals)
         for episodes in (2, 5):
             ref = reference_rollout(cfg, ckpt, episodes)
             draws.clear()
@@ -453,15 +471,15 @@ class TestEvaluate:
         # still rolled, and the error reported is the earliest episode's,
         # episode 1's NaN action at slot 3 if it takes one.
         cfg, ckpt = self._train_and_save(tmp_path)
-        real_zf, draws = phy.zf_norms, []
+        draws = []
 
-        def zf_norms(h):
-            draws.append(h)
+        def failing_arrivals(cfg, rng, n_slots):
+            draws.append(n_slots)
             if len(draws) == 3:
                 raise ValueError("episode 2: draw failed")
-            return real_zf(h)
+            return draw_arrivals(cfg, rng, n_slots)
 
-        monkeypatch.setattr(phy, "zf_norms", zf_norms)
+        monkeypatch.setattr("mecrl.env.draw_arrivals", failing_arrivals)
         rolled = nan_actions(monkeypatch, cfg.env.episode_len, [(1, 3, 0, 0)] * step_fails)
         failed = "user 0: p_offload_w=nan outside" if step_fails else "episode 2: draw failed"
         with pytest.raises(ValueError, match=failed):
@@ -777,6 +795,36 @@ class TestCli:
         assert main(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")]) == 1
         assert capsys.readouterr() == ("", f"mecrl: error: {path}: line 3: {why}\n")
         assert not (tmp_path / "p.svg").exists()
+
+    def test_plot_labels_sibling_cells_by_their_paths(self, tmp_path, monkeypatch):
+        # Two cells' ddpg/aggregate.csv, one given relative to the working
+        # directory and one absolute: each label is the path below grid/.
+        paths = []
+        for cell in ("g0.95_n0", "g0.95_nprobe"):
+            path = tmp_path / "grid" / cell / "ddpg" / "aggregate.csv"
+            path.parent.mkdir(parents=True)
+            path.write_text("episode,mean_return,std_return,run0\n0,-3.0,0.0,-3.0\n")
+            paths.append(path)
+        monkeypatch.chdir(tmp_path)
+        svg = tmp_path / "p.svg"
+        assert main(["plot", "--in", str(paths[0].relative_to(tmp_path)), str(paths[1]),
+                     "--out", str(svg)]) == 0
+        legend = [el for el in ET.parse(svg).getroot().iter() if el.get("id") == "legend"][0]
+        assert [el.text for el in legend.iter() if el.tag.endswith("text")] == [
+            "g0.95_n0/ddpg/aggregate", "g0.95_nprobe/ddpg/aggregate"]
+
+    def test_nonfinite_episode_return_exits_one_naming_run_and_episode(self, tmp_path, capsys):
+        # Rewards of -1e308 times the powers overflow to -inf before
+        # the warmup ends, so no update's guard sees them.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"env": {"episode_len": 4, "w_energy": 1e308},
+                                        "episodes": 1, "n_runs": 1,
+                                        "out_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == ("", "mecrl: error: training run 0, episode 0: true "
+                                           "returns (-inf, -inf) do not sum to a finite value; "
+                                           "the rewards overflow float64\n")
+        assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
     def test_plot_label_with_markup_characters(self, tmp_path, capsys):
         path = tmp_path / "a&b.csv"
