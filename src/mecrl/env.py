@@ -9,7 +9,6 @@ All quantities in bits are integers so conservation checks are exact.
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 from collections.abc import Iterator
@@ -289,8 +288,8 @@ class MecEnv:
     initialization, channel evolution, task arrivals, and reward noise.
     None of them depends on the actions, so ``reset`` draws the whole
     episode's channel, zero-forcing norms, arrivals and reward noise at
-    once, ``reset_group`` does so for several consecutive episodes in one
-    pass, and ``step`` reads its slot from them. A reset before the end of
+    once, ``draws`` does so for several consecutive episodes in one pass,
+    and ``step`` reads its slot from them. A reset before the end of
     an episode discards the rest of that episode's draws.
 
     Zero-forcing needs a channel of full column rank, which Rayleigh
@@ -344,59 +343,31 @@ class MecEnv:
         the fading recursion), its zero-forcing norms, the clipped
         per-antenna powers the observations read, the arrivals and the
         reward noise. ``obs_vectors()`` reads the first observations.
-        This is :meth:`reset_group`'s draw pass for one episode."""
-        # The previous trace goes first, so a reset's peak is one trace's,
-        # and a reset that raises leaves an env that will not step.
-        self._release()
-        self._start(*next(self._draws(1)))
-
-    def reset_group(self, k: int) -> Iterator[MecEnv]:
-        """The next ``k`` episodes in one draw pass: the draws of ``k``
-        :meth:`reset` calls, in their order, with one fading recursion and
-        one observation-power pass for all of them.
-
-        Yields a shallow copy of this env per episode, in order, reset to
-        that episode. An episode whose draw fails, a singular slot
-        included, raises after the earlier ones are yielded; they are what
-        that many resets would have drawn. Iterate to the end or to the
-        error: the later episodes' draws finish on demand. This env holds
-        no episode afterwards.
-        """
-        self._release()
-        for episode in self._draws(k):
-            env = copy.copy(self)
-            env._start(*episode)
-            yield env
-
-    def _release(self) -> None:
-        self.slot = self._h = self._zf = self._chan_obs = self._arrivals = self._noise = None
-
-    def _start(self, h, zf, chan_obs, arrivals, noise) -> None:
-        """Hold one episode's trace, at its first slot with empty queues."""
-        self._h, self._zf, self._chan_obs, self._arrivals, self._noise = (
-            h, zf, chan_obs, arrivals, noise)
+        This is :meth:`draws`'s pass for one episode."""
+        self._h, self._zf, self._chan_obs, self._arrivals, self._noise = next(self.draws(1))
         n = self.cfg.n_users
-        self.backlog = [0] * n
-        self.dropped = [0] * n
-        self.prev_sinr = [0.0] * n
-        self.slot = 0
+        self.backlog, self.dropped, self.prev_sinr, self.slot = [0] * n, [0] * n, [0.0] * n, 0
 
-    def _draws(self, k: int) -> Iterator[tuple]:
-        """The draws of ``k`` consecutive episodes: per episode in order,
-        its channel (T + 1, N, M), zero-forcing norms (T + 1, M), clipped
-        observation powers (T + 1, M, N), arrivals and noise (T, M).
+    def draws(self, k: int) -> Iterator[tuple]:
+        """The draws of ``k`` :meth:`reset` calls in one pass: per episode
+        in order, its channel (T + 1, N, M), zero-forcing norms (T + 1, M),
+        clipped observation powers (T + 1, M, N), arrivals and noise (T, M).
 
-        The channels come first, one block of all k episodes: every
-        episode's initial channel from the init stream, then every
-        episode's innovation from the evolution stream, and one recursion.
-        The zero-forcing norms follow in one call per run of consecutive
-        episodes whose Gram stacks fit in ``ZF_CHUNK_BYTES``, and the
-        arrivals and noise episode by episode. A singular slot raises
-        SingularMatrixError from its episode's norms, and a norm whose
-        product with the noise power underflows to 0 raises MatrixError,
-        after the earlier episodes are yielded and before that episode's
-        arrivals and noise are drawn.
+        This env's trace goes first, so a pass's peak holds no earlier
+        episode and a draw that raises leaves an env that will not step; it
+        holds no episode afterwards. The channels come next, one block of
+        all k episodes: every episode's initial channel from the init
+        stream, then every episode's innovation from the evolution stream,
+        and one recursion. The zero-forcing norms follow in one call per
+        run of consecutive episodes whose Gram stacks fit in
+        ``ZF_CHUNK_BYTES``, and the arrivals and noise episode by episode.
+        A singular slot raises SingularMatrixError from its episode's
+        norms, and a norm whose product with the noise power underflows to
+        0 raises MatrixError, after the earlier episodes are yielded and
+        before that episode's arrivals and noise are drawn. Iterate to the
+        end or to the error: the later episodes' draws finish on demand.
         """
+        self.slot = self._h = self._zf = self._chan_obs = self._arrivals = self._noise = None
         cfg = self.cfg
         n_slots = cfg.episode_len
         init = phy.init_channel(cfg.constants, self._gains, self._rho, self._rng_channel_init, (k,))
@@ -515,10 +486,10 @@ class MecEnv:
                           true_rewards, perceived)
 
 
-def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
-    """Roll freshly reset envs of one config, such as those
-    :meth:`MecEnv.reset_group` yields, to the end of their episodes in
-    lockstep; returns each episode's per-user sums of true rewards.
+def roll_lockstep(cfg: EnvConfig, episodes: list[tuple], policy) -> list[list[float]]:
+    """Roll episodes of ``cfg``, each a tuple that :meth:`MecEnv.draws`
+    yields, from empty queues to their ends in lockstep; returns each
+    episode's per-user sums of true rewards.
 
     Each slot makes one ``policy`` call on the (E, n_users, obs_dim)
     observations of the E episodes still rolling, for (E, n_users, 2)
@@ -527,21 +498,22 @@ def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
     float operations in the same order, log2 and the cube root taken per
     element as step takes them (numpy's can differ in the last bit), and
     exact comparisons of capacities with backlogs of at most
-    ``buffer_cap_bits`` <= 2**53. An episode on which step would raise is
-    stepped there for its error; it and every later episode stop, the
-    earlier ones roll on, and the earliest error is raised after them.
-    The envs are not advanced, but for the one whose error is raised.
+    ``buffer_cap_bits`` <= 2**53. An action outside its box, NaN included,
+    stops its episode and every later one at that slot, while the earlier
+    ones roll on. The earliest episode's error is raised after them: step's
+    ActionError for its first failing user, offload before local, with the
+    episode's position in ``episodes`` and the slot as ``episode`` and
+    ``slot``.
     """
-    cfg = envs[0].cfg
     c = cfg.constants
     clip, cap_bits = cfg.obs_sinr_clip, cfg.buffer_cap_bits
     rate, third = c.slot_s * c.bandwidth_hz, 1.0 / 3.0
     p_max = np.column_stack((cfg.p_max_offload_w, cfg.p_max_local_w))
     neg_w_e, w_q = -np.array(cfg.w_energy), np.array(cfg.w_queue)
-    divisor = c.noise_power_w * np.stack([env._zf for env in envs])
-    arrivals = np.stack([env._arrivals for env in envs])
-    chan_obs = np.stack([env._chan_obs for env in envs])
-    backlog = np.zeros((len(envs), cfg.n_users), dtype=np.int64)
+    _, zf, chan_obs, arrivals, _ = zip(*episodes)
+    divisor = c.noise_power_w * np.stack(zf)
+    chan_obs, arrivals = np.stack(chan_obs), np.stack(arrivals)
+    backlog = np.zeros((len(episodes), cfg.n_users), dtype=np.int64)
     sinr, sums = np.zeros(backlog.shape), np.zeros(backlog.shape)
     obs = np.empty(backlog.shape + (cfg.obs_dim,))
     failed = None
@@ -569,8 +541,12 @@ def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
             inside = (a >= 0.0) & (a <= p_max)
             if not inside.all():
                 i = int(inside.all(axis=(1, 2)).argmin())
-                failed = _step_error(envs[i], t, backlog[i], a[i])
-                envs, chan_obs, divisor, arrivals = envs[:i], chan_obs[:i], divisor[:i], arrivals[:i]
+                m, k = divmod(int(inside[i].argmin()), 2)
+                name = ("p_offload_w", "p_local_w")[k]
+                failed = ActionError(f"user {m}: {name}={float(a[i, m, k])} "
+                                     f"outside [0, {float(p_max[m, k])}]")
+                failed.episode, failed.slot = i, t
+                chan_obs, divisor, arrivals = chan_obs[:i], divisor[:i], arrivals[:i]
                 obs, sums, after, gamma, reward = obs[:i], sums[:i], after[:i], gamma[:i], reward[:i]
                 if not i:
                     break
@@ -579,14 +555,3 @@ def roll_lockstep(envs: list[MecEnv], policy) -> list[list[float]]:
     if failed is not None:
         raise failed
     return sums.tolist()
-
-
-def _step_error(env: MecEnv, t: int, backlog: np.ndarray, actions: np.ndarray) -> Exception:
-    """The error :meth:`MecEnv.step` raises for ``env``'s episode at slot
-    ``t``, with ``backlog`` queued and ``actions`` taken."""
-    env.slot, env.backlog = t, backlog.tolist()
-    try:
-        env.step(actions.tolist())
-    except ValueError as exc:
-        return exc
-    raise AssertionError(f"slot {t} steps, but the array slot found it failing")

@@ -12,7 +12,7 @@ import numpy as np
 from . import cmatrix, neural, seeds
 from .agents import EpisodeStats, Trainer, TrainingDiverged, act, train_episode
 from .config import ExperimentConfig
-from .env import RESET_BUDGET_BYTES, MecEnv, roll_lockstep
+from .env import RESET_BUDGET_BYTES, ActionError, MecEnv, roll_lockstep
 from .errors import ConfigError
 from .files import write_atomic
 
@@ -156,24 +156,38 @@ def typical_reward_magnitude(cfg: ExperimentConfig, episodes: int = 5) -> float:
         return float(np.mean(mags))
 
 
+def _mean_std(values: list[float], what: str) -> tuple[float, float]:
+    """fsum-based mean and population std of ``values``; a ValueError
+    naming ``what`` if either overflows float64."""
+    n = len(values)
+    try:
+        mu = math.fsum(values) / n
+    except OverflowError:
+        raise ValueError(f"the mean of {what} overflows float64") from None
+    try:
+        return mu, math.sqrt(math.fsum((v - mu) ** 2 for v in values) / n)
+    except OverflowError:
+        raise ValueError(f"the standard deviation of {what} overflows float64") from None
+
+
 def aggregate_runs(series: list[list[EpisodeStats]]) -> AggregateSeries:
     """Mean and population std of the per-run mean true return.
 
     fsum-based so the result is exactly invariant under run permutation.
+    A mean or std that overflows float64 raises a ValueError naming the
+    episode.
     """
     if not series:
         raise ValueError("no run series to aggregate")
     length = len(series[0])
     if any(len(s) != length for s in series):
         raise ValueError(f"run series differ in length: {[len(s) for s in series]}")
-    n = len(series)
     means, stds = [], []
     for e in range(length):
-        vals = [s[e].mean_true for s in series]
-        mu = math.fsum(vals) / n
-        var = math.fsum((v - mu) ** 2 for v in vals) / n
+        mu, std = _mean_std([s[e].mean_true for s in series],
+                            f"episode {e}'s mean true returns over the runs")
         means.append(mu)
-        stds.append(math.sqrt(var))
+        stds.append(std)
     return AggregateSeries(means, stds)
 
 
@@ -256,12 +270,14 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
     Reported returns are the true (unperturbed) rewards even when the
     configured reward noise is nonzero. Streams derive from
     ``(base_seed, run_index = n_runs)``, the first index unused by training.
-    The episodes are drawn in order with :meth:`MecEnv.reset_group`, in
-    passes of as many episodes as fit in one reset's memory budget, and
-    each pass is rolled by :func:`env.roll_lockstep`, one policy
-    evaluation per slot for all its episodes. A failure raises the error
-    of the earliest failing episode, after the episodes before it in its
-    pass have rolled, as a loop over the episodes would.
+    The episodes are drawn in order with :meth:`MecEnv.draws`, in passes
+    of as many episodes as fit in one reset's memory budget, and each pass
+    is rolled by :func:`env.roll_lockstep`, one policy evaluation per slot
+    for all its episodes. A failure raises the error of the earliest
+    failing episode, after the episodes before it in its pass have rolled,
+    as a loop over the episodes would; a bad action's error names its
+    episode and slot. A mean or std that overflows float64 raises a
+    ValueError.
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -291,31 +307,35 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
                           // (cfg.env.reset_slot_bytes() * cfg.env.episode_len)))
 
     def rolled(first: int) -> list:
-        """Per-user sums of the pass from episode ``first``, whose envs go
+        """Per-user sums of the pass from episode ``first``, whose draws go
         on return. A failing draw raises after the episodes before it in
         the pass have rolled."""
-        envs, failed = [], None
+        episodes, failed = [], None
         try:
-            for ep_env in env.reset_group(min(per_pass, n_episodes - first)):
-                envs.append(ep_env)
+            for episode in env.draws(min(per_pass, n_episodes - first)):
+                episodes.append(episode)
         except cmatrix.MatrixError as exc:
-            failed = _channel_failed(f"evaluation episode {first + len(envs)}", exc)
+            failed = _channel_failed(f"evaluation episode {first + len(episodes)}", exc)
         except Exception as exc:
             failed = exc
-        sums = roll_lockstep(envs, lambda obs: act(actor, p_max, obs)) if envs else []
+        try:
+            sums = roll_lockstep(cfg.env, episodes,
+                                 lambda obs: act(actor, p_max, obs)) if episodes else []
+        except ActionError as exc:
+            raise ActionError(f"evaluation episode {first + exc.episode}, slot {exc.slot}: "
+                              f"{exc}") from None
         if failed is not None:
             raise failed
         return sums
 
     sums = [s for first in range(0, n_episodes, per_pass) for s in rolled(first)]
     episode_returns = [math.fsum(s) / n for s in sums]
+    mu, std = _mean_std(episode_returns, "the evaluation episodes' true returns")
     per_user = sum(sums, np.zeros(n))
-    mu = math.fsum(episode_returns) / n_episodes
-    var = math.fsum((v - mu) ** 2 for v in episode_returns) / n_episodes
     return EvalSummary(
         n_episodes=n_episodes,
         mean_true_return=mu,
-        std_true_return=math.sqrt(var),
+        std_true_return=std,
         per_user_mean=tuple(per_user / n_episodes),
         episode_returns=tuple(episode_returns),
     )

@@ -69,21 +69,24 @@ def singular_slot(monkeypatch, episode, slot, pid=None):
     edit_slot(monkeypatch, episode, slot, copy_column, pid)
 
 
-def nan_actions(monkeypatch, episode_len, failures):
-    """Make ``runner.act`` return NaN as power ``k`` (0 offload, 1 local) of
-    ``user`` in ``episode`` at ``slot``, for each ``(episode, slot, user,
-    k)`` of ``failures``. Episodes count from the first of each pass, whose
-    rows come first, and every pass must roll all its slots. Returns the
-    list that each call's episode count is appended to."""
-    real, rolled = runner.act, []
+def bad_actions(monkeypatch, episode_len, failures, value=np.nan):
+    """Make ``runner.act`` return ``value`` as power ``k`` (0 offload, 1
+    local) of ``user`` in ``episode`` at ``slot``, for each ``(episode,
+    slot, user, k)`` of ``failures``. Episodes count over the whole
+    evaluation, a pass's rows in its episodes' order, and every pass but
+    the last must roll all its slots. Returns the list that each call's
+    episode count is appended to."""
+    real, rolled, first = runner.act, [], [0]
 
     def act(actor, p_max, obs, noise=None):
         a = real(actor, p_max, obs, noise)
         slot = len(rolled) % episode_len
+        if slot == 0 and rolled:
+            first[0] += rolled[-episode_len]  # the episodes of the pass before
         rolled.append(len(obs))
         for episode, at, user, k in failures:
-            if at == slot and episode < len(a):
-                a[episode, user, k] = np.nan
+            if at == slot and 0 <= episode - first[0] < len(a):
+                a[episode - first[0], user, k] = value
         return a
 
     monkeypatch.setattr(runner, "act", act)

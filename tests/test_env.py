@@ -65,10 +65,10 @@ class TestConfig:
             env.reset()  # the steady state
             peak = tracemalloc.get_traced_memory()[1]
             env.reset()
-            # A group of k episodes, all held, within k episodes' estimate.
+            # A pass of k episodes, all held, within k episodes' estimate.
             for k in (2, 3):
                 tracemalloc.reset_peak()
-                group = list(env.reset_group(k))
+                group = list(env.draws(k))
                 assert len(group) == k
                 group_peak = tracemalloc.get_traced_memory()[1]
                 assert group_peak <= k * estimate, k
@@ -513,12 +513,12 @@ def stream_states(env):
 
 
 class TestResetGroup:
-    """reset_group(k) draws what k resets draw, byte for byte, in one pass."""
+    """draws(k) draws what k resets draw, byte for byte, in one pass."""
 
     @staticmethod
     def sequential_and_group(k, seed=6, **overrides):
-        """The traces of k resets after one warm-up reset, and the items of
-        reset_group(k) on a twin env after the same warm-up."""
+        """The traces of k resets after one warm-up reset, and the tuples
+        of draws(k) on a twin env after the same warm-up."""
         seq, cfg = make_env(seed=seed, noise_level=0.5, episode_len=20, **overrides)
         grp, _ = make_env(seed=seed, noise_level=0.5, episode_len=20, **overrides)
         seq.reset()
@@ -527,17 +527,16 @@ class TestResetGroup:
         for _ in range(k):
             seq.reset()
             expected.append([getattr(seq, name) for name in TRACE])
-        items = list(grp.reset_group(k))
+        items = list(grp.draws(k))
         return seq, grp, expected, items, cfg
 
     def check(self, k, **overrides):
         seq, grp, expected, items, cfg = self.sequential_and_group(k, **overrides)
         assert len(items) == k
         for p, (item, want) in enumerate(zip(items, expected)):
-            for name, value in zip(TRACE, want):
-                assert same_bytes(getattr(item, name), value), (p, name)
-            assert item.slot == 0 and item.backlog == [0] * cfg.n_users
-            assert item.prev_sinr == [0.0] * cfg.n_users
+            assert len(item) == len(TRACE)
+            for name, got, value in zip(TRACE, item, want):
+                assert same_bytes(got, value), (p, name)
         assert stream_states(grp) == stream_states(seq)
         assert grp.slot is None and grp._h is None
         return items
@@ -557,11 +556,11 @@ class TestResetGroup:
         singular_slot(monkeypatch, 1, slot)
         got = []
         with pytest.raises(cmatrix.SingularMatrixError, match=f"^matrix {slot}: "):
-            for item in grp.reset_group(3):
+            for item in grp.draws(3):
                 got.append(item)
         assert len(got) == 1
-        for name in TRACE:
-            assert same_bytes(getattr(got[0], name), getattr(seq, name)), name
+        for name, value in zip(TRACE, got[0]):
+            assert same_bytes(value, getattr(seq, name)), name
         # The failing episode drew no arrivals and no noise.
         assert stream_states(grp)[2:] == stream_states(seq)[2:]
         assert grp.slot is None and grp._h is None
@@ -579,10 +578,10 @@ class TestResetGroup:
         monkeypatch.setattr("mecrl.env.draw_arrivals", failing_arrivals)
         got = []
         with pytest.raises(ValueError, match="injected"):
-            for item in env.reset_group(5):
+            for item in env.draws(5):
                 got.append(item)
-        assert len(got) == 2 and all(item.slot == 0 for item in got)
-        assert env.slot is None
+        assert len(got) == 2
+        assert env.slot is None and env._h is None
 
     @pytest.fixture
     def zf_calls(self, monkeypatch):
@@ -618,7 +617,7 @@ class TestResetGroup:
         env, _ = make_env(n_users=users, constants=phy.PhyConstants(n_antennas=antennas),
                           episode_len=50)
         env.reset()
-        assert len(list(env.reset_group(k))) == k
+        assert len(list(env.draws(k))) == k
         assert zf_calls == [51] + calls
 
     @pytest.mark.parametrize("failure", ["singular", "zero divisor"])
@@ -646,21 +645,15 @@ class TestResetGroup:
             error, reason = cmatrix.MatrixError, "noise_power_w times a zero-forcing norm"
         got = []
         with pytest.raises(error, match=f"^matrix 5: {reason}"):
-            for item in grp.reset_group(2 * self.CHUNK + 1):
+            for item in grp.draws(2 * self.CHUNK + 1):
                 got.append(item)
         assert len(got) == episode
         for item, want in zip(got, expected):
-            for name, value in zip(TRACE, want):
-                assert same_bytes(getattr(item, name), value), name
+            for name, value, got_value in zip(TRACE, want, item):
+                assert same_bytes(got_value, value), name
         # The failing episode drew no arrivals and no noise.
         assert stream_states(grp)[2:] == stream_states(seq)[2:]
         assert grp.slot is None and grp._h is None
-
-    def test_copies_step_on_their_own(self):
-        env, cfg = make_env(seed=2, noise_level=0.5)
-        a, b = env.reset_group(2)
-        a.step([Action(1.0, 1.0)] * cfg.n_users)
-        assert a.slot == 1 and b.slot == 0 and b.backlog == [0] * cfg.n_users
 
 
 class TestRollLockstep:
@@ -722,11 +715,12 @@ class TestRollLockstep:
                      * c.noise_power_w * env._zf[t, m])
             return min(p, p_max[m, k])
 
-        # The list step, one episode after the other, each to its error.
+        # The list step, one reset episode after the other, each to its error.
         acts = np.zeros((episodes, slots, users, 2))
         want_obs, want_sums, errors = [], [], []
-        for e, env in enumerate(MecEnv(cfg, **seeds.env_streams(seed, 0))
-                                .reset_group(episodes)):
+        env = MecEnv(cfg, **seeds.env_streams(seed, 0))
+        for e in range(episodes):
+            env.reset()
             want_obs.append([])
             sums = [0.0] * users
             try:
@@ -748,22 +742,43 @@ class TestRollLockstep:
                 seen[e].append(row.copy())
             return acts[:len(obs), t]
 
-        envs = list(MecEnv(cfg, **seeds.env_streams(seed, 0)).reset_group(episodes))
+        drawn = list(MecEnv(cfg, **seeds.env_streams(seed, 0)).draws(episodes))
         if errors:
             first, at, error = errors[0]
             with pytest.raises(type(error)) as raised:
-                roll_lockstep(envs, policy)
+                roll_lockstep(cfg, drawn, policy)
             assert str(raised.value) == str(error)
+            assert (raised.value.episode, raised.value.slot) == (first, at)
             # The episodes before the first failing one roll to the end; it
             # and the later ones stop at its failing slot, or before.
             assert [len(v) for v in seen[:first + 1]] == [slots] * first + [at + 1]
             assert all(len(v) <= at + 1 for v in seen[first:])
         else:
-            assert np.array(roll_lockstep(envs, policy)).tobytes() == np.array(
+            assert np.array(roll_lockstep(cfg, drawn, policy)).tobytes() == np.array(
                 want_sums).tobytes()
             assert [len(v) for v in seen] == [slots] * episodes
         for e, rows in enumerate(seen):
             assert np.array(rows).tobytes() == np.array(want_obs[e][:len(rows)]).tobytes()
+
+    @pytest.mark.parametrize("bad,want", [
+        ({(1, 1): 3.0, (2, 0): np.nan}, "user 1: p_local_w=3.0 outside [0, 2.0]"),
+        ({(1, 1): 3.0, (1, 0): -1.0, (2, 0): np.nan}, "user 1: p_offload_w=-1.0 outside [0, 2.0]"),
+    ])
+    def test_error_is_steps_for_the_first_user_offload_first(self, bad, want):
+        # Episode 1 of 2 takes bad powers at slot 0; step checks user by
+        # user, each user's offload power before its local one.
+        env, cfg = make_env(n_users=3, episode_len=4)
+        drawn = list(env.draws(2))
+        a = np.ones((2, 3, 2))
+        for (m, k), value in bad.items():
+            a[1, m, k] = value
+        with pytest.raises(ActionError) as raised:
+            roll_lockstep(cfg, drawn, lambda obs: a[:len(obs)])
+        assert (str(raised.value), raised.value.episode, raised.value.slot) == (want, 1, 0)
+        with pytest.raises(ActionError) as raised:
+            env.reset()
+            env.step([Action(*p) for p in a[1].tolist()])
+        assert str(raised.value) == want
 
 
 class TestSingularSlot:

@@ -25,13 +25,13 @@ from mecrl.agents import EpisodeStats, TrainingDiverged
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
-from mecrl.env import Action, ConfigError, draw_arrivals
+from mecrl.env import Action, ActionError, ConfigError, draw_arrivals
 from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
                           read_aggregate_csv, run_training, save_checkpoints,
                           write_csv, write_run_csv)
 from mecrl.svgplot import render_svg
 
-from conftest import (nan_actions, reference_rollout, singular_slot, tiny_config, trained_tree,
+from conftest import (bad_actions, reference_rollout, singular_slot, tiny_config, trained_tree,
                       write_cfg)
 
 
@@ -293,6 +293,14 @@ class TestRunner:
             vals = [r[e].mean_true for r in runs]
             assert min(vals) <= agg.mean[e] <= max(vals)
 
+    @pytest.mark.parametrize("means,stat", [((-1e308, -1e308), "mean"),
+                                            ((-1e200, 1e200), "standard deviation")])
+    def test_aggregate_overflow_names_the_episode(self, means, stat):
+        runs = [[record([1.0]), record([v])] for v in means]
+        with pytest.raises(ValueError, match=rf"^the {stat} of episode 1's mean true returns "
+                                             rf"over the runs overflows float64$"):
+            aggregate_runs(runs)
+
     def test_aggregate_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             aggregate_runs([[record([1.0])], [record([1.0]), record([1.0])]])
@@ -438,7 +446,7 @@ class TestEvaluate:
                                                         "noise_level": 0.5})
         whole = evaluate(cfg, ckpt, 5)
         episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
-        rolled = nan_actions(monkeypatch, cfg.env.episode_len, [])
+        rolled = bad_actions(monkeypatch, cfg.env.episode_len, [])
         # Episodes per act call: a pass rolls all its episodes together.
         for group, sizes in [(None, [5]), (1, [1] * 5), (2, [2, 2, 1])]:
             if group is not None:
@@ -480,12 +488,33 @@ class TestEvaluate:
             return draw_arrivals(cfg, rng, n_slots)
 
         monkeypatch.setattr("mecrl.env.draw_arrivals", failing_arrivals)
-        rolled = nan_actions(monkeypatch, cfg.env.episode_len, [(1, 3, 0, 0)] * step_fails)
-        failed = "user 0: p_offload_w=nan outside" if step_fails else "episode 2: draw failed"
+        rolled = bad_actions(monkeypatch, cfg.env.episode_len, [(1, 3, 0, 0)] * step_fails)
+        failed = ("evaluation episode 1, slot 3: user 0: p_offload_w=nan outside" if step_fails
+                  else "episode 2: draw failed")
         with pytest.raises(ValueError, match=failed):
             evaluate(cfg, ckpt, 5)
         t = cfg.env.episode_len
         assert rolled == ([2] * 4 + [1] * (t - 4) if step_fails else [2] * t)
+
+    @pytest.mark.parametrize("value", [np.nan, -0.5, 2.5])
+    @pytest.mark.parametrize("user,k", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_bad_action_names_its_episode_and_slot(self, tmp_path, monkeypatch, value, user, k):
+        # Passes of 3 episodes: episode 4, the middle of the second pass,
+        # takes a NaN, negative or above-p_max power at slot 3, and episode
+        # 5 after it one at slot 1. Episode 4's error is raised, with step's
+        # text after its episode and slot.
+        cfg, ckpt = self._train_and_save(tmp_path)
+        episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
+        monkeypatch.setattr(runner, "RESET_BUDGET_BYTES", int(episode_bytes * 4) - 1)
+        rolled = bad_actions(monkeypatch, cfg.env.episode_len,
+                             [(4, 3, user, k), (5, 1, 1 - user, 1 - k)], value)
+        name = ("p_offload_w", "p_local_w")[k]
+        with pytest.raises(ActionError) as raised:
+            evaluate(cfg, ckpt, 6)
+        assert str(raised.value) == (f"evaluation episode 4, slot 3: user {user}: "
+                                     f"{name}={value} outside [0, 2.0]")
+        t = cfg.env.episode_len
+        assert rolled == [3] * t + [3] * 2 + [2] * 2 + [1] * (t - 4)
 
     def test_missing_checkpoint(self, tmp_path):
         cfg = tiny_config()
@@ -694,15 +723,15 @@ class TestCli:
         # local power at slot 1, before it: episode 1's error is reported.
         cfg_path, ckpt = trained_tree(tmp_path)
         at = {1: (1, 3, 0, 0), 2: (2, 1, 1, 1)}
-        rolled = nan_actions(monkeypatch, load_config(cfg_path).env.episode_len,
+        rolled = bad_actions(monkeypatch, load_config(cfg_path).env.episode_len,
                              [at[k] for k in failing])
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             rolled.clear()
             assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
                          "--episodes", "5"]) == 1
-            assert capsys.readouterr() == (
-                "", "mecrl: error: user 0: p_offload_w=nan outside [0, 2.0]\n")
+            assert capsys.readouterr() == ("", "mecrl: error: evaluation episode 1, slot 3: "
+                                               "user 0: p_offload_w=nan outside [0, 2.0]\n")
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -825,6 +854,34 @@ class TestCli:
                                            "returns (-inf, -inf) do not sum to a finite value; "
                                            "the rewards overflow float64\n")
         assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
+
+    # Finite mean true returns near -1e201 per run and episode whose spread
+    # squares beyond float64.
+    OVERFLOW = {"env": {"episode_len": 4, "w_energy": 1e200}, "episodes": 2, "n_runs": 2}
+
+    def test_overflowing_run_statistics_exit_one_with_one_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.OVERFLOW, "out_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == ("", "mecrl: error: the standard deviation of episode 0's "
+                                           "mean true returns over the runs overflows float64\n")
+        # The runs' files are written; the tree's summaries are not.
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {"run_0.csv", "run_1.csv",
+                                                                  "checkpoints"}
+
+    @pytest.mark.parametrize("w_energy,stat", [(1e200, "standard deviation"), (1e307, "mean")])
+    def test_overflowing_eval_statistics_exit_one_with_one_line(self, tmp_path, capsys,
+                                                                w_energy, stat):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.OVERFLOW, "out_dir": str(tmp_path / "out")}))
+        assert main(["train", "--config", str(cfg_path), "--runs", "1"]) == 0
+        capsys.readouterr()
+        doc = {**self.OVERFLOW, "env": {**self.OVERFLOW["env"], "w_energy": w_energy}}
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints",
+                     str(tmp_path / "out" / "checkpoints"), "--episodes", "3"]) == 1
+        assert capsys.readouterr() == ("", f"mecrl: error: the {stat} of the evaluation "
+                                           f"episodes' true returns overflows float64\n")
 
     def test_plot_label_with_markup_characters(self, tmp_path, capsys):
         path = tmp_path / "a&b.csv"
