@@ -82,13 +82,12 @@ class ReplayBuffer:
     values are stored in ``dtype``, one :class:`Batch` row per transition,
     so a sample is one gather."""
 
-    def __init__(self, capacity: int, n_users: int, obs_dim: int, act_dim: int = 2,
-                 dtype=np.float32):
+    def __init__(self, capacity: int, n_users: int, obs_dim: int, dtype=np.float32):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         # Columns and per-transition shape of obs, acts, rewards and next_obs.
-        shapes = ((n_users, obs_dim), (n_users, act_dim), (n_users,), (n_users, obs_dim))
+        shapes = ((n_users, obs_dim), (n_users, 2), (n_users,), (n_users, obs_dim))
         ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
         self._fields = list(zip(map(slice, ends, ends[1:]), shapes))
         self._ring = np.empty((capacity, ends[-1]), dtype)

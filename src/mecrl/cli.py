@@ -10,14 +10,12 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigError
-from .runner import (AggregateSeries, aggregate_runs, evaluate, fan_out, read_aggregate_csv,
-                     run_training, save_checkpoints, typical_reward_magnitude, write_csv,
-                     write_run_csv)
+from .runner import (AggregateSeries, aggregate_runs, evaluate, read_aggregate_csv, run_training,
+                     save_checkpoints, typical_reward_magnitude, write_csv, write_run_csv)
 from .svgplot import render_svg
 
 
@@ -73,19 +71,70 @@ def _train_run(cfg: ExperimentConfig, k: int) -> list:
     return stats
 
 
-def _train_tree(cfg: ExperimentConfig, workers: int | None = None) -> AggregateSeries:
+def _train_share(cfg: ExperimentConfig, runs, conn) -> None:
+    """A worker's share: each run's stats sent back in order, or the first failing one's error."""
+    for k in runs:
+        try:
+            conn.send(_train_run(cfg, k))
+        except Exception as exc:
+            conn.send(exc)
+            return
+
+
+def _train_tree(cfg: ExperimentConfig) -> AggregateSeries:
     """Run cfg.n_runs seeded runs and write the documented output tree.
 
-    The runs spread over processes as :func:`runner.fan_out` spreads
-    items, by default one per CPU this process may run on. Runs are
-    self-contained and seeded, so the tree is byte-identical however they
-    are spread.
+    The runs spread over ``W = min(n_runs, usable CPUs)`` processes. This
+    one trains runs 0, W, 2W, ... itself and ``W - 1`` forked ones train
+    the rest, each process its runs in increasing order; at W = 1 nothing
+    is forked. Runs are self-contained and seeded, so the tree is
+    byte-identical however they are spread. Results are taken in run
+    order, so the error raised is the one of the earliest failing run. No
+    worker outlives the call; one that dies raises ``ChildProcessError``
+    naming its run.
     ``resolved_config.json`` is written last: a tree that has it is complete.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    all_series = fan_out(partial(_train_run, cfg), cfg.n_runs, workers,
-                         lambda k: f"training run {k}")
+    n = cfg.n_runs
+    w = min(n, len(os.sched_getaffinity(0)))
+    shares = []
+    if w > 1:
+        import multiprocessing
+
+        # Forked, not spawned: a worker starts as a copy of this process, so
+        # it does not import numpy and mecrl again, a large share of a short
+        # run. mecrl starts no threads, and OpenBLAS stops its own around a fork.
+        ctx = multiprocessing.get_context("fork")
+        for j in range(1, w):
+            conn, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_train_share, args=(cfg, range(j, n, w), send))
+            proc.start()
+            send.close()
+            shares.append((proc, conn))
+    all_series = []
+    try:
+        for k in range(n):
+            if k % w == 0:
+                all_series.append(_train_run(cfg, k))
+                continue
+            proc, conn = shares[k % w - 1]
+            try:
+                stats = conn.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"the process training run {k} exited "
+                                        f"with code {proc.exitcode}") from None
+            if isinstance(stats, Exception):
+                raise stats
+            all_series.append(stats)
+        for proc, _ in shares:
+            proc.join()
+    finally:
+        for proc, conn in shares:
+            proc.terminate()  # only a worker still busy; a joined one is not signalled
+            proc.join()
+            conn.close()
     agg = aggregate_runs(all_series)
     write_csv(agg, all_series, out / "aggregate.csv")
     render_svg([(cfg.algo, agg)], out / "curves.svg")

@@ -503,7 +503,7 @@ def roll_lockstep(cfg: EnvConfig, episodes: list[tuple], policy) -> list[list[fl
     ones roll on. The earliest episode's error is raised after them: step's
     ActionError for its first failing user, offload before local, with the
     episode's position in ``episodes`` and the slot as ``episode`` and
-    ``slot``.
+    ``slot``, and the per-user sums of the episodes before it as ``sums``.
     """
     c = cfg.constants
     clip, cap_bits = cfg.obs_sinr_clip, cfg.buffer_cap_bits
@@ -553,5 +553,6 @@ def roll_lockstep(cfg: EnvConfig, episodes: list[tuple], policy) -> list[list[fl
             sums += reward
             backlog, sinr = after, gamma
     if failed is not None:
+        failed.sums = sums.tolist()
         raise failed
     return sums.tolist()

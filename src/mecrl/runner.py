@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,75 +24,18 @@ class AggregateSeries:
     std: list[float]
 
 
-def _share(fn, items, conn) -> None:
-    """A worker's share: ``fn`` over ``items`` in order, each result sent
-    back, or the error of the first failing item and stop."""
-    for k in items:
-        try:
-            conn.send(fn(k))
-        except Exception as exc:
-            conn.send(exc)
-            return
-
-
-def fan_out(fn, n: int, workers: int | None, doing) -> list:
-    """``[fn(k) for k in range(n)]`` over ``W = min(n, workers)`` processes.
-
-    ``workers`` None means the CPUs this process may run on. This process
-    calls ``fn`` on items 0, W, 2W, ... itself and ``W - 1`` forked ones
-    take the rest, each process its items in increasing order. Results are
-    taken in item order, so the error raised is the one of the earliest
-    failing item, as in the serial loop. No worker outlives the call; one
-    that dies raises ``ChildProcessError``, naming the item ``doing(k)``.
-    """
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    workers = min(workers, n)
-    if workers <= 1:
-        return [fn(k) for k in range(n)]
-    import multiprocessing
-
-    # Forked, not spawned: a worker starts as a copy of this process, so it
-    # does not import numpy and mecrl again, a large share of a short call.
-    # mecrl starts no threads, and OpenBLAS stops its own around a fork.
-    ctx = multiprocessing.get_context("fork")
-    shares = []
-    for j in range(1, workers):
-        conn, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_share, args=(fn, range(j, n, workers), send))
-        proc.start()
-        send.close()
-        shares.append((proc, conn))
-    results = []
-    try:
-        for k in range(n):
-            if k % workers == 0:
-                results.append(fn(k))
-                continue
-            proc, conn = shares[k % workers - 1]
-            try:
-                result = conn.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(f"the process {doing(k)} exited "
-                                        f"with code {proc.exitcode}") from None
-            if isinstance(result, Exception):
-                raise result
-            results.append(result)
-        for proc, _ in shares:
-            proc.join()
-    finally:
-        for proc, conn in shares:
-            proc.terminate()  # only a worker still busy; a joined one is not signalled
-            proc.join()
-            conn.close()
-    return results
-
-
 def _channel_failed(where: str, exc: cmatrix.MatrixError) -> ValueError:
     """The error of the episode ``where`` whose draw failed zero-forcing."""
     slot, reason = exc.args
     return ValueError(f"{where}, slot {slot}: zero-forcing channel failed: {reason}")
+
+
+def _require_finite_sum(where: str, returns) -> None:
+    """A ValueError naming ``where`` if ``returns`` do not sum to a finite value."""
+    # A sum of floats overflows to inf where math.fsum raises.
+    if not math.isfinite(sum(returns)):
+        raise ValueError(f"{where}: true returns {tuple(returns)} do not sum to a finite "
+                         f"value; the rewards overflow float64")
 
 
 def run_training(cfg: ExperimentConfig, run_index: int):
@@ -119,12 +61,8 @@ def run_training(cfg: ExperimentConfig, run_index: int):
         try:
             for episode in range(cfg.episodes):
                 stats.append(train_episode(env, trainer, rng_explore, rng_sample))
-                returns = stats[-1].true_returns
-                # A sum of floats overflows to inf where mean_true's fsum raises.
-                if not math.isfinite(sum(returns)):
-                    raise ValueError(f"training run {run_index}, episode {episode}: true returns "
-                                     f"{returns} do not sum to a finite value; the rewards "
-                                     f"overflow float64")
+                _require_finite_sum(f"training run {run_index}, episode {episode}",
+                                    stats[-1].true_returns)
         except cmatrix.MatrixError as exc:
             # Only a reset draws channels; trainer.episode is the one it drew.
             raise _channel_failed(f"training run {run_index}, episode {trainer.episode}",
@@ -134,24 +72,22 @@ def run_training(cfg: ExperimentConfig, run_index: int):
     return stats, trainer
 
 
-def typical_reward_magnitude(cfg: ExperimentConfig, episodes: int = 5) -> float:
-    """Mean absolute true reward per user and slot of ``episodes`` episodes
-    under a uniform random policy, on the eval env streams ``(base_seed,
-    n_runs)`` with actions from ``default_rng(base_seed)``. Twice it is
-    ``mecrl grid``'s ``probe`` reward-noise level."""
+def typical_reward_magnitude(cfg: ExperimentConfig) -> float:
+    """Mean absolute true reward per user and slot of 5 episodes under a
+    uniform random policy, on the eval env streams ``(base_seed, n_runs)``
+    with actions from ``default_rng(base_seed)``. Twice it is ``mecrl
+    grid``'s ``probe`` reward-noise level."""
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
     rng = np.random.default_rng(cfg.base_seed)
+    p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
     mags = []
-    for e in range(episodes):
+    for e in range(5):
         try:
             env.reset()
         except cmatrix.MatrixError as exc:
             raise _channel_failed(f"probe episode {e}", exc) from None
         for _ in range(cfg.env.episode_len):
-            acts = [(float(rng.uniform(0, cfg.env.p_max_offload_w[m])),
-                     float(rng.uniform(0, cfg.env.p_max_local_w[m])))
-                    for m in range(cfg.env.n_users)]
-            mags.extend(abs(r) for r in env.step(acts).true_rewards)
+            mags.extend(abs(r) for r in env.step(rng.uniform(0.0, p_max).tolist()).true_rewards)
     with np.errstate(over="ignore"):  # the caller checks the level is finite
         return float(np.mean(mags))
 
@@ -276,7 +212,8 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
     for all its episodes. A failure raises the error of the earliest
     failing episode, after the episodes before it in its pass have rolled,
     as a loop over the episodes would; a bad action's error names its
-    episode and slot. A mean or std that overflows float64 raises a
+    episode and slot. So does an episode whose true returns do not sum to
+    a finite value, and a mean or std that overflows float64 raises a
     ValueError.
     """
     if n_episodes < 1:
@@ -322,8 +259,10 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
             sums = roll_lockstep(cfg.env, episodes,
                                  lambda obs: act(actor, p_max, obs)) if episodes else []
         except ActionError as exc:
-            raise ActionError(f"evaluation episode {first + exc.episode}, slot {exc.slot}: "
-                              f"{exc}") from None
+            sums, failed = exc.sums, ActionError(f"evaluation episode {first + exc.episode}, "
+                                                 f"slot {exc.slot}: {exc}")
+        for i, s in enumerate(sums):
+            _require_finite_sum(f"evaluation episode {first + i}", s)
         if failed is not None:
             raise failed
         return sums

@@ -19,8 +19,8 @@ _ML, _MR, _MT, _MB = 72.0, 24.0, 24.0, 52.0
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def render_svg(series: list[tuple[str, AggregateSeries]], path) -> None:

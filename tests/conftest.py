@@ -138,7 +138,7 @@ def trained_tree(tmp_path, algo="ddpg"):
     """Config path and checkpoint directory of a trained tiny tree."""
     cfg_path = write_cfg(tmp_path, algo=algo, env={
         "n_users": 2, "episode_len": 6, "noise_level": 0.5})
-    _train_tree(load_config(cfg_path), workers=1)
+    _train_tree(load_config(cfg_path))
     return cfg_path, tmp_path / "out" / "checkpoints"
 
 

@@ -5,7 +5,8 @@ Fast criteria, run with every tier-1 pass:
 1. ``maddpg`` equals ``ddpg`` at one user.
 2. ``rmaddpg`` equals ``maddpg`` at zero reward noise.
 3. Reruns of one config write byte-identical trees.
-4. Serial and parallel training trees are byte-identical.
+4. Training trees are byte-identical at 1, 2 and 3 usable CPUs, and at
+   one CPU no process is started.
 5. Eval rolls its episodes in lockstep, pass by pass, to the summary of
    one episode at a time, at reset budgets that hold 1, 2 or all of them,
    and ``mecrl eval`` prints the same lines at 1, 2 and 3 usable CPUs.
@@ -102,22 +103,41 @@ def test_c3_byte_identical_reruns(tmp_path):
     assert "aggregate.csv" in map(str, same_tree_bytes(tmp_path / "a", tmp_path / "b", "rerun"))
 
 
-def test_c4_serial_and_parallel_trees_identical(tmp_path):
+def test_c4_serial_and_parallel_trees_identical(tmp_path, monkeypatch):
     # Updates and the reward-noise draw both run in every run. This
-    # process trains runs 0 and 2 of 3 or runs 0, 2 and 4 of 5 with 2
-    # workers, and runs 0 or runs 0 and 3 with 3.
+    # process trains runs 0 and 2 of 3 or runs 0, 2 and 4 of 5 at 2
+    # usable CPUs, and runs 0 or runs 0 and 3 at 3.
     for n_runs in (3, 5):
         cfg = tiny_config(algo="rmaddpg", n_runs=n_runs,
                           env={"n_users": 2, "episode_len": 8, "noise_level": 0.5})
         serial = tmp_path / f"r{n_runs}w1"
-        _train_tree(replace(cfg, out_dir=str(serial)), workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _train_tree(replace(cfg, out_dir=str(serial)))
         # config, the runs, aggregate, svg; 2 agents x 5 nets
         assert len(tree_files(serial)) == 3 + n_runs + 2 * 5
-        for workers in (2, 3):
-            parallel = tmp_path / f"r{n_runs}w{workers}"
-            _train_tree(replace(cfg, out_dir=str(parallel)), workers=workers)
+        for cpus in (2, 3):
+            parallel = tmp_path / f"r{n_runs}w{cpus}"
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            _train_tree(replace(cfg, out_dir=str(parallel)))
             assert multiprocessing.active_children() == []
-            same_tree_bytes(serial, parallel, (n_runs, workers))
+            same_tree_bytes(serial, parallel, (n_runs, cpus))
+
+
+def test_c4_one_cpu_tree_starts_no_process(tmp_path, monkeypatch):
+    # At one usable CPU every run trains in this process, and the tree is
+    # the one two processes write.
+    cfg = tiny_config(algo="rmaddpg", n_runs=2,
+                      env={"n_users": 2, "episode_len": 8, "noise_level": 0.5})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _train_tree(replace(cfg, out_dir=str(tmp_path / "cpus2")))
+
+    def get_context(method=None):
+        raise AssertionError("a process was started at one usable CPU")
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _train_tree(replace(cfg, out_dir=str(tmp_path / "cpus1")))
+    same_tree_bytes(tmp_path / "cpus2", tmp_path / "cpus1", "one cpu")
 
 
 @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])

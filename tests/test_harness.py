@@ -187,7 +187,7 @@ class TestConfig:
         small = replace(cfg, n_runs=1, episodes=1, out_dir=str(tmp_path / "out"),
                         env=replace(cfg.env, episode_len=5),
                         trainer=replace(cfg.trainer, warmup_steps=2, batch_size=2))
-        agg = _train_tree(small, workers=1)
+        agg = _train_tree(small)
         assert len(agg.mean) == 1
         assert (tmp_path / "out" / "resolved_config.json").exists()
 
@@ -734,6 +734,38 @@ class TestCli:
                                                "user 0: p_offload_w=nan outside [0, 2.0]\n")
             assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("per_pass", [None, 1])
+    def test_nonfinite_eval_episode_is_reported_before_a_later_bad_action(
+            self, tmp_path, capsys, monkeypatch, per_pass):
+        # Under an energy weight of 1e308, user 0 at full power at slot 0
+        # makes episode 1's returns -inf, and episode 3 takes a NaN offload
+        # power at slot 1. Every other power of user 0 is 0, so no other
+        # episode overflows. Episode 1's error is reported whether the five
+        # episodes roll in one pass or one pass each.
+        cfg_path, ckpt = trained_tree(tmp_path)
+        doc = json.loads(cfg_path.read_text())
+        doc["env"]["w_energy"] = [1e308, 0]
+        cfg_path.write_text(json.dumps(doc))
+        cfg = load_config(cfg_path)
+        if per_pass:
+            episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
+            monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
+                                int(episode_bytes * (per_pass + 1)) - 1)
+        slots = cfg.env.episode_len
+        bad_actions(monkeypatch, slots, [(e, t, 0, k) for e in (0, 2, 3, 4)
+                                         for t in range(slots) for k in (0, 1)], value=0.0)
+        bad_actions(monkeypatch, slots, [(1, 0, 0, 0), (1, 0, 0, 1)], value=2.0)
+        rolled = bad_actions(monkeypatch, slots, [(3, 1, 0, 0)])
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
+                     "--episodes", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(
+            r"mecrl: error: evaluation episode 1: true returns \(-inf, -\d+\.\d+\) do not sum "
+            r"to a finite value; the rewards overflow float64\n", err), err
+        # One pass stops episodes 3 and 4 at slot 1; one-episode passes
+        # stop after episode 1.
+        assert rolled == ([5, 5, 3, 3, 3, 3] if per_pass is None else [1] * 2 * slots)
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_singular_slot_in_training_exits_one_with_one_line(self, tmp_path, capsys,
                                                                 monkeypatch, cpus):
@@ -949,7 +981,7 @@ class TestGridProbe:
             want = tmp_path / "want" / algo
             agg = _train_tree(replace(cfg, algo=algo, out_dir=str(want),
                                       env=replace(cfg.env, noise_level=level),
-                                      trainer=replace(cfg.trainer, gamma=0.95)), workers=1)
+                                      trainer=replace(cfg.trainer, gamma=0.95)))
             tail = agg.mean[-100:]
             assert line == f"{cell} {algo}: final-100 mean return {math.fsum(tail) / len(tail):.2f}"
             files = sorted(p.relative_to(want) for p in want.rglob("*"))
