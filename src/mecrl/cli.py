@@ -14,8 +14,9 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config, save_config
 from .errors import ConfigError
-from .runner import (AggregateSeries, aggregate_runs, evaluate, read_aggregate_csv, run_training,
-                     save_checkpoints, typical_reward_magnitude, write_csv, write_run_csv)
+from .runner import (AggregateSeries, aggregate_runs, evaluate, load_policy, read_aggregate_csv,
+                     run_training, save_checkpoints, typical_reward_magnitude, write_csv,
+                     write_run_csv)
 from .svgplot import render_svg
 
 
@@ -155,8 +156,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    summary = evaluate(cfg, args.checkpoints, args.episodes)
-    print(f"evaluated {summary.n_episodes} episodes: "
+    # evaluate reports a bad episode count before any checkpoint is read.
+    policy = load_policy(cfg, args.checkpoints) if args.episodes >= 1 else None
+    summary = evaluate(cfg, policy, args.episodes)
+    print(f"evaluated {len(summary.episode_returns)} episodes: "
           f"mean true return {summary.mean_true_return:.4f} "
           f"(std {summary.std_true_return:.4f})")
     print("per-user mean true returns: " +

@@ -188,10 +188,9 @@ class EnvConfig:
 
 @dataclass
 class TaskQueue:
-    """Backlog of unprocessed task bits plus the cumulative overflow."""
+    """Backlog of unprocessed task bits."""
 
     backlog_bits: int = 0
-    dropped_bits: int = 0
 
 
 @dataclass(frozen=True)
@@ -311,9 +310,8 @@ class MecEnv:
         self._rho = np.asarray(cfg.rho)
         self._obs_scale = cfg.obs_chan_clip * self._gains
         self._noise_carry = np.empty(0)
-        # Per-user backlog and cumulative overflow in bits, SINR of the last slot.
+        # Per-user backlog in bits and SINR of the last slot.
         self.backlog: list[int] | None = None
-        self.dropped: list[int] | None = None
         self.prev_sinr: list[float] | None = None
         self.slot: int | None = None
         # The episode's trace, slot-major; see reset().
@@ -335,7 +333,7 @@ class MecEnv:
         """A read-only view of the queues, built on each read."""
         if self.backlog is None:
             return None
-        return [TaskQueue(b, d) for b, d in zip(self.backlog, self.dropped)]
+        return [TaskQueue(b) for b in self.backlog]
 
     def reset(self) -> None:
         """Empty queues and zero SINR memory, and the episode's exogenous
@@ -346,7 +344,7 @@ class MecEnv:
         This is :meth:`draws`'s pass for one episode."""
         self._h, self._zf, self._chan_obs, self._arrivals, self._noise = next(self.draws(1))
         n = self.cfg.n_users
-        self.backlog, self.dropped, self.prev_sinr, self.slot = [0] * n, [0] * n, [0.0] * n, 0
+        self.backlog, self.prev_sinr, self.slot = [0] * n, [0.0] * n, 0
 
     def draws(self, k: int) -> Iterator[tuple]:
         """The draws of ``k`` :meth:`reset` calls in one pass: per episode
@@ -436,13 +434,6 @@ class MecEnv:
             raise StateError(f"episode exhausted after {cfg.episode_len} slots; reset() to continue")
         if len(actions) != cfg.n_users:
             raise ActionError(f"expected {cfg.n_users} actions, got {len(actions)}")
-        for m, (p_off, p_loc) in enumerate(actions):
-            if not 0.0 <= p_off <= cfg.p_max_offload_w[m]:
-                raise ActionError(
-                    f"user {m}: p_offload_w={p_off} outside [0, {cfg.p_max_offload_w[m]}]")
-            if not 0.0 <= p_loc <= cfg.p_max_local_w[m]:
-                raise ActionError(
-                    f"user {m}: p_local_w={p_loc} outside [0, {cfg.p_max_local_w[m]}]")
 
         c = cfg.constants
         noise_w, cap_bits = c.noise_power_w, cfg.buffer_cap_bits
@@ -452,10 +443,17 @@ class MecEnv:
         # 1 MiB more peak RSS in the 8x8 benchmark workloads).
         zf, arrived = self._zf[t].tolist(), self._arrivals[t].tolist()
         # Fresh lists every step: a StepResult builds its info and
-        # observations from them when they are first read.
-        backlog, dropped, sinrs, local, offloaded, drops, true_rewards = [], [], [], [], [], [], []
-        for (p_off, p_loc), z, before, arr, cum, w_e, w_q in zip(
-                actions, zf, self.backlog, arrived, self.dropped, cfg.w_energy, cfg.w_queue):
+        # observations from them when they are first read. The state is
+        # assigned after the loop, so the ActionError of the first user
+        # with a power outside its box, offload before local, changes nothing.
+        backlog, sinrs, local, offloaded, drops, true_rewards = [], [], [], [], [], []
+        for m, ((p_off, p_loc), z, before, arr, w_e, w_q, max_off, max_loc) in enumerate(zip(
+                actions, zf, self.backlog, arrived, cfg.w_energy, cfg.w_queue,
+                cfg.p_max_offload_w, cfg.p_max_local_w)):
+            if not 0.0 <= p_off <= max_off:
+                raise ActionError(f"user {m}: p_offload_w={p_off} outside [0, {max_off}]")
+            if not 0.0 <= p_loc <= max_loc:
+                raise ActionError(f"user {m}: p_local_w={p_loc} outside [0, {max_loc}]")
             gamma = sinr(p_off, z, noise_w)
             # Neither path serves more than the backlog, so capping the
             # capacities there first changes nothing served and keeps an
@@ -469,7 +467,6 @@ class MecEnv:
             total = rest - bits_off + arr
             after = total if total <= cap_bits else cap_bits
             backlog.append(after)
-            dropped.append(cum + total - after)
             sinrs.append(gamma)
             local.append(bits_local)
             offloaded.append(bits_off)
@@ -480,7 +477,7 @@ class MecEnv:
         else:
             perceived = [r + z for r, z in zip(true_rewards, self._noise[t].tolist())]
 
-        self.backlog, self.dropped, self.prev_sinr = backlog, dropped, sinrs
+        self.backlog, self.prev_sinr = backlog, sinrs
         self.slot = t + 1
         return StepResult((backlog, sinrs, local, offloaded, arrived, drops, self._h, t + 1),
                           true_rewards, perceived)

@@ -191,24 +191,46 @@ def save_checkpoints(trainer: Trainer, algo: str, out_dir) -> None:
             neural.save_params(trainer.natures[m].net, out / f"{algo}_{m}_nature.json")
 
 
+def load_policy(cfg: ExperimentConfig, checkpoint_dir):
+    """The noise-free policy of the ``{algo}_{m}_actor.json`` files that
+    :func:`save_checkpoints` wrote, stacked in float64. Each error names
+    its file: FileNotFoundError if missing, ValueError if unparsable,
+    ConfigError if its shape does not match the config."""
+    obs_dim = cfg.env.obs_dim
+    actors = []
+    for m in range(cfg.env.n_users):
+        path = Path(checkpoint_dir) / f"{cfg.algo}_{m}_actor.json"
+        try:
+            p = neural.load_params(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if p.in_dim != obs_dim or p.out_dim != 2:
+            raise ConfigError(f"{path}: checkpoint shape ({p.in_dim} -> {p.out_dim}) does not "
+                              f"match config ({obs_dim} -> 2)")
+        actors.append(p)
+    actor = neural.stack_params(actors)
+    p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
+    return lambda obs: act(actor, p_max, obs)
+
+
 @dataclass
 class EvalSummary:
-    n_episodes: int
     mean_true_return: float
     std_true_return: float
     per_user_mean: tuple[float, ...]
     episode_returns: tuple[float, ...]
 
 
-def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSummary:
-    """Roll the saved deterministic policies with zero exploration noise.
+def evaluate(cfg: ExperimentConfig, policy, n_episodes: int) -> EvalSummary:
+    """Roll ``policy``, which maps a slot's (E, n_users, obs_dim)
+    observations to (E, n_users, 2) actions, over ``n_episodes`` episodes.
 
     Reported returns are the true (unperturbed) rewards even when the
     configured reward noise is nonzero. Streams derive from
     ``(base_seed, run_index = n_runs)``, the first index unused by training.
     The episodes are drawn in order with :meth:`MecEnv.draws`, in passes
     of as many episodes as fit in one reset's memory budget, and each pass
-    is rolled by :func:`env.roll_lockstep`, one policy evaluation per slot
+    is rolled by :func:`env.roll_lockstep`, one policy call per slot
     for all its episodes. A failure raises the error of the earliest
     failing episode, after the episodes before it in its pass have rolled,
     as a loop over the episodes would; a bad action's error names its
@@ -218,27 +240,7 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
     """
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    ckpt = Path(checkpoint_dir)
     n = cfg.env.n_users
-    obs_dim = cfg.env.obs_dim
-    actors = []
-    for m in range(n):
-        path = ckpt / f"{cfg.algo}_{m}_actor.json"
-        if not path.exists():
-            raise FileNotFoundError(f"missing checkpoint {path}")
-        try:
-            p = neural.load_params(path)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        if p.in_dim != obs_dim or p.out_dim != 2:
-            raise ConfigError(
-                f"{path}: checkpoint shape ({p.in_dim} -> {p.out_dim}) does not match "
-                f"config ({obs_dim} -> 2)"
-            )
-        actors.append(p)
-    actor = neural.stack_params(actors)
-    p_max = np.column_stack((cfg.env.p_max_offload_w, cfg.env.p_max_local_w))
-
     env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
     per_pass = max(1, int(RESET_BUDGET_BYTES
                           // (cfg.env.reset_slot_bytes() * cfg.env.episode_len)))
@@ -256,8 +258,7 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
         except Exception as exc:
             failed = exc
         try:
-            sums = roll_lockstep(cfg.env, episodes,
-                                 lambda obs: act(actor, p_max, obs)) if episodes else []
+            sums = roll_lockstep(cfg.env, episodes, policy) if episodes else []
         except ActionError as exc:
             sums, failed = exc.sums, ActionError(f"evaluation episode {first + exc.episode}, "
                                                  f"slot {exc.slot}: {exc}")
@@ -272,7 +273,6 @@ def evaluate(cfg: ExperimentConfig, checkpoint_dir, n_episodes: int) -> EvalSumm
     mu, std = _mean_std(episode_returns, "the evaluation episodes' true returns")
     per_user = sum(sums, np.zeros(n))
     return EvalSummary(
-        n_episodes=n_episodes,
         mean_true_return=mu,
         std_true_return=std,
         per_user_mean=tuple(per_user / n_episodes),

@@ -69,17 +69,17 @@ def singular_slot(monkeypatch, episode, slot, pid=None):
     edit_slot(monkeypatch, episode, slot, copy_column, pid)
 
 
-def bad_actions(monkeypatch, episode_len, failures, value=np.nan):
-    """Make ``runner.act`` return ``value`` as power ``k`` (0 offload, 1
-    local) of ``user`` in ``episode`` at ``slot``, for each ``(episode,
-    slot, user, k)`` of ``failures``. Episodes count over the whole
-    evaluation, a pass's rows in its episodes' order, and every pass but
-    the last must roll all its slots. Returns the list that each call's
-    episode count is appended to."""
-    real, rolled, first = runner.act, [], [0]
+def bad_actions(policy, episode_len, failures, value=np.nan):
+    """``policy`` returning ``value`` as power ``k`` (0 offload, 1 local)
+    of ``user`` in ``episode`` at ``slot``, for each ``(episode, slot,
+    user, k)`` of ``failures``. Episodes count over the whole evaluation,
+    a pass's rows in its episodes' order, and every pass but the last must
+    roll all its slots. Returns the wrapping policy and the list that each
+    call's episode count is appended to."""
+    rolled, first = [], [0]
 
-    def act(actor, p_max, obs, noise=None):
-        a = real(actor, p_max, obs, noise)
+    def wrapped(obs):
+        a = policy(obs)
         slot = len(rolled) % episode_len
         if slot == 0 and rolled:
             first[0] += rolled[-episode_len]  # the episodes of the pass before
@@ -89,8 +89,7 @@ def bad_actions(monkeypatch, episode_len, failures, value=np.nan):
                 a[episode - first[0], user, k] = value
         return a
 
-    monkeypatch.setattr(runner, "act", act)
-    return rolled
+    return wrapped, rolled
 
 
 def filled_trainer(algo, seed=0, n_users=2, dtype=np.float32, **tc_overrides):
@@ -163,5 +162,4 @@ def reference_rollout(cfg, ckpt, n_episodes, run_index=None):
         per_user += sums
     mu = math.fsum(returns) / n_episodes
     std = math.sqrt(math.fsum((v - mu) ** 2 for v in returns) / n_episodes)
-    return runner.EvalSummary(n_episodes, mu, std, tuple(per_user / n_episodes),
-                              tuple(returns))
+    return runner.EvalSummary(mu, std, tuple(per_user / n_episodes), tuple(returns))

@@ -40,7 +40,7 @@ from mecrl.neural import eval_vec
 from mecrl.cli import _train_tree, main
 from mecrl.config import load_config
 from mecrl.env import EnvConfig, MecEnv
-from mecrl.runner import evaluate
+from mecrl.runner import evaluate, load_policy
 
 from conftest import (filled_trainer, reference_rollout, tiny_config, trained_tree,
                       write_cfg)
@@ -153,9 +153,9 @@ def test_c5_serial_and_parallel_eval_identical(tmp_path, capsys, monkeypatch, al
         for group in (1, 2):
             monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
                                 int(episode_bytes * (group + 1)) - 1)
-            assert evaluate(cfg, ckpt, episodes) == ref
+            assert evaluate(cfg, load_policy(cfg, ckpt), episodes) == ref
         monkeypatch.setattr(runner, "RESET_BUDGET_BYTES", budget)
-        assert evaluate(cfg, ckpt, episodes) == ref
+        assert evaluate(cfg, load_policy(cfg, ckpt), episodes) == ref
         printed = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -192,7 +192,7 @@ def test_c6_env_draws_are_identical_across_algos():
 def test_c7_eval_draws_from_stream_index_n_runs(tmp_path, algo):
     cfg_path, ckpt = trained_tree(tmp_path, algo)
     cfg = load_config(cfg_path)
-    summary = evaluate(cfg, ckpt, 3)
+    summary = evaluate(cfg, load_policy(cfg, ckpt), 3)
     assert summary == reference_rollout(cfg, ckpt, 3, run_index=cfg.n_runs)
     assert summary.episode_returns != reference_rollout(cfg, ckpt, 3, run_index=0).episode_returns
 

@@ -311,19 +311,31 @@ class TestStep:
             env.step([Action(0.0, -0.1), Action(0.0, 0.0)])
 
     def test_invalid_action_names_the_user_and_changes_nothing(self):
+        # The users before a bad one are served before it raises; a twin
+        # env that never took the bad actions steps on to the same slot.
         env, cfg = make_env(seed=8, n_users=3, noise_level=1.0)
-        env.reset()
-        env.step([Action(1.0, 1.0)] * cfg.n_users)
-        state = (env.backlog, env.dropped, env.prev_sinr, env.slot)
-        copies = tuple(list(v) for v in state[:3])
+        twin, _ = make_env(seed=8, n_users=3, noise_level=1.0)
+        for e in (env, twin):
+            e.reset()
+            e.step([Action(1.0, 1.0)] * cfg.n_users)
+        state = (env.backlog, env.prev_sinr, env.slot)
+        copies = tuple(list(v) for v in state[:2])
         bad = [Action(1.0, 1.0), Action(1.0, 1.0), Action(1.0, 2.5)]
         with pytest.raises(ActionError, match="^user 2: p_local_w=2.5 outside"):
             env.step(bad)
         bad[1] = Action(float("nan"), 0.0)
         with pytest.raises(ActionError, match="^user 1: p_offload_w=nan outside"):
             env.step(bad)
-        assert (env.backlog, env.dropped, env.prev_sinr, env.slot) == state
-        assert tuple(list(v) for v in state[:3]) == copies
+        bad[0] = Action(1.0, -0.5)
+        bad[1] = Action(3.0, 0.0)
+        with pytest.raises(ActionError, match="^user 0: p_local_w=-0.5 outside"):
+            env.step(bad)
+        assert (env.backlog, env.prev_sinr, env.slot) == state
+        assert tuple(list(v) for v in state[:2]) == copies
+        good = [Action(0.5, 0.2)] * cfg.n_users
+        got, want = env.step(good), twin.step(good)
+        assert (got.info, got.true_rewards, got.perceived_rewards) == (
+            want.info, want.true_rewards, want.perceived_rewards)
 
     @pytest.mark.parametrize("users,antennas", [(2, 4), (8, 8)])
     @given(data=st.data())
@@ -351,7 +363,8 @@ class TestStep:
             off = min(math.floor(phy.offload_capacity(c, info["sinr"])), before[m] - local)
             assert info["bits_offloaded"] == off
             assert 0 <= after <= cap
-            assert info["bits_dropped"] == env.dropped[m] >= 0
+            total = before[m] - local - off + info["bits_arrived"]
+            assert info["bits_dropped"] == max(total - cap, 0)
             true = -cfg.w_energy[m] * (a.p_offload_w + a.p_local_w) - cfg.w_queue[m] * after
             assert math.isclose(res.true_rewards[m], true, rel_tol=1e-12, abs_tol=1e-300)
 
@@ -458,18 +471,17 @@ class TestStep:
             for x, y in zip(ra.observations, rb.observations):
                 assert (x.backlog_bits, x.prev_sinr) == (y.backlog_bits, y.prev_sinr)
                 assert same_bytes(x.chan_power, y.chan_power)
-            assert (a.backlog, a.dropped, a.prev_sinr, a.slot) == (
-                b.backlog, b.dropped, b.prev_sinr, b.slot)
+            assert (a.backlog, a.prev_sinr, a.slot) == (b.backlog, b.prev_sinr, b.slot)
             assert same_bytes(a.obs_vectors(), b.obs_vectors())
 
     def test_queues_view(self):
         env, cfg = make_env(seed=4, buffer_cap_bits=1000)
         assert env.queues is None
         env.reset()
-        for _ in range(5):
-            env.step([Action(0.0, 0.0)] * cfg.n_users)
-        assert env.queues == [TaskQueue(b, d) for b, d in zip(env.backlog, env.dropped)]
-        assert any(q.dropped_bits for q in env.queues)
+        results = [env.step([Action(0.0, 0.0)] * cfg.n_users) for _ in range(5)]
+        assert env.queues == [TaskQueue(b) for b in env.backlog]
+        assert any(q.backlog_bits == 1000 for q in env.queues)
+        assert any(i["bits_dropped"] for res in results for i in res.info)
         with pytest.raises(AttributeError):
             env.queues = []
 

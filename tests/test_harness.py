@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import functools
 import io
 import json
 import math
@@ -7,6 +8,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -21,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecrl import cli, files, neural, runner, seeds
-from mecrl.agents import EpisodeStats, TrainingDiverged
+from mecrl.agents import EpisodeStats, TrainingDiverged, act
 from mecrl.cli import _train_tree, main
 from mecrl.config import (ExperimentConfig, config_from_dict, config_to_dict,
                           load_config, save_config)
 from mecrl.env import Action, ActionError, ConfigError, draw_arrivals
-from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate,
+from mecrl.runner import (AggregateSeries, aggregate_runs, evaluate, load_policy,
                           read_aggregate_csv, run_training, save_checkpoints,
                           write_csv, write_run_csv)
 from mecrl.svgplot import render_svg
@@ -401,25 +404,17 @@ class TestEvaluate:
 
     def test_deterministic(self, tmp_path):
         cfg, ckpt = self._train_and_save(tmp_path)
-        a = evaluate(cfg, ckpt, 3)
-        b = evaluate(cfg, ckpt, 3)
+        a = evaluate(cfg, load_policy(cfg, ckpt), 3)
+        b = evaluate(cfg, load_policy(cfg, ckpt), 3)
         assert a == b
 
-    def test_reports_true_returns_under_noise(self, tmp_path):
-        # Saturated-low actor: every action is (numerically) zero watts, so
-        # the true return is exactly the queue penalty accumulated by an
-        # action-free environment rollout, even with reward noise active.
-        cfg, ckpt = self._train_and_save(tmp_path)
+    def test_reports_true_returns_under_noise(self):
+        # A zero policy: the true return is exactly the queue penalty
+        # accumulated by an action-free environment rollout, even with
+        # reward noise active.
+        cfg = tiny_config()
         cfg = replace(cfg, env=replace(cfg.env, noise_level=50.0))
-        for m in range(cfg.env.n_users):
-            p = ckpt / f"{cfg.algo}_{m}_actor.json"
-            doc = json.loads(p.read_text())
-            doc["w1"]["data"] = [0.0] * len(doc["w1"]["data"])
-            doc["b1"]["data"] = [0.0] * len(doc["b1"]["data"])
-            doc["w2"]["data"] = [0.0] * len(doc["w2"]["data"])
-            doc["b2"]["data"] = [-60.0, -60.0]
-            p.write_text(json.dumps(doc))
-        summary = evaluate(cfg, ckpt, 2)
+        summary = evaluate(cfg, lambda obs: np.zeros(obs.shape[:-1] + (2,)), 2)
 
         from mecrl.env import Action, MecEnv
         env = MecEnv(cfg.env, **seeds.env_streams(cfg.base_seed, cfg.n_runs))
@@ -439,14 +434,15 @@ class TestEvaluate:
         cfg, ckpt = self._train_and_save(tmp_path, algo=algo, episodes=2, env={
             "n_users": users, "n_antennas": antennas, "episode_len": 8, "noise_level": 0.5})
         for episodes in (1, 5):
-            assert evaluate(cfg, ckpt, episodes) == reference_rollout(cfg, ckpt, episodes)
+            assert (evaluate(cfg, load_policy(cfg, ckpt), episodes)
+                    == reference_rollout(cfg, ckpt, episodes))
 
     def test_groups_within_the_budget_give_the_same_summary(self, tmp_path, monkeypatch):
         cfg, ckpt = self._train_and_save(tmp_path, env={"n_users": 2, "episode_len": 8,
                                                         "noise_level": 0.5})
-        whole = evaluate(cfg, ckpt, 5)
+        whole = evaluate(cfg, load_policy(cfg, ckpt), 5)
         episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
-        rolled = bad_actions(monkeypatch, cfg.env.episode_len, [])
+        policy, rolled = bad_actions(load_policy(cfg, ckpt), cfg.env.episode_len, [])
         # Episodes per act call: a pass rolls all its episodes together.
         for group, sizes in [(None, [5]), (1, [1] * 5), (2, [2, 2, 1])]:
             if group is not None:
@@ -454,7 +450,7 @@ class TestEvaluate:
                 monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
                                     int(episode_bytes * (group + 1)) - 1)
             rolled.clear()
-            assert evaluate(cfg, ckpt, 5) == whole
+            assert evaluate(cfg, policy, 5) == whole
             assert rolled == [k for k in sizes for _ in range(cfg.env.episode_len)]
 
     def test_each_episode_is_drawn_once_by_the_caller(self, tmp_path, monkeypatch):
@@ -470,7 +466,7 @@ class TestEvaluate:
         for episodes in (2, 5):
             ref = reference_rollout(cfg, ckpt, episodes)
             draws.clear()
-            assert evaluate(cfg, ckpt, episodes) == ref
+            assert evaluate(cfg, load_policy(cfg, ckpt), episodes) == ref
             assert len(draws) == episodes
 
     @pytest.mark.parametrize("step_fails", [False, True])
@@ -488,11 +484,12 @@ class TestEvaluate:
             return draw_arrivals(cfg, rng, n_slots)
 
         monkeypatch.setattr("mecrl.env.draw_arrivals", failing_arrivals)
-        rolled = bad_actions(monkeypatch, cfg.env.episode_len, [(1, 3, 0, 0)] * step_fails)
+        policy, rolled = bad_actions(load_policy(cfg, ckpt), cfg.env.episode_len,
+                                     [(1, 3, 0, 0)] * step_fails)
         failed = ("evaluation episode 1, slot 3: user 0: p_offload_w=nan outside" if step_fails
                   else "episode 2: draw failed")
         with pytest.raises(ValueError, match=failed):
-            evaluate(cfg, ckpt, 5)
+            evaluate(cfg, policy, 5)
         t = cfg.env.episode_len
         assert rolled == ([2] * 4 + [1] * (t - 4) if step_fails else [2] * t)
 
@@ -506,11 +503,11 @@ class TestEvaluate:
         cfg, ckpt = self._train_and_save(tmp_path)
         episode_bytes = cfg.env.reset_slot_bytes() * cfg.env.episode_len
         monkeypatch.setattr(runner, "RESET_BUDGET_BYTES", int(episode_bytes * 4) - 1)
-        rolled = bad_actions(monkeypatch, cfg.env.episode_len,
-                             [(4, 3, user, k), (5, 1, 1 - user, 1 - k)], value)
+        policy, rolled = bad_actions(load_policy(cfg, ckpt), cfg.env.episode_len,
+                                     [(4, 3, user, k), (5, 1, 1 - user, 1 - k)], value)
         name = ("p_offload_w", "p_local_w")[k]
         with pytest.raises(ActionError) as raised:
-            evaluate(cfg, ckpt, 6)
+            evaluate(cfg, policy, 6)
         assert str(raised.value) == (f"evaluation episode 4, slot 3: user {user}: "
                                      f"{name}={value} outside [0, 2.0]")
         t = cfg.env.episode_len
@@ -518,14 +515,29 @@ class TestEvaluate:
 
     def test_missing_checkpoint(self, tmp_path):
         cfg = tiny_config()
-        with pytest.raises(FileNotFoundError):
-            evaluate(cfg, tmp_path / "nowhere", 2)
+        with pytest.raises(FileNotFoundError, match="nowhere/ddpg_0_actor.json"):
+            load_policy(cfg, tmp_path / "nowhere")
 
     def test_shape_mismatch(self, tmp_path):
         cfg, ckpt = self._train_and_save(tmp_path)
         bad = replace(cfg, env=replace(cfg.env, constants=replace(cfg.env.constants, n_antennas=3)))
         with pytest.raises(ConfigError, match="shape"):
-            evaluate(bad, ckpt, 2)
+            load_policy(bad, ckpt)
+
+    @pytest.mark.parametrize("algo", ["ddpg", "maddpg", "rmaddpg"])
+    def test_trained_actors_score_in_process_as_their_checkpoints(self, tmp_path, algo):
+        # The trainer's actors cast to float64 act as the saved ones do, so
+        # a run can be scored without reading its checkpoints. The float32
+        # stack computes in float32 (eval_vec keeps the parameters' dtype)
+        # and scores differently.
+        cfg = tiny_config(algo=algo, env={"n_users": 2, "episode_len": 20, "noise_level": 0.5})
+        _, trainer = run_training(cfg, 0)
+        save_checkpoints(trainer, algo, tmp_path)
+        saved = evaluate(cfg, load_policy(cfg, tmp_path), 7)
+        a = trainer.actor
+        f64 = neural.MlpParams(a.in_dim, a.out_dim, a.hidden, a.flat.astype(np.float64), a.agents)
+        assert evaluate(cfg, functools.partial(act, f64, trainer.p_max), 7) == saved
+        assert evaluate(cfg, functools.partial(act, a, trainer.p_max), 7) != saved
 
 
 class TestCli:
@@ -573,6 +585,20 @@ class TestCli:
                      "--episodes", "2"])
         assert code == 0
         assert "mean true return" in capsys.readouterr().out
+
+    def test_eval_reports_a_bad_episode_count_before_the_checkpoints(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints",
+                     str(tmp_path / "nowhere"), "--episodes", "0"]) == 1
+        assert capsys.readouterr() == ("", "mecrl: error: n_episodes must be >= 1, got 0\n")
+
+    def test_eval_missing_checkpoint_is_io_error_naming_the_file(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoints",
+                     str(tmp_path / "nowhere")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("mecrl: i/o error: ") and err.count("\n") == 1, err
+        assert str(tmp_path / "nowhere" / "ddpg_0_actor.json") in err
 
     def test_grid_creates_cells(self, tmp_path):
         cfg_path = write_cfg(tmp_path, n_runs=1, episodes=1, out_dir=str(tmp_path / "grid"))
@@ -722,9 +748,11 @@ class TestCli:
         # Episode 1 takes a NaN offload power at slot 3 and episode 2 a NaN
         # local power at slot 1, before it: episode 1's error is reported.
         cfg_path, ckpt = trained_tree(tmp_path)
+        cfg = load_config(cfg_path)
         at = {1: (1, 3, 0, 0), 2: (2, 1, 1, 1)}
-        rolled = bad_actions(monkeypatch, load_config(cfg_path).env.episode_len,
-                             [at[k] for k in failing])
+        policy, rolled = bad_actions(load_policy(cfg, ckpt), cfg.env.episode_len,
+                                     [at[k] for k in failing])
+        monkeypatch.setattr(cli, "load_policy", lambda cfg, checkpoint_dir: policy)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             rolled.clear()
@@ -752,10 +780,11 @@ class TestCli:
             monkeypatch.setattr(runner, "RESET_BUDGET_BYTES",
                                 int(episode_bytes * (per_pass + 1)) - 1)
         slots = cfg.env.episode_len
-        bad_actions(monkeypatch, slots, [(e, t, 0, k) for e in (0, 2, 3, 4)
-                                         for t in range(slots) for k in (0, 1)], value=0.0)
-        bad_actions(monkeypatch, slots, [(1, 0, 0, 0), (1, 0, 0, 1)], value=2.0)
-        rolled = bad_actions(monkeypatch, slots, [(3, 1, 0, 0)])
+        policy, _ = bad_actions(load_policy(cfg, ckpt), slots, [
+            (e, t, 0, k) for e in (0, 2, 3, 4) for t in range(slots) for k in (0, 1)], value=0.0)
+        policy, _ = bad_actions(policy, slots, [(1, 0, 0, 0), (1, 0, 0, 1)], value=2.0)
+        policy, rolled = bad_actions(policy, slots, [(3, 1, 0, 0)])
+        monkeypatch.setattr(cli, "load_policy", lambda cfg, checkpoint_dir: policy)
         assert main(["eval", "--config", str(cfg_path), "--checkpoints", str(ckpt),
                      "--episodes", "5"]) == 1
         out, err = capsys.readouterr()
@@ -1093,3 +1122,24 @@ class TestWriteAtomic:
         self.WRITERS[writer](fresh)
         assert path.read_bytes() == fresh.read_bytes() != b"old bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "target"]
+
+
+def test_failing_property_leaves_the_later_tests_running(tmp_path):
+    # Under the suite's warning filters, hypothesis's report of a failing
+    # property (which imports libcst where it is installed) must not abort
+    # the session before the next test runs.
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n\n"
+        "def test_later():\n"
+        "    pass\n")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(pyproject), "--rootdir", str(tmp_path), "test_two.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
